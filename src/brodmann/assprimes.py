@@ -10,7 +10,6 @@ must agree, and the profile driver can cross-check them against each other.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 from .errors import InconsistencyError, InputError
@@ -25,6 +24,7 @@ from .monomials import (
     max_exponents,
     minimize,
     power,
+    require_proper_nonzero,
     used_variables,
 )
 
@@ -35,11 +35,6 @@ METHODS = ("quotient", "recursion", "both")
 
 def full_support_prime(r: int) -> VariablePrime:
     return tuple(range(1, r + 1))
-
-
-def _require_proper_nonzero(I: MonomialIdeal) -> None:
-    if I.is_zero() or I.is_unit():
-        raise InputError("a proper nonzero ideal is required")
 
 
 def ass_witnesses(
@@ -54,11 +49,10 @@ def ass_witnesses(
     componentwise by the maximum generator exponents; a clamping argument
     shows every prime has a witness there.
     """
-    _require_proper_nonzero(J)
+    require_proper_nonzero(J)
     r = J.r
     caps = max_exponents(J)
     table = BoxTable(J.generators, tuple(c + 1 for c in caps), budget)
-    masked: dict[frozenset[int], MonomialIdeal] = {}
     masked_tables: dict[frozenset[int], BoxTable] = {}
     found: dict[VariablePrime, Monomial] = {}
     for m in iter_box(caps):
@@ -74,7 +68,6 @@ def ass_witnesses(
         off_support = frozenset(i for i in range(r) if (i + 1) not in prime)
         if off_support not in masked_tables:
             restricted = _zero_coords(J, off_support)
-            masked[off_support] = restricted
             masked_tables[off_support] = BoxTable(
                 restricted.generators, tuple(c + 1 for c in caps), budget
             )
@@ -101,7 +94,7 @@ def max_ideal_in_ass(I: MonomialIdeal, n: int, budget: int | None = None) -> boo
     one variable the answer is False by convention, and any unused variable
     forces False (its deletion leaves I unchanged, collapsing the numerator).
     """
-    _require_proper_nonzero(I)
+    require_proper_nonzero(I)
     if n < 0:
         raise InputError(f"power index must be >= 0, got {n}")
     r = I.r
@@ -179,7 +172,7 @@ def ass_power(
     associated primes of R/I^(n+1).  method "both" runs the quotient and
     recursion routes and raises an inconsistency error if they disagree.
     """
-    _require_proper_nonzero(I)
+    require_proper_nonzero(I)
     if n < 0:
         raise InputError(f"power index must be >= 0, got {n}")
     if method not in METHODS:
@@ -233,7 +226,7 @@ def ass_profile(
     budget: int | None = None,
 ) -> AssProfile:
     """Profile of Ass(I^n/I^(n+1)) over n = 0..n_max."""
-    _require_proper_nonzero(I)
+    require_proper_nonzero(I)
     if n_max < 1:
         raise InputError(f"scan bound must be >= 1, got {n_max}")
     if jobs < 1:
@@ -242,6 +235,9 @@ def ass_profile(
     if jobs == 1 or len(tasks) == 1:
         results = [_profile_entry(t) for t in tasks]
     else:
+        # imported here: multiprocessing is slow to load and rarely needed
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(_profile_entry, tasks))
     entries = tuple(e for _, e in sorted(results))

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import InconsistencyError, InputError
-from .monomials import MonomialIdeal
+from .monomials import MonomialIdeal, require_proper_nonzero
 from .assprimes import AssProfile
 from .radicals import ExactRadical, RadicalSum
 
@@ -76,6 +76,15 @@ def stabilization_bound(r: int, s: int, d: int) -> ExactRadical:
     return b1 if b1 > b2 else ExactRadical.of_fraction(b2)
 
 
+def _decimal_digits(n: int) -> int:
+    """Decimal digits of n >= 0, like len(str(n)) but by integer arithmetic,
+    since str() refuses ints past Python's int-to-str limit (4300 digits)."""
+    digits = max(1, (n.bit_length() - 1) * 30102 // 100000 + 1)  # a lower bound
+    while n >= 10**digits:
+        digits += 1
+    return digits
+
+
 @dataclass(frozen=True)
 class BoundReport:
     """All thresholds for one (r, s, d), exact and with integer ceilings."""
@@ -119,17 +128,16 @@ def bound_report(r: int, s: int, d: int) -> BoundReport:
         b4=b4,
         b_exact=b,
         b_ceil=bc,
-        digits_b1=len(str(b1c)),
-        digits_b2=len(str(b2)),
-        digits_b=len(str(bc)),
+        digits_b1=_decimal_digits(b1c),
+        digits_b2=_decimal_digits(b2),
+        digits_b=_decimal_digits(bc),
     )
 
 
 def ideal_parameters(I: MonomialIdeal) -> tuple[int, int, int]:
     """(r, s, d) of a proper nonzero ideal: ambient variables, minimal
     generator count, largest generator total degree."""
-    if I.is_zero() or I.is_unit():
-        raise InputError("a proper nonzero ideal is required")
+    require_proper_nonzero(I)
     return I.r, len(I.generators), max(sum(g) for g in I.generators)
 
 

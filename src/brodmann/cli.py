@@ -15,7 +15,7 @@ import argparse
 import json
 import sys
 
-from .assprimes import METHODS, AssProfile, ass_power, ass_profile
+from .assprimes import METHODS, ass_power, ass_profile
 from .bounds import bound_report, ideal_parameters
 from .cohomology import DEFAULT_M_CAP, a0_observed, ratliff_rush
 from .errors import BudgetError, InconsistencyError, InputError, ParseError
@@ -23,6 +23,7 @@ from .ioformats import (
     load_ideal,
     load_system,
     monomial_str,
+    parse_system_json,
     prime_str,
     system_to_json,
     system_to_text,
@@ -47,21 +48,19 @@ INDEX_NOTE = (
 )
 
 
-def _primes_cell(primes: frozenset[tuple[int, ...]]) -> str:
-    if not primes:
-        return "-"
-    return ",".join(prime_str(p) for p in sorted(primes))
+def _primes_cell(primes: list[tuple[int, ...]]) -> str:
+    return ",".join(prime_str(p) for p in primes) or "-"
 
 
-def _primes_json(primes: frozenset[tuple[int, ...]]) -> list[list[int]]:
-    return [list(p) for p in sorted(primes)]
+def _vector_cell(v: tuple[int, ...]) -> str:
+    return " ".join(str(c) for c in v)
 
 
-def _emit(text: str) -> None:
-    sys.stdout.write(text if text.endswith("\n") else text + "\n")
-
-
-def _profile_payload(profile: AssProfile) -> dict:
+def _cmd_ass_profile(args: argparse.Namespace) -> dict:
+    I = load_ideal(args.ideal)
+    profile = ass_profile(
+        I, args.n_max, method=args.method, jobs=args.jobs, budget=args.budget
+    )
     stable = profile.observed_stable_at
     return {
         "r": profile.ideal.r,
@@ -69,7 +68,7 @@ def _profile_payload(profile: AssProfile) -> dict:
         "method": profile.method,
         "index_note": INDEX_NOTE,
         "entries": [
-            {"n": n, "shifted_n": n + 1, "primes": _primes_json(e)}
+            {"n": n, "shifted_n": n + 1, "primes": sorted(e)}
             for n, e in enumerate(profile.entries)
         ],
         "observed_stable_at": stable,
@@ -78,92 +77,77 @@ def _profile_payload(profile: AssProfile) -> dict:
     }
 
 
-def _cmd_ass_profile(args: argparse.Namespace) -> int:
-    I = load_ideal(args.ideal)
-    profile = ass_profile(
-        I, args.n_max, method=args.method, jobs=args.jobs, budget=args.budget
-    )
-    if args.format == "json":
-        _emit(json.dumps(_profile_payload(profile), indent=2))
-        return 0
-    lines = [f"# {INDEX_NOTE}", "# n\tprimes"]
-    for n, entry in enumerate(profile.entries):
-        lines.append(f"{n}\t{_primes_cell(entry)}")
-    stable = profile.observed_stable_at
+def _tsv_ass_profile(p: dict) -> str:
+    lines = [f"# {p['index_note']}", "# n\tprimes"]
+    lines += [f"{e['n']}\t{_primes_cell(e['primes'])}" for e in p["entries"]]
+    stable = p["observed_stable_at"]
     if stable is None:
-        lines.append(f"# observed_stable_at: none up to n_max={profile.n_max}")
+        lines.append(f"# observed_stable_at: none up to n_max={p['n_max']}")
     else:
         lines.append(f"# observed_stable_at: {stable} (shifted index {stable + 1})")
-    if profile.non_monotone_at:
-        lines.append(
-            "# non_monotone_at: " + ",".join(str(n) for n in profile.non_monotone_at)
-        )
-    _emit("\n".join(lines))
-    return 0
+    if p["non_monotone_at"]:
+        lines.append("# non_monotone_at: " + ",".join(map(str, p["non_monotone_at"])))
+    return "\n".join(lines)
 
 
-def _cmd_ass(args: argparse.Namespace) -> int:
+def _cmd_ass(args: argparse.Namespace) -> dict:
     I = load_ideal(args.ideal)
     primes = ass_power(I, args.n, method=args.method, budget=args.budget)
-    if args.format == "json":
-        payload = {
-            "n": args.n,
-            "shifted_n": args.n + 1,
-            "method": args.method,
-            "index_note": INDEX_NOTE,
-            "primes": _primes_json(primes),
-        }
-        _emit(json.dumps(payload, indent=2))
-        return 0
-    _emit(f"# {INDEX_NOTE}\n{args.n}\t{_primes_cell(primes)}")
-    return 0
+    return {
+        "n": args.n,
+        "shifted_n": args.n + 1,
+        "method": args.method,
+        "index_note": INDEX_NOTE,
+        "primes": sorted(primes),
+    }
 
 
-def _cmd_rr(args: argparse.Namespace) -> int:
+def _tsv_ass(p: dict) -> str:
+    return f"# {p['index_note']}\n{p['n']}\t{_primes_cell(p['primes'])}"
+
+
+def _cmd_rr(args: argparse.Namespace) -> dict:
     I = load_ideal(args.ideal)
     res = ratliff_rush(I, args.n, m_cap=args.m_cap)
-    if args.format == "tsv":
-        lines = [
-            f"# Ratliff-Rush closure of I^{res.n}",
-            f"# stabilized_at_m: {res.stabilized_at_m}",
-            f"# certified: {res.certified}",
-        ]
-        lines += [monomial_str(g) for g in res.closure.generators]
-        _emit("\n".join(lines))
-        return 0
-    payload = {
+    return {
         "n": res.n,
-        "closure_generators": [list(g) for g in res.closure.generators],
+        "closure_generators": res.closure.generators,
         "closure_monomials": [monomial_str(g) for g in res.closure.generators],
         "stabilized_at_m": res.stabilized_at_m,
         "certified": res.certified,
         "chain_monotone": res.chain_monotone,
     }
-    _emit(json.dumps(payload, indent=2))
-    return 0
 
 
-def _cmd_a0(args: argparse.Namespace) -> int:
+def _tsv_rr(p: dict) -> str:
+    head = (
+        "# Ratliff-Rush closure of I^{n}\n"
+        "# stabilized_at_m: {stabilized_at_m}\n"
+        "# certified: {certified}".format_map(p)
+    )
+    return "\n".join([head, *p["closure_monomials"]])
+
+
+def _cmd_a0(args: argparse.Namespace) -> dict:
     I = load_ideal(args.ideal)
     res = a0_observed(I, args.n_max, m_cap=args.m_cap)
-    payload = {
+    return {
         "a0": res.value,
-        "per_degree_flags": list(res.flags),
+        "per_degree_flags": res.flags,
         "certified": res.certified,
-        "warnings": list(res.warnings),
+        "warnings": res.warnings,
         "note": "per_degree_flags[k] reports nonzero Rees-irrelevant torsion in degree k",
     }
-    if args.format == "tsv":
-        lines = [f"# a0: {res.value}", f"# certified: {res.certified}"]
-        lines += [f"{k}\t{flag}" for k, flag in enumerate(res.flags)]
-        lines += [f"# warning: {w}" for w in res.warnings]
-        _emit("\n".join(lines))
-        return 0
-    _emit(json.dumps(payload, indent=2))
-    return 0
 
 
-def _cmd_bound(args: argparse.Namespace) -> int:
+def _tsv_a0(p: dict) -> str:
+    lines = [f"# a0: {p['a0']}", f"# certified: {p['certified']}"]
+    lines += [f"{k}\t{flag}" for k, flag in enumerate(p["per_degree_flags"])]
+    lines += [f"# warning: {w}" for w in p["warnings"]]
+    return "\n".join(lines)
+
+
+def _cmd_bound(args: argparse.Namespace) -> dict:
     explicit = [v for v in (args.r, args.s, args.d) if v is not None]
     if args.ideal is not None:
         if explicit:
@@ -173,115 +157,86 @@ def _cmd_bound(args: argparse.Namespace) -> int:
         if len(explicit) != 3:
             raise InputError("provide either --ideal or all of --r, --s, --d")
         r, s, d = args.r, args.s, args.d
-    rep = bound_report(r, s, d)
-    if args.format == "json":
-        payload = {
-            "r": r,
-            "s": s,
-            "d": d,
-            "b1": str(rep.b1),
-            "b1_ceil": rep.b1_ceil,
-            "b2": rep.b2,
-            "b3": str(rep.b3),
-            "b3_ceil": rep.b3_ceil,
-            "b3_floor_reading": rep.b3_floor_reading,
-            "b4": rep.b4,
-            "b": str(rep.b_exact),
-            "b_ceil": rep.b_ceil,
-            "digits": {"b1": rep.digits_b1, "b2": rep.digits_b2, "b": rep.digits_b},
-        }
-        _emit(json.dumps(payload, indent=2))
-        return 0
-    lines = [
-        f"# stabilization thresholds for r={r} s={s} d={d}",
-        f"b1\t{rep.b1}\tceil={rep.b1_ceil}",
-        f"b2\t{rep.b2}",
-        f"b3\t{rep.b3}\tceil={rep.b3_ceil}\tfloor_reading={rep.b3_floor_reading}",
-        f"b4\t{rep.b4}",
-        f"b\t{rep.b_exact}\tceil={rep.b_ceil}",
-        f"# B = max(B1, B2) = {rep.b_exact}",
-        f"# digits: b1={rep.digits_b1} b2={rep.digits_b2} b={rep.digits_b}",
-    ]
-    _emit("\n".join(lines))
-    return 0
+    # the report's fields in order, b_exact as b and the digit counts nested;
+    # the radicals stay exact objects, which JSON renders with str()
+    fields = vars(bound_report(r, s, d))
+    payload = {k.removesuffix("_exact"): v for k, v in fields.items() if "digits" not in k}
+    payload["digits"] = {k.removeprefix("digits_"): v for k, v in fields.items() if "digits" in k}
+    return payload
 
 
-def _vector_cell(v: tuple[int, ...]) -> str:
-    return " ".join(str(c) for c in v)
+_BOUND_TSV = (
+    "# stabilization thresholds for r={r} s={s} d={d}\n"
+    "b1\t{b1}\tceil={b1_ceil}\n"
+    "b2\t{b2}\n"
+    "b3\t{b3}\tceil={b3_ceil}\tfloor_reading={b3_floor_reading}\n"
+    "b4\t{b4}\n"
+    "b\t{b}\tceil={b_ceil}\n"
+    "# B = max(B1, B2) = {b}\n"
+    "# digits: b1={digits[b1]} b2={digits[b2]} b={digits[b]}"
+)
 
 
-def _cmd_cone(args: argparse.Namespace) -> int:
+def _cmd_cone(args: argparse.Namespace) -> dict:
     system = load_system(args.system)
-    want_rays = args.rays or not (args.hilbert or args.module or args.bound)
-    tsv = args.format == "tsv"
-    lines: list[str] = []
-    payload: dict = {"e": system.e, "homogeneous": system.is_homogeneous()}
-    if want_rays:
-        rays = extreme_rays(system, budget=args.budget)
-        if tsv:
-            lines.append("# extreme rays")
-            lines += [f"ray\t{_vector_cell(v)}" for v in rays]
-        payload["rays"] = [list(v) for v in rays]
+    homogeneous = system.is_homogeneous()
+    payload: dict = {"e": system.e, "homogeneous": homogeneous}
+    if args.rays or not (args.hilbert or args.module or args.bound):
+        payload["rays"] = extreme_rays(system, budget=args.budget)
     if args.bound:
-        if system.is_homogeneous():
-            a1 = bound_a1(system)
-            if tsv:
-                lines.append(f"bound_a1\t{a1}\tceil={a1.ceil()}")
-            payload["bound_a1"] = str(a1)
-            payload["bound_a1_ceil"] = a1.ceil()
-        else:
-            a2 = bound_a2(system)
-            a1h = bound_a1(system.homogenized())
-            if tsv:
-                lines.append(f"bound_a1\t{a1h}\tceil={a1h.ceil()}")
-                lines.append(f"bound_a2\t{a2}\tceil={a2.ceil()}")
-            payload["bound_a1"] = str(a1h)
-            payload["bound_a1_ceil"] = a1h.ceil()
-            payload["bound_a2"] = str(a2)
-            payload["bound_a2_ceil"] = a2.ceil()
+        a2 = None if homogeneous else bound_a2(system)
+        a1 = bound_a1(system.homogenized())
+        payload.update(bound_a1=a1, bound_a1_ceil=a1.ceil())
+        if a2 is not None:
+            payload.update(bound_a2=a2, bound_a2_ceil=a2.ceil())
     if args.hilbert:
         if args.cap is None:
             raise InputError("--hilbert requires --cap")
-        gens = hilbert_generators(system, args.cap, budget=args.budget)
-        if tsv:
-            lines.append("# semigroup generators")
-            lines += [f"hilbert\t{_vector_cell(v)}" for v in gens]
-        payload["hilbert"] = [list(v) for v in gens]
+        payload["hilbert"] = hilbert_generators(system, args.cap, budget=args.budget)
     if args.module:
-        if system.is_homogeneous():
-            mgens = [(0,) * system.e]
+        if homogeneous:
+            payload["module"] = [(0,) * system.e]
+        elif args.cap is None:
+            raise InputError("--module requires --cap")
         else:
-            if args.cap is None:
-                raise InputError("--module requires --cap")
-            mgens = module_generators(system, args.cap, budget=args.budget)
-        if tsv:
-            lines.append("# module generators")
-            lines += [f"module\t{_vector_cell(v)}" for v in mgens]
-        payload["module"] = [list(v) for v in mgens]
-    _emit("\n".join(lines) if tsv else json.dumps(payload, indent=2))
-    return 0
+            payload["module"] = module_generators(system, args.cap, budget=args.budget)
+    return payload
 
 
-def _cmd_build_system(args: argparse.Namespace) -> int:
+def _tsv_cone(p: dict) -> str:
+    lines = []
+    if "rays" in p:
+        lines.append("# extreme rays")
+        lines += [f"ray\t{_vector_cell(v)}" for v in p["rays"]]
+    for key in ("bound_a1", "bound_a2"):
+        if key in p:
+            lines.append(f"{key}\t{p[key]}\tceil={p[key + '_ceil']}")
+    for key, title in (("hilbert", "semigroup"), ("module", "module")):
+        if key in p:
+            lines.append(f"# {title} generators")
+            lines += [f"{key}\t{_vector_cell(v)}" for v in p[key]]
+    return "\n".join(lines)
+
+
+def _cmd_build_system(args: argparse.Namespace) -> dict:
     I = load_ideal(args.ideal)
     system = build_system(I, args.mode)
     gen = I.generators[designated_generator(I)]
-    if args.format == "json":
-        obj = json.loads(system_to_json(system))
-        obj["mode"] = args.mode
-        obj["designated_generator"] = list(gen)
-        text = json.dumps(obj, indent=2)
-    else:
-        text = (
-            f"# mode: {args.mode}\n"
-            f"# designated generator: {monomial_str(gen)}\n" + system_to_text(system)
-        )
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text if text.endswith("\n") else text + "\n")
-    else:
-        _emit(text)
-    return 0
+    return {
+        **json.loads(system_to_json(system)),
+        "mode": args.mode,
+        "designated_generator": gen,
+    }
+
+
+def _tsv_build_system(p: dict) -> str:
+    # the payload holds the system in its JSON form, extra keys aside
+    system = parse_system_json(json.dumps(p))
+    return (
+        f"# mode: {p['mode']}\n"
+        f"# designated generator: {monomial_str(p['designated_generator'])}\n"
+        + system_to_text(system)
+    )
 
 
 def _parse_fix(pairs: list[str]) -> dict[str | int, int]:
@@ -299,26 +254,22 @@ def _parse_fix(pairs: list[str]) -> dict[str | int, int]:
     return fixed
 
 
-def _cmd_feasible(args: argparse.Namespace) -> int:
+def _cmd_feasible(args: argparse.Namespace) -> dict:
     system = load_system(args.system)
     fixed = _parse_fix(args.fix or [])
     witness = solve_feasible(system, fixed, args.box, budget=args.budget)
     labels = system.labels or tuple(f"v{i}" for i in range(system.e))
-    if args.format == "json":
-        payload = {
-            "feasible": witness is not None,
-            "box": args.box,
-            "witness": None if witness is None else dict(zip(labels, witness)),
-        }
-        _emit(json.dumps(payload, indent=2))
-        return 0
-    if witness is None:
-        _emit("infeasible")
-        return 0
-    lines = ["feasible"]
-    lines += [f"{name}\t{value}" for name, value in zip(labels, witness)]
-    _emit("\n".join(lines))
-    return 0
+    return {
+        "feasible": witness is not None,
+        "box": args.box,
+        "witness": None if witness is None else dict(zip(labels, witness)),
+    }
+
+
+def _tsv_feasible(p: dict) -> str:
+    if not p["feasible"]:
+        return "infeasible"
+    return "\n".join(["feasible", *(f"{k}\t{v}" for k, v in p["witness"].items())])
 
 
 def example_ideal(d: int) -> MonomialIdeal:
@@ -335,14 +286,9 @@ def _check_example_family(d: int, jobs: int) -> tuple[bool, str]:
     profile = ass_profile(I, d, method="both", jobs=jobs)
     small = frozenset({(1, 2), (1, 2, 3)})
     large = frozenset({(1, 2)})
-    ok = True
-    for n, entry in enumerate(profile.entries):
-        expected = small if n <= d - 4 else large
-        if entry != expected:
-            ok = False
-            break
-    if profile.observed_stable_at != d - 3:
-        ok = False
+    ok = profile.observed_stable_at == d - 3 and all(
+        entry == (small if n <= d - 4 else large) for n, entry in enumerate(profile.entries)
+    )
     detail = (
         f"entries over n=0..{d}, both methods, stable_at="
         f"{profile.observed_stable_at} (want {d - 3})"
@@ -361,16 +307,11 @@ def _check_staircase(e: int, d: int) -> tuple[bool, str]:
 
 def _check_bounds() -> tuple[bool, str]:
     rep = bound_report(2, 2, 2)
-    ok = (
-        rep.b1 == 1024
-        and rep.b2 == 16777216
-        and rep.b_exact == 16777216
-        and rep.b4 == 5791
-    )
+    ok = (rep.b1, rep.b2, rep.b_exact, rep.b4) == (1024, 16777216, 16777216, 5791)
     return ok, f"b1={rep.b1_ceil} b2={rep.b2} b4={rep.b4} b={rep.b_ceil}"
 
 
-def _cmd_paper_examples(args: argparse.Namespace) -> int:
+def _cmd_paper_examples(args: argparse.Namespace) -> dict:
     checks: list[tuple[str, bool, str]] = []
     for d in (5,) if args.quick else (5, 6, 7):
         ok, detail = _check_example_family(d, args.jobs)
@@ -381,19 +322,20 @@ def _cmd_paper_examples(args: argparse.Namespace) -> int:
             checks.append((f"staircase_e{e}_d{d}", ok, detail))
     ok, detail = _check_bounds()
     checks.append(("bound_report_2_2_2", ok, detail))
-    failures = 0
-    for name, passed, detail in checks:
-        status = "PASS" if passed else "FAIL"
-        failures += not passed
-        _emit(f"{status}\t{name}\t{detail}")
-    _emit(f"# {len(checks)} checks, {len(checks) - failures} passed, {failures} failed")
-    return 0 if failures == 0 else 4
+    return {"checks": checks, "failed": sum(not ok for _, ok, _ in checks)}
 
 
-def _add_format(p: argparse.ArgumentParser, default: str) -> None:
-    p.add_argument(
-        "--format", choices=("tsv", "json"), default=default, help="output format"
-    )
+def _tsv_paper_examples(p: dict) -> str:
+    lines = [f"{'PASS' if ok else 'FAIL'}\t{name}\t{detail}" for name, ok, detail in p["checks"]]
+    n, failed = len(p["checks"]), p["failed"]
+    lines.append(f"# {n} checks, {n - failed} passed, {failed} failed")
+    return "\n".join(lines)
+
+
+def _add_output(p: argparse.ArgumentParser, func, tsv, default: str = "tsv") -> None:
+    """The subcommand's payload builder, its TSV renderer and --format."""
+    p.add_argument("--format", choices=("tsv", "json"), default=default, help="output format")
+    p.set_defaults(func=func, tsv=tsv)
 
 
 def _add_budget(p: argparse.ArgumentParser) -> None:
@@ -419,38 +361,33 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", choices=METHODS, default="quotient")
     p.add_argument("--jobs", type=int, default=1, help="parallel workers per power")
     _add_budget(p)
-    _add_format(p, "tsv")
-    p.set_defaults(func=_cmd_ass_profile)
+    _add_output(p, _cmd_ass_profile, _tsv_ass_profile)
 
     p = sub.add_parser("ass", help="primes of I^n/I^(n+1) for a single n")
     p.add_argument("--ideal", required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--method", choices=METHODS, default="quotient")
     _add_budget(p)
-    _add_format(p, "tsv")
-    p.set_defaults(func=_cmd_ass)
+    _add_output(p, _cmd_ass, _tsv_ass)
 
     p = sub.add_parser("rr", help="Ratliff-Rush closure of I^n")
     p.add_argument("--ideal", required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--m-cap", type=int, default=DEFAULT_M_CAP, dest="m_cap")
-    _add_format(p, "json")
-    p.set_defaults(func=_cmd_rr)
+    _add_output(p, _cmd_rr, _tsv_rr, "json")
 
     p = sub.add_parser("a0", help="top degree with nonzero Rees-irrelevant torsion")
     p.add_argument("--ideal", required=True)
     p.add_argument("--n-max", type=int, required=True, dest="n_max")
     p.add_argument("--m-cap", type=int, default=DEFAULT_M_CAP, dest="m_cap")
-    _add_format(p, "json")
-    p.set_defaults(func=_cmd_a0)
+    _add_output(p, _cmd_a0, _tsv_a0, "json")
 
     p = sub.add_parser("bound", help="stabilization thresholds from (r, s, d)")
     p.add_argument("--r", type=int, default=None, help="number of variables")
     p.add_argument("--s", type=int, default=None, help="number of generators")
     p.add_argument("--d", type=int, default=None, help="largest generator degree")
     p.add_argument("--ideal", default=None, help="derive (r, s, d) from this ideal")
-    _add_format(p, "tsv")
-    p.set_defaults(func=_cmd_bound)
+    _add_output(p, _cmd_bound, _BOUND_TSV.format_map)
 
     p = sub.add_parser("cone", help="extreme rays and generator enumeration")
     p.add_argument("--system", required=True, help="constraint-system file")
@@ -460,15 +397,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bound", action="store_true", help="print norm bounds")
     p.add_argument("--cap", type=int, default=None, help="enumeration box cap")
     _add_budget(p)
-    _add_format(p, "tsv")
-    p.set_defaults(func=_cmd_cone)
+    _add_output(p, _cmd_cone, _tsv_cone)
 
     p = sub.add_parser("build-system", help="construct an ED constraint system")
     p.add_argument("--ideal", required=True)
     p.add_argument("--mode", type=str.upper, choices=ED_MODES, required=True)
     p.add_argument("--out", default=None, help="write to this file instead of stdout")
-    _add_format(p, "tsv")
-    p.set_defaults(func=_cmd_build_system)
+    _add_output(p, _cmd_build_system, _tsv_build_system)
 
     p = sub.add_parser("feasible", help="bounded search for an integer solution")
     p.add_argument("--system", required=True)
@@ -481,8 +416,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--box", type=int, required=True, help="range 0..box per free variable")
     _add_budget(p)
-    _add_format(p, "tsv")
-    p.set_defaults(func=_cmd_feasible)
+    _add_output(p, _cmd_feasible, _tsv_feasible)
 
     p = sub.add_parser(
         "paper-examples",
@@ -490,16 +424,41 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--quick", action="store_true", help="smallest family member only")
     p.add_argument("--jobs", type=int, default=1)
-    p.set_defaults(func=_cmd_paper_examples)
+    p.set_defaults(func=_cmd_paper_examples, tsv=_tsv_paper_examples, format="tsv")
 
     return parser
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+def _run(args: argparse.Namespace) -> int:
+    """Build the subcommand's payload and print it as JSON or as its TSV.
+
+    Ints of any size print here (B2 passes Python's default limit of 4300
+    digits for `bound --r 6 --s 35 --d 45`); parsing input keeps the limit.
+    A payload that counts failed checks exits 4.
+    """
+    payload = args.func(args)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
     try:
-        return args.func(args)
+        if args.format == "json":
+            text = json.dumps(payload, indent=2, default=str)
+        else:
+            text = args.tsv(payload)
+    finally:
+        sys.set_int_max_str_digits(limit)
+    text = text if text.endswith("\n") else text + "\n"
+    if getattr(args, "out", None):
+        with open(args.out, "w") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
+    return 4 if payload.get("failed") else 0
+
+
+def main(argv: list[str] | None = None) -> int:
+    args = build_parser().parse_args(argv)
+    try:
+        return _run(args)
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2

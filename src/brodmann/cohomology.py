@@ -26,6 +26,7 @@ from .monomials import (
     max_exponents,
     minimize,
     power,
+    require_proper_nonzero,
 )
 
 DEFAULT_M_CAP = 6
@@ -70,11 +71,6 @@ class A0Result:
     warnings: tuple[str, ...]
 
 
-def _require_proper_nonzero(I: MonomialIdeal) -> None:
-    if I.is_zero() or I.is_unit():
-        raise InputError("a proper nonzero ideal is required")
-
-
 def generator_power_ideal(I: MonomialIdeal, m: int) -> MonomialIdeal:
     """The ideal generated by the m-th powers of I's minimal generators."""
     if m < 0:
@@ -91,7 +87,7 @@ def h0_m_monomials(I: MonomialIdeal, n: int, budget: int | None = None) -> H0Rep
     denominator generators.  The quotient has finite length, so the box holds
     the complete list.
     """
-    _require_proper_nonzero(I)
+    require_proper_nonzero(I)
     if n < 0:
         raise InputError(f"degree must be >= 0, got {n}")
     if I.r == 1:
@@ -124,7 +120,7 @@ def ratliff_rush(
     and reports certified=True, or returns the partial union with
     certified=False once m_cap is exhausted.
     """
-    _require_proper_nonzero(I)
+    require_proper_nonzero(I)
     if n < 1:
         raise InputError(f"power index must be >= 1, got {n}")
     if m_cap < 2:
@@ -152,7 +148,7 @@ def a0_observed(
     with I^k is strictly larger than I^(k+1).  Uncertified closures are
     reported as warnings rather than silently trusted.
     """
-    _require_proper_nonzero(I)
+    require_proper_nonzero(I)
     if n_max < 1:
         raise InputError(f"scan bound must be >= 1, got {n_max}")
     flags: list[bool] = []

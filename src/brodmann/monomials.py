@@ -84,6 +84,11 @@ class MonomialIdeal:
         return bool(self.generators) and not self.is_unit()
 
 
+def require_proper_nonzero(I: MonomialIdeal) -> None:
+    if not I.is_proper_nonzero():
+        raise InputError("a proper nonzero ideal is required")
+
+
 def zero_ideal(r: int) -> MonomialIdeal:
     return MonomialIdeal(r, ())
 

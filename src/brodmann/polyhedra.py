@@ -13,11 +13,10 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 from math import comb, gcd
 
-from .errors import BudgetError, InconsistencyError, InputError, charge_budget
-from .monomials import MonomialIdeal, is_pure_power
+from .errors import InconsistencyError, InputError, charge_budget
+from .monomials import MonomialIdeal, is_pure_power, require_proper_nonzero
 from .radicals import ExactRadical, RadicalSum
 
 IntVector = tuple[int, ...]
@@ -52,6 +51,8 @@ class ConstraintSystem:
                 raise InputError(f"row {row} does not have {self.e} entries")
         if self.labels is not None and len(self.labels) != self.e:
             raise InputError(f"expected {self.e} labels, got {len(self.labels)}")
+        if self.labels is not None and len(set(self.labels)) != self.e:
+            raise InputError(f"variable labels must be distinct, got {' '.join(self.labels)}")
 
     def is_homogeneous(self) -> bool:
         return all(b == 0 for b in self.rhs)
@@ -312,49 +313,6 @@ def decompose_module(
     )
 
 
-@dataclass(frozen=True)
-class ConeGenerators:
-    """Extreme rays plus optional generator enumerations and the norm bound."""
-
-    rays: tuple[IntVector, ...] | None
-    hilbert: tuple[IntVector, ...] | None
-    module_gens: tuple[IntVector, ...] | None
-    bound_star: ExactRadical | RadicalSum
-
-
-def analyze_cone(
-    sys: ConstraintSystem,
-    cap: int | None = None,
-    with_rays: bool = True,
-    with_hilbert: bool = False,
-    with_module: bool = False,
-    budget: int | None = None,
-) -> ConeGenerators:
-    homogeneous = sys.is_homogeneous()
-    bound: ExactRadical | RadicalSum = bound_a1(sys) if homogeneous else bound_a2(sys)
-    rays = None
-    hilbert = None
-    module = None
-    if with_rays:
-        if not homogeneous:
-            raise InputError("extreme rays require a homogeneous system")
-        rays = tuple(extreme_rays(sys, budget))
-    if with_hilbert:
-        if not homogeneous:
-            raise InputError("semigroup generators require a homogeneous system")
-        if cap is None:
-            raise InputError("a cap is required to enumerate generators")
-        hilbert = tuple(hilbert_generators(sys, cap, budget))
-    if with_module:
-        if homogeneous:
-            module = ((0,) * sys.e,)
-        else:
-            if cap is None:
-                raise InputError("a cap is required to enumerate generators")
-            module = tuple(module_generators(sys, cap, budget))
-    return ConeGenerators(rays, hilbert, module, bound)
-
-
 def staircase_system(e: int, d: int) -> ConstraintSystem:
     """The chain of constraints d*x_k >= x_(k+1), whose cone has the ray
     (1, d, d^2, ..., d^(e-1))."""
@@ -376,8 +334,7 @@ def designated_generator(I: MonomialIdeal) -> int:
     those, the one with the largest support wins, ties broken by canonical
     generator order.  Pure-power ideals have no qualifying generator.
     """
-    if I.is_zero() or I.is_unit():
-        raise InputError("a proper nonzero ideal is required")
+    require_proper_nonzero(I)
     if is_pure_power(I):
         raise InputError(
             "every generator is a single-variable power; constraint systems "

@@ -19,6 +19,7 @@ from brodmann.bounds import (
     bound_report,
     ideal_parameters,
 )
+from brodmann.cli import example_ideal
 from brodmann.cohomology import (
     a0_observed,
     generator_power_ideal,
@@ -49,11 +50,6 @@ from brodmann.polyhedra import (
 from brodmann.radicals import RadicalSum
 
 
-def family(d):
-    gens = [(d, 0, 0), (d - 1, 1, 0), (1, d - 1, 0), (0, d, 0), (2, d - 2, 1)]
-    return minimize(gens, 3)
-
-
 def full_prime(I: MonomialIdeal):
     return tuple(range(1, I.r + 1))
 
@@ -70,7 +66,7 @@ def test_criterion_1_example_family_profiles():
     timings = []
     for d in (5, 6, 7):
         start = time.monotonic()
-        profile = ass_profile(family(d), d, method="both")
+        profile = ass_profile(example_ideal(d), d, method="both")
         elapsed = time.monotonic() - start
         for n, entry in enumerate(profile.entries):
             expected = small if n <= d - 4 else large
@@ -133,7 +129,7 @@ def test_criterion_4_torsion_three_way_consistency(corpus, profiles4):
             report = h0_m_monomials(I, n)
             in_ass = top in profile.entries[n]
             assert report.nonzero == max_ideal_in_ass(I, n) == in_ass, (I, n)
-    witnesses = set(h0_m_monomials(family(5), 0).witnesses)
+    witnesses = set(h0_m_monomials(example_ideal(5), 0).witnesses)
     assert witnesses == {(2, 3, 0), (3, 3, 0)}
     print(
         f"PASS criterion 4: torsion report, membership test, and full-prime "

@@ -9,6 +9,7 @@ from brodmann.assprimes import (
     full_support_prime,
     max_ideal_in_ass,
 )
+from brodmann.cli import example_ideal
 from brodmann.errors import BudgetError, InconsistencyError, InputError
 from brodmann.monomials import (
     MonomialIdeal,
@@ -26,11 +27,6 @@ from oracles import brute_ass, colon_by_monomial, divides, monomial_in
 
 def ideal(r, *gens):
     return minimize(gens, r)
-
-
-def family_d(d):
-    gens = [(d, 0, 0), (d - 1, 1, 0), (1, d - 1, 0), (0, d, 0), (2, d - 2, 1)]
-    return minimize(gens, 3)
 
 
 class TestAssOfQuotient:
@@ -102,7 +98,7 @@ class TestAssOfQuotient:
 
 class TestMaxIdealMembership:
     def test_family_values(self):
-        I = family_d(5)
+        I = example_ideal(5)
         assert max_ideal_in_ass(I, 0) is True
         assert max_ideal_in_ass(I, 1) is True
         assert max_ideal_in_ass(I, 2) is False
@@ -225,7 +221,7 @@ class TestProfile:
 
     def test_family_profile_shape(self):
         d = 5
-        prof = ass_profile(family_d(d), d)
+        prof = ass_profile(example_ideal(d), d)
         small = frozenset({(1, 2), (1, 2, 3)})
         large = frozenset({(1, 2)})
         for n, entry in enumerate(prof.entries):
@@ -246,7 +242,7 @@ class TestProfile:
             ass_profile(ideal(2, (2, 0), (1, 1)), 0)
 
     def test_parallel_equals_serial(self):
-        I = family_d(5)
+        I = example_ideal(5)
         a = ass_profile(I, 4, jobs=1)
         b = ass_profile(I, 4, jobs=2)
         assert a == b

@@ -1,3 +1,4 @@
+import sys
 from fractions import Fraction
 
 import pytest
@@ -5,6 +6,7 @@ import pytest
 from brodmann.assprimes import AssProfile, ass_profile
 from brodmann.bounds import (
     BoundReport,
+    _decimal_digits,
     bound_b1,
     bound_b2,
     bound_b3,
@@ -15,14 +17,10 @@ from brodmann.bounds import (
     ideal_parameters,
     stabilization_bound,
 )
+from brodmann.cli import example_ideal
 from brodmann.errors import InconsistencyError, InputError
 from brodmann.monomials import minimize, unit_ideal, zero_ideal
 from brodmann.radicals import ExactRadical, RadicalSum
-
-
-def family(d):
-    gens = [(d, 0, 0), (d - 1, 1, 0), (1, d - 1, 0), (0, d, 0), (2, d - 2, 1)]
-    return minimize(gens, 3)
 
 
 class TestIndividualBounds:
@@ -83,6 +81,22 @@ class TestBoundReport:
         assert rep.b_exact == 16777216 and rep.b_ceil == 16777216
         assert rep.digits_b2 == len(str(16777216))
 
+    def test_digits_past_the_int_str_limit(self):
+        rep = bound_report(6, 35, 45)
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            lengths = (len(str(rep.b1_ceil)), len(str(rep.b2)), len(str(rep.b_ceil)))
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert lengths[1] > 4300
+        assert (rep.digits_b1, rep.digits_b2, rep.digits_b) == lengths
+
+    def test_decimal_digits_at_powers_of_ten(self):
+        values = [0, 1, 9] + [10**k + o for k in range(1, 400, 3) for o in (-1, 0, 1)]
+        for v in values:
+            assert _decimal_digits(v) == len(str(v)), v
+
     def test_ceiling_dominates_exact(self):
         for r, s, d in ((1, 1, 1), (2, 3, 3), (3, 4, 2)):
             rep = bound_report(r, s, d)
@@ -92,8 +106,8 @@ class TestBoundReport:
 
 class TestIdealParameters:
     def test_family_parameters(self):
-        assert ideal_parameters(family(5)) == (3, 5, 6)
-        assert ideal_parameters(family(7)) == (3, 5, 8)
+        assert ideal_parameters(example_ideal(5)) == (3, 5, 6)
+        assert ideal_parameters(example_ideal(7)) == (3, 5, 8)
 
     def test_plain_ideal(self):
         I = minimize([(2, 0), (1, 1)], 2)
@@ -108,7 +122,7 @@ class TestIdealParameters:
 
 class TestCompareWithObserved:
     def test_family_is_consistent(self):
-        I = family(5)
+        I = example_ideal(5)
         prof = ass_profile(I, n_max=4)
         rep = compare_with_observed(I, prof)
         assert rep.consistent
@@ -117,7 +131,7 @@ class TestCompareWithObserved:
         assert "slack" in rep.note
 
     def test_mismatched_ideal_is_rejected(self):
-        I = family(5)
+        I = example_ideal(5)
         other = minimize([(2, 0), (1, 1)], 2)
         prof = ass_profile(other, n_max=2)
         with pytest.raises(InputError):

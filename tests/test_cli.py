@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import brodmann
 from brodmann.cli import INDEX_NOTE, example_ideal, main
 from brodmann.errors import InconsistencyError
 from brodmann.ioformats import ideal_to_text, parse_system_text, system_to_text
@@ -156,6 +161,33 @@ class TestBound:
         code, _, err = run(capsys, "bound", "--r", "2", "--s", "2")
         assert code == 2
         assert "input error" in err
+
+    def test_thresholds_past_the_int_str_limit_tsv(self, capsys):
+        limit = sys.get_int_max_str_digits()
+        code, out, err = run(capsys, "bound", "--r", "6", "--s", "35", "--d", "45")
+        assert (code, err) == (0, "")
+        assert sys.get_int_max_str_digits() == limit
+        rows = {line.split("\t")[0]: line.split("\t") for line in out.splitlines()}
+        b1_ceil, b2, b_ceil = rows["b1"][2], rows["b2"][1], rows["b"][2]
+        assert b1_ceil.startswith("ceil=") and b_ceil.startswith("ceil=")
+        digits = (len(b1_ceil) - 5, len(b2), len(b_ceil) - 5)
+        assert digits[1] > 4300
+        assert out.splitlines()[-1] == "# digits: b1=%d b2=%d b=%d" % digits
+
+    def test_thresholds_past_the_int_str_limit_json(self, capsys):
+        limit = sys.get_int_max_str_digits()
+        code, out, err = run(
+            capsys, "bound", "--r", "6", "--s", "35", "--d", "45", "--format", "json"
+        )
+        assert (code, err) == (0, "")
+        assert sys.get_int_max_str_digits() == limit
+        payload = json.loads(out, parse_int=str)
+        assert len(payload["b2"]) > 4300
+        assert payload["digits"] == {
+            "b1": str(len(payload["b1_ceil"])),
+            "b2": str(len(payload["b2"])),
+            "b": str(len(payload["b_ceil"])),
+        }
 
 
 class TestCone:
@@ -351,3 +383,12 @@ class TestPaperExamples:
         assert any(line.startswith("PASS\tbound_report_2_2_2") for line in lines)
         assert lines[-1] == "# 6 checks, 6 passed, 0 failed"
         assert not any(line.startswith("FAIL") for line in lines)
+
+
+def test_import_leaves_out_multiprocessing():
+    code = "import sys, brodmann.cli; print('multiprocessing' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=str(Path(brodmann.__file__).resolve().parents[1]))
+    done = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+    )
+    assert done.stdout.strip() == "False"

@@ -3,6 +3,7 @@ import random
 import pytest
 
 from brodmann.assprimes import ass_power, full_support_prime, max_ideal_in_ass
+from brodmann.cli import example_ideal
 from brodmann.cohomology import (
     DEFAULT_M_CAP,
     a0_observed,
@@ -33,10 +34,6 @@ def rr_example():
     return ideal(2, (4, 0), (3, 1), (1, 3), (0, 4))
 
 
-def family_d5():
-    return minimize([(5, 0, 0), (4, 1, 0), (1, 4, 0), (0, 5, 0), (2, 3, 1)], 3)
-
-
 class TestGeneratorPowerIdeal:
     def test_zero_exponent_is_unit(self):
         assert generator_power_ideal(ideal(2, (2, 0), (1, 1)), 0) == unit_ideal(2)
@@ -55,7 +52,7 @@ class TestGeneratorPowerIdeal:
 
 class TestH0Monomials:
     def test_family_witnesses(self):
-        rep = h0_m_monomials(family_d5(), 0)
+        rep = h0_m_monomials(example_ideal(5), 0)
         assert rep.nonzero
         assert set(rep.witnesses) == {(2, 3, 0), (3, 3, 0)}
 

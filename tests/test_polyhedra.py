@@ -65,6 +65,8 @@ class TestConstraintSystem:
             ConstraintSystem(2, ((1, 0),), ())
         with pytest.raises(InputError):
             ConstraintSystem(2, ((1, 0),), (0,), ("only_one",))
+        with pytest.raises(InputError, match="must be distinct"):
+            ConstraintSystem(2, ((1, 0),), (0,), ("a", "a"))
 
     def test_homogeneous_and_homogenized(self):
         sys_ = ConstraintSystem(2, ((1, -1),), (1,))

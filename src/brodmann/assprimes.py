@@ -20,7 +20,6 @@ from .monomials import (
     _zero_coords,
     delete_variable,
     is_pure_power,
-    iter_box,
     max_exponents,
     minimize,
     power,
@@ -52,30 +51,31 @@ def ass_witnesses(
     require_proper_nonzero(J)
     r = J.r
     caps = max_exponents(J)
-    table = BoxTable(J.generators, tuple(c + 1 for c in caps), budget)
-    masked_tables: dict[frozenset[int], BoxTable] = {}
-    found: dict[VariablePrime, Monomial] = {}
-    for m in iter_box(caps):
-        if table[m]:
+    bounds = tuple(c + 1 for c in caps)
+    table = BoxTable(J.generators, bounds, budget)
+    scan = table.sub_box(caps)
+    # split the scanned cells outside J by the prime {i : m * x_i in J}
+    groups: list[tuple[VariablePrime, int]] = [((), scan & ~table.bits)]
+    for i, s in enumerate(table.strides):
+        up = (table.bits >> s) & scan
+        groups = [
+            group
+            for prime, cells in groups
+            for group in ((prime, cells & ~up), (prime + (i + 1,), cells & up))
+            if group[1]
+        ]
+    found: list[tuple[Monomial, VariablePrime]] = []
+    for prime, cells in groups:
+        if not prime:
             continue
-        prime = tuple(
-            i + 1
-            for i in range(r)
-            if table[tuple(e + 1 if k == i else e for k, e in enumerate(m))]
-        )
-        if not prime or prime in found:
-            continue
+        # the restricted ideal's generators vanish off the support, so m lies
+        # in it exactly when the restriction of m does
         off_support = frozenset(i for i in range(r) if (i + 1) not in prime)
-        if off_support not in masked_tables:
-            restricted = _zero_coords(J, off_support)
-            masked_tables[off_support] = BoxTable(
-                restricted.generators, tuple(c + 1 for c in caps), budget
-            )
-        m_restricted = tuple(0 if i in off_support else e for i, e in enumerate(m))
-        if masked_tables[off_support][m_restricted]:
-            continue
-        found[prime] = m
-    return found
+        restricted = _zero_coords(J, off_support)
+        cells &= ~BoxTable(restricted.generators, bounds, budget).bits
+        if cells:
+            found.append((next(table.points(cells)), prime))
+    return {prime: m for m, prime in sorted(found)}
 
 
 def ass_of_quotient(
@@ -90,7 +90,7 @@ def max_ideal_in_ass(I: MonomialIdeal, n: int, budget: int | None = None) -> boo
 
     Decided by the torsion criterion: I^n intersected with the (n+1)-st
     powers of all single-variable deletions must exceed I^(n+1).  Evaluated
-    pointwise over a finite box instead of through ideal intersections.  In
+    as bitsets over a finite box instead of through ideal intersections.  In
     one variable the answer is False by convention, and any unused variable
     forces False (its deletion leaves I unchanged, collapsing the numerator).
     """
@@ -114,10 +114,10 @@ def max_ideal_in_ass(I: MonomialIdeal, n: int, budget: int | None = None) -> boo
     upper = BoxTable(i_n.generators, box, budget)
     lower = BoxTable(i_n1.generators, box, budget)
     del_tables = [BoxTable(D.generators, box, budget) for D in deletions]
-    for v in iter_box(box):
-        if upper[v] and not lower[v] and all(t[v] for t in del_tables):
-            return True
-    return False
+    cells = upper.bits & ~lower.bits
+    for t in del_tables:
+        cells &= t.bits
+    return bool(cells)
 
 
 def _compress(I: MonomialIdeal, used: tuple[int, ...]) -> MonomialIdeal:

@@ -22,7 +22,6 @@ from .monomials import (
     delete_variable,
     intersect,
     intersect_all,
-    iter_box,
     max_exponents,
     minimize,
     power,
@@ -104,9 +103,7 @@ def h0_m_monomials(I: MonomialIdeal, n: int, budget: int | None = None) -> H0Rep
     )
     num_table = BoxTable(numerator.generators, bounds, budget)
     den_table = BoxTable(denominator.generators, bounds, budget)
-    witnesses = tuple(
-        v for v in iter_box(bounds) if num_table[v] and not den_table[v]
-    )
+    witnesses = tuple(num_table.points(num_table.bits & ~den_table.bits))
     return H0Report(n, witnesses, bool(witnesses))
 
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 import re
+import sys
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -26,6 +27,8 @@ if TYPE_CHECKING:
     from .polyhedra import ConstraintSystem
 
 _VAR_TOKEN = re.compile(r"^x(\d+)(?:\^(\d+))?$")
+# what int() reads as a decimal integer
+_INT_TOKEN = re.compile(r"\s*[+-]?\d+(?:_\d+)*\s*")
 
 
 def monomial_str(m: Monomial) -> str:
@@ -44,6 +47,45 @@ def prime_str(prime: tuple[int, ...]) -> str:
     return "{" + ",".join(f"x{i}" for i in prime) + "}"
 
 
+def _excerpt(text: str, width: int = 60) -> str:
+    """text cut to width characters, for echoing input back in an error."""
+    return text if len(text) <= width else text[:width] + "..."
+
+
+def _parse_int(token: str, source: str, lineno: int | None) -> int:
+    """int(token), with a ParseError for a decimal past Python's int-from-str limit.
+
+    Any other ValueError propagates for the caller to word.
+    """
+    try:
+        return int(token)
+    except ValueError:
+        limit = sys.get_int_max_str_digits()
+        digits = sum(c.isdigit() for c in token)
+        if not limit or digits <= limit or not _INT_TOKEN.fullmatch(token):
+            raise
+        raise ParseError(
+            f"integer of {digits} digits exceeds the {limit}-digit limit",
+            source=source,
+            line=lineno,
+        ) from None
+
+
+def _load_json(text: str, source: str):
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"invalid JSON: {exc}", source=source) from exc
+    except ValueError:
+        # json raises a plain ValueError for an integer past the int-from-str
+        # limit; find the first such digit run to name its line
+        limit = sys.get_int_max_str_digits()
+        for m in re.finditer(r"\d+", text):
+            if len(m.group()) > limit:
+                _parse_int(m.group(), source, text.count("\n", 0, m.start()) + 1)
+        raise
+
+
 def _content_lines(text: str):
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -55,7 +97,7 @@ def _parse_header(line: str, lineno: int, source: str) -> int:
     m = re.match(r"^vars:\s*(\d+)$", line)
     if not m:
         raise ParseError("expected header `vars: <count>`", source=source, line=lineno)
-    n = int(m.group(1))
+    n = _parse_int(m.group(1), source, lineno)
     if n < 1:
         raise ParseError("variable count must be >= 1", source=source, line=lineno)
     return n
@@ -68,13 +110,15 @@ def parse_monomial(line: str, r: int, source: str = "<string>", lineno: int = 0)
     for tok in line.split():
         m = _VAR_TOKEN.match(tok)
         if not m:
-            raise ParseError(f"bad monomial token {tok!r}", source=source, line=lineno)
-        k = int(m.group(1))
+            raise ParseError(
+                f"bad monomial token {_excerpt(tok)!r}", source=source, line=lineno
+            )
+        k = _parse_int(m.group(1), source, lineno)
         if not 1 <= k <= r:
             raise ParseError(
                 f"variable x{k} out of range 1..{r}", source=source, line=lineno
             )
-        exps[k - 1] += int(m.group(2)) if m.group(2) else 1
+        exps[k - 1] += _parse_int(m.group(2), source, lineno) if m.group(2) else 1
     return tuple(exps)
 
 
@@ -95,10 +139,7 @@ def ideal_to_text(I: MonomialIdeal) -> str:
 
 
 def parse_ideal_json(text: str, source: str = "<string>") -> MonomialIdeal:
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid JSON: {exc}", source=source) from exc
+    obj = _load_json(text, source)
     if not isinstance(obj, dict) or "r" not in obj or "generators" not in obj:
         raise ParseError("expected object with keys `r` and `generators`", source=source)
     r = obj["r"]
@@ -165,10 +206,14 @@ def parse_system_text(text: str, source: str = "<string>") -> "ConstraintSystem"
                 f"expected row `c1 ... c{e} >= b`", source=source, line=ln
             )
         try:
-            coeffs = tuple(int(t) for t in toks[:e])
-            b = int(toks[e + 1])
+            coeffs = tuple(_parse_int(t, source, ln) for t in toks[:e])
+            b = _parse_int(toks[e + 1], source, ln)
+        except ParseError:
+            raise
         except ValueError:
-            raise ParseError(f"non-integer entry in row {line!r}", source=source, line=ln)
+            raise ParseError(
+                f"non-integer entry in row {_excerpt(line)!r}", source=source, line=ln
+            )
         rows.append(coeffs)
         rhs.append(b)
     return ConstraintSystem(e, tuple(rows), tuple(rhs), labels)
@@ -186,10 +231,7 @@ def system_to_text(sys: "ConstraintSystem") -> str:
 def parse_system_json(text: str, source: str = "<string>") -> "ConstraintSystem":
     from .polyhedra import ConstraintSystem
 
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid JSON: {exc}", source=source) from exc
+    obj = _load_json(text, source)
     if not isinstance(obj, dict) or "e" not in obj or "rows" not in obj or "rhs" not in obj:
         raise ParseError("expected object with keys `e`, `rows`, `rhs`", source=source)
     e = obj["e"]

@@ -303,14 +303,32 @@ def iter_box(bounds: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
     return itertools.product(*(range(b + 1) for b in bounds))
 
 
+def _axis_mask(total: int, stride: int, dim: int, k: int) -> int:
+    """Cells of a row-major box whose coordinate on the axis (stride, dim) is >= k."""
+    mask = ((1 << (dim - k) * stride) - 1) << (k * stride)
+    period = stride * dim
+    # the pattern repeats every period cells: copy it up to the whole box
+    while period < total:
+        mask |= mask << period
+        period *= 2
+    return mask & ((1 << total) - 1)
+
+
+_CELL_BYTES = bytes.maketrans(b"01", b"\x00\x01")
+
+
 class BoxTable:
     """Monomial membership of an ideal restricted to a finite exponent box.
 
-    Built by one upward-closure sweep: a cell is in the ideal iff it is a
-    generator or some coordinate predecessor already is.  Queries are O(r).
+    The box is a bitset: bit idx of `bits` is the cell whose row-major index
+    sum(v_i * strides[i]) is idx, so the lowest set bit is the
+    lexicographically first cell.  The upward closure is a prefix OR along
+    each axis by doubling shifts, each masked to the cells that did not wrap
+    into the next row.  `table` holds the same cells one byte each, for O(r)
+    point queries.
     """
 
-    __slots__ = ("bounds", "dims", "strides", "table")
+    __slots__ = ("bounds", "dims", "strides", "bits", "table")
 
     def __init__(
         self,
@@ -325,33 +343,54 @@ class BoxTable:
         strides = [1] * e
         for i in range(e - 2, -1, -1):
             strides[i] = strides[i + 1] * dims[i + 1]
-        table = bytearray(total)
+        cells = bytearray((total + 7) // 8)
         for g in gens:
             if all(x <= b for x, b in zip(g, bounds)):
-                idx = 0
-                for x, s in zip(g, strides):
-                    idx += x * s
-                table[idx] = 1
-        # row-major sweep; predecessors v - e_i always precede v
-        digits = [0] * e
-        for idx in range(total):
-            if not table[idx]:
-                for i in range(e):
-                    if digits[i] and table[idx - strides[i]]:
-                        table[idx] = 1
-                        break
-            for i in range(e - 1, -1, -1):
-                digits[i] += 1
-                if digits[i] < dims[i]:
-                    break
-                digits[i] = 0
+                idx = sum(x * s for x, s in zip(g, strides))
+                cells[idx >> 3] |= 1 << (idx & 7)
+        bits = int.from_bytes(cells, "little")
+        for s, d in zip(strides, dims):
+            k = 1
+            # after the step for k, each cell holds the OR of the 2k cells
+            # that end at it along this axis
+            while k < d and bits:
+                bits |= (bits << k * s) & _axis_mask(total, s, d, k)
+                k *= 2
         self.bounds = bounds
         self.dims = dims
         self.strides = tuple(strides)
-        self.table = table
+        self.bits = bits
+        self.table = bytearray(format(bits, f"0{total}b")[::-1], "ascii").translate(
+            _CELL_BYTES
+        )
 
     def __getitem__(self, v: tuple[int, ...]) -> bool:
         idx = 0
         for x, s in zip(v, self.strides):
             idx += x * s
         return bool(self.table[idx])
+
+    def point(self, idx: int) -> tuple[int, ...]:
+        """The cell with row-major index idx."""
+        out = []
+        for s in self.strides:
+            x, idx = divmod(idx, s)
+            out.append(x)
+        return tuple(out)
+
+    def points(self, bits: int) -> Iterator[tuple[int, ...]]:
+        """The cells of a bitset in this box's layout, ascending lexicographically."""
+        digits = format(bits, "b")[::-1]
+        idx = digits.find("1")
+        while idx >= 0:
+            yield self.point(idx)
+            idx = digits.find("1", idx + 1)
+
+    def sub_box(self, caps: tuple[int, ...]) -> int:
+        """The bitset of the cells v with v <= caps componentwise."""
+        total = len(self.table)
+        cells = (1 << total) - 1
+        for s, d, c in zip(self.strides, self.dims, caps):
+            if c + 1 < d:
+                cells &= ~_axis_mask(total, s, d, c + 1)
+        return cells

@@ -2,13 +2,14 @@
 
 Everything here is written for obviousness, not speed, and deliberately
 avoids the library's search strategies: membership is raw divisibility,
-associated primes come straight from the colon definition, power
-membership enumerates generator multiplicities, and cone membership does
-exact Gaussian elimination over Fractions.
+associated primes come straight from the colon definition, the witness
+and torsion scans visit every cell of their box, power membership
+enumerates generator multiplicities, and cone membership does exact
+Gaussian elimination over Fractions.
 """
 
 from fractions import Fraction
-from itertools import combinations, product as iproduct
+from itertools import combinations, combinations_with_replacement, product as iproduct
 
 
 def divides(a, b):
@@ -110,3 +111,68 @@ def in_nonneg_span(v, rays):
             if solve_nonneg(subset, v) is not None:
                 return True
     return False
+
+
+def _zeroed(gens, positions):
+    return [tuple(0 if i in positions else e for i, e in enumerate(g)) for g in gens]
+
+
+def scan_ass_witnesses(J):
+    """The witness scan of `assprimes.ass_witnesses`, cell by cell.
+
+    Cells run over the box bounded by the generator exponents in ascending
+    lexicographic order; a cell outside J names the prime {i : m * x_i in J}
+    and witnesses it unless its restriction to that support lies in the
+    restriction of J.  Returns the first witness of each prime, in the order
+    the witnesses are met.
+    """
+    r = J.r
+    gens = J.generators
+    caps = tuple(max(g[i] for g in gens) for i in range(r))
+    found = {}
+    for m in iproduct(*(range(c + 1) for c in caps)):
+        if monomial_in(m, gens):
+            continue
+        prime = tuple(
+            i + 1
+            for i in range(r)
+            if monomial_in(tuple(e + 1 if k == i else e for k, e in enumerate(m)), gens)
+        )
+        if not prime or prime in found:
+            continue
+        off_support = {i for i in range(r) if (i + 1) not in prime}
+        if monomial_in(m, _zeroed(gens, off_support)):
+            continue
+        found[prime] = m
+    return found
+
+
+def power_gens(gens, n, r):
+    """Generators (not minimized) of I^n: sums of n-element multisets."""
+    if n == 0:
+        return [(0,) * r]
+    return list({tuple(map(sum, zip(*c))) for c in combinations_with_replacement(gens, n)})
+
+
+def scan_max_ideal_in_ass(I, n):
+    """The torsion test of `assprimes.max_ideal_in_ass`, cell by cell.
+
+    Some cell must lie in I^n and in the (n+1)-st power of every
+    single-variable deletion, but not in I^(n+1).  The box spans every
+    generator involved; a witness anywhere clamps into it.  One variable
+    gives False by convention.
+    """
+    r, gens = I.r, I.generators
+    if r == 1:
+        return False
+    upper = power_gens(gens, n, r)
+    lower = power_gens(gens, n + 1, r)
+    deletions = [power_gens(_zeroed(gens, {j}), n + 1, r) for j in range(r)]
+    everything = upper + lower + [g for D in deletions for g in D]
+    box = [max(g[i] for g in everything) for i in range(r)]
+    return any(
+        monomial_in(v, upper)
+        and not monomial_in(v, lower)
+        and all(monomial_in(v, D) for D in deletions)
+        for v in iproduct(*(range(b + 1) for b in box))
+    )

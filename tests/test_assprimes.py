@@ -1,11 +1,14 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from brodmann import assprimes
 from brodmann.assprimes import (
     ass_of_quotient,
     ass_power,
     ass_profile,
+    ass_witnesses,
     full_support_prime,
     max_ideal_in_ass,
 )
@@ -22,7 +25,14 @@ from brodmann.monomials import (
 )
 
 from conftest import random_ideal
-from oracles import brute_ass, colon_by_monomial, divides, monomial_in
+from oracles import (
+    brute_ass,
+    colon_by_monomial,
+    divides,
+    monomial_in,
+    scan_ass_witnesses,
+    scan_max_ideal_in_ass,
+)
 
 
 def ideal(r, *gens):
@@ -251,3 +261,52 @@ class TestProfile:
         prof = ass_profile(ideal(2, (1, 1)), 2, method="recursion")
         assert prof.method == "recursion"
         assert prof.entries == (frozenset({(1,), (2,)}),) * 3
+
+
+@st.composite
+def proper_ideals(draw, max_r=4):
+    """Proper nonzero ideals in 1..max_r variables, up to 5 generators;
+    exponents up to 4 (up to 3 in four variables)."""
+    r = draw(st.integers(1, max_r))
+    top = 4 if r <= 3 else 3
+    exponent_lists = st.lists(st.integers(0, top), min_size=r, max_size=r)
+    gens = draw(
+        st.lists(exponent_lists.filter(any), min_size=1, max_size=5).map(
+            lambda gs: [tuple(g) for g in gs]
+        )
+    )
+    return minimize(gens, r)
+
+
+# fixed examples: the suite is a regression check, not an open-ended search
+ORACLE_SETTINGS = settings(
+    max_examples=150, deadline=None, derandomize=True, database=None
+)
+
+
+class TestBitsetScansMatchCellScans:
+    @ORACLE_SETTINGS
+    @given(proper_ideals())
+    def test_witness_dict_and_order(self, J):
+        got = ass_witnesses(J)
+        assert list(got.items()) == list(scan_ass_witnesses(J).items())
+
+    @ORACLE_SETTINGS
+    @given(proper_ideals(max_r=3), st.integers(0, 2))
+    def test_max_ideal_boolean(self, I, n):
+        assert max_ideal_in_ass(I, n) == scan_max_ideal_in_ass(I, n)
+
+    def test_table_count_on_worked_family(self, monkeypatch):
+        """The bitset scans build the same tables as the per-cell scans did:
+        88 tables of 89293 cells in all for d = 6, n = 0..6, both methods."""
+        built = []
+        original = assprimes.BoxTable
+
+        def counting(*args, **kwargs):
+            table = original(*args, **kwargs)
+            built.append(len(table.table))
+            return table
+
+        monkeypatch.setattr(assprimes, "BoxTable", counting)
+        ass_profile(example_ideal(6), 6, method="both")
+        assert (len(built), sum(built)) == (88, 89293)

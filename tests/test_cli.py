@@ -337,6 +337,22 @@ class TestExitCodes:
         assert code == 2
         assert "bad.txt:2" in err
 
+    @pytest.mark.parametrize(
+        "name, text",
+        [
+            ("big.txt", "vars: 1\nx1^" + "7" * 5000 + "\n"),
+            ("big.json", '{"r": 1,\n "generators": [[' + "7" * 5000 + "]]}"),
+        ],
+    )
+    def test_oversized_exponent_is_one_line_parse_error(self, capsys, tmp_path, name, text):
+        path = tmp_path / name
+        path.write_text(text)
+        code, out, err = run(capsys, "ass", "--ideal", str(path), "--n", "0")
+        assert (code, out) == (2, "")
+        assert err == (
+            f"parse error: {path}:2: integer of 5000 digits exceeds the 4300-digit limit\n"
+        )
+
     def test_budget_flag(self, capsys, family_file):
         code, _, err = run(
             capsys, "ass", "--ideal", family_file, "--n", "1", "--budget", "1"

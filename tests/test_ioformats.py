@@ -23,6 +23,9 @@ from brodmann.polyhedra import ConstraintSystem
 
 from conftest import random_ideal
 
+# one digit past Python's default int-from-str limit of 4300 digits
+LONG = "7" * 4301
+
 
 class TestMonomialStrings:
     def test_monomial_str(self):
@@ -153,6 +156,47 @@ class TestSystemFormats:
             sys_ = ConstraintSystem(e, rows, rhs)
             assert parse_system_text(system_to_text(sys_)) == sys_
             assert parse_system_json(system_to_json(sys_)) == sys_
+
+
+class TestOversizedIntegers:
+    """A decimal past the int-from-str limit is a located ParseError in
+    every format, not a ValueError from int()."""
+
+    @pytest.mark.parametrize(
+        "parse, text, line",
+        [
+            (parse_ideal_text, f"vars: 1\nx1^{LONG}\n", 2),
+            (parse_ideal_text, f"vars: 1\nx{LONG}\n", 2),
+            (parse_ideal_text, f"vars: {LONG}\nx1\n", 1),
+            (parse_ideal_json, f'{{"r": 1,\n "generators": [[{LONG}]]}}', 2),
+            (parse_ideal_json, f'{{"r": {LONG}, "generators": []}}', 1),
+            (parse_system_text, f"vars: 2\n1 {LONG} >= 0\n", 2),
+            (parse_system_text, f"vars: 2\n\n1 2 >= -{LONG}\n", 3),
+            (parse_system_json, f'{{"e": 2, "rows": [[1, {LONG}]], "rhs": [0]}}', 1),
+        ],
+    )
+    def test_located_parse_error(self, parse, text, line):
+        with pytest.raises(ParseError) as info:
+            parse(text, source="big")
+        assert str(info.value) == (
+            f"big:{line}: integer of 4301 digits exceeds the 4300-digit limit"
+        )
+
+    def test_just_under_the_limit_parses(self):
+        I = parse_ideal_text(f"vars: 1\nx1^{LONG[1:]}\n")
+        assert I.generators == ((int(LONG[1:]),),)
+
+    def test_long_non_integer_row_is_cut_short(self):
+        with pytest.raises(ParseError) as info:
+            parse_system_text(f"vars: 2\n1 x{LONG} >= 0\n", source="s")
+        message = str(info.value)
+        assert message.startswith("s:2: non-integer entry in row '1 x777")
+        assert message.endswith("...'") and len(message) < 100
+
+    def test_long_monomial_token_is_cut_short(self):
+        with pytest.raises(ParseError) as info:
+            parse_ideal_text(f"vars: 1\ny{LONG}\n", source="m")
+        assert str(info.value).endswith("...'") and len(str(info.value)) < 100
 
 
 class TestFileLoading:

@@ -1,4 +1,5 @@
 import random
+from math import prod
 
 import pytest
 
@@ -247,6 +248,22 @@ class TestVariableOps:
         assert not is_pure_power(zero_ideal(3))
 
 
+def check_box(gens, bounds):
+    """Every cell of BoxTable(gens, bounds) against raw divisibility, read
+    through __getitem__, the byte table and the bitset alike."""
+    t = BoxTable(tuple(gens), bounds)
+    assert t.dims == tuple(b + 1 for b in bounds)
+    assert len(t.table) == prod(t.dims)
+    assert t.bits >> len(t.table) == 0
+    for idx, m in enumerate(iter_box(bounds)):
+        expected = monomial_in(m, gens)
+        assert t[m] == expected, (gens, bounds, m)
+        assert t.table[idx] == expected and (t.bits >> idx) & 1 == expected
+        assert t.point(idx) == m
+    assert list(t.points(t.bits)) == [m for m in iter_box(bounds) if t[m]]
+    return t
+
+
 class TestBoxTable:
     def test_matches_direct_membership(self):
         rng = random.Random(606)
@@ -259,9 +276,46 @@ class TestBoxTable:
                     v = tuple(rng.randint(0, 4) for _ in range(r))
                 gens.append(v)
             bounds = tuple(rng.randint(1, 6) for _ in range(r))
-            table = BoxTable(tuple(gens), bounds)
-            for m in iter_box(bounds):
-                assert table[m] == monomial_in(m, gens), (gens, bounds, m)
+            check_box(gens, bounds)
+
+    @pytest.mark.parametrize("r", [1, 2, 3, 4])
+    def test_every_ambient_up_to_four(self, r):
+        rng = random.Random(600 + r)
+        for _ in range(15):
+            # exponents up to 7 reach past bounds down to 0, so some
+            # generators fall outside the box
+            gens = [
+                tuple(rng.randint(0, 7) for _ in range(r))
+                for _ in range(rng.randint(1, 5))
+            ]
+            bounds = tuple(rng.randint(0, 9 if r < 4 else 5) for _ in range(r))
+            check_box(gens, bounds)
+
+    @pytest.mark.parametrize("bounds", [(0,), (4,), (0, 0), (3, 0, 2), (2, 2, 2, 2)])
+    def test_empty_generator_list(self, bounds):
+        t = check_box([], bounds)
+        assert t.bits == 0 and not any(t.table)
+
+    @pytest.mark.parametrize("bounds", [(0,), (4,), (0, 0), (3, 0, 2), (2, 2, 2, 2)])
+    def test_unit_generator_fills_the_box(self, bounds):
+        t = check_box([(0,) * len(bounds)], bounds)
+        assert t.bits == (1 << len(t.table)) - 1
+
+    def test_zero_bounds(self):
+        assert check_box([(0, 0, 0)], (0, 0, 0)).bits == 1
+        assert check_box([(1, 0, 0)], (0, 0, 0)).bits == 0
+
+    def test_generators_outside_the_box_are_dropped(self):
+        t = check_box([(5, 0), (0, 5), (4, 4)], (3, 3))
+        assert t.bits == 0
+        t = check_box([(5, 0), (1, 2)], (3, 3))
+        assert list(t.points(t.bits)) == [(1, 2), (1, 3), (2, 2), (2, 3), (3, 2), (3, 3)]
+
+    def test_sub_box(self):
+        t = BoxTable([], (3, 2, 4))
+        for caps in [(3, 2, 4), (0, 0, 0), (1, 2, 0), (2, 0, 3)]:
+            cells = list(t.points(t.sub_box(caps)))
+            assert cells == [m for m in iter_box((3, 2, 4)) if divides(m, caps)]
 
     def test_budget_refusal(self):
         with pytest.raises(BudgetError):

@@ -17,11 +17,12 @@ from .monomials import (
     BoxTable,
     MonomialIdeal,
     Monomial,
+    Packing,
+    _top,
     _zero_coords,
     delete_variable,
     is_pure_power,
     max_exponents,
-    minimize,
     power,
     require_proper_nonzero,
     used_variables,
@@ -123,7 +124,8 @@ def max_ideal_in_ass(I: MonomialIdeal, n: int, budget: int | None = None) -> boo
 def _compress(I: MonomialIdeal, used: tuple[int, ...]) -> MonomialIdeal:
     """Rewrite I in the subring on its used variables (1-based index list)."""
     cols = [u - 1 for u in used]
-    return minimize((tuple(g[c] for c in cols) for g in I.generators), len(cols))
+    P = Packing(len(cols), _top(I))
+    return P.ideal(P.minimal(P.pack(g[c] for c in cols) for g in I.generators))
 
 
 def _ass_recursive(

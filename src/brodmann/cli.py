@@ -20,6 +20,8 @@ from .bounds import bound_report, ideal_parameters
 from .cohomology import DEFAULT_M_CAP, a0_observed, ratliff_rush
 from .errors import BudgetError, InconsistencyError, InputError, ParseError
 from .ioformats import (
+    _excerpt,
+    _parse_int,
     load_ideal,
     load_system,
     monomial_str,
@@ -240,17 +242,23 @@ def _tsv_build_system(p: dict) -> str:
 
 
 def _parse_fix(pairs: list[str]) -> dict[str | int, int]:
+    """label=value pairs; an all-digit label is a 0-based index.  Integers
+    past the int-from-str limit are a ParseError naming --fix, and echoed
+    input is cut to 60 characters."""
     fixed: dict[str | int, int] = {}
     for pair in pairs:
         if "=" not in pair:
-            raise InputError(f"--fix expects label=value, got {pair!r}")
+            raise InputError(f"--fix expects label=value, got {_excerpt(pair)!r}")
         key, _, raw = pair.partition("=")
         key = key.strip()
         try:
-            value = int(raw)
+            value = _parse_int(raw, "--fix", None)
+        except ParseError:
+            raise
         except ValueError:
-            raise InputError(f"--fix value must be an integer, got {raw!r}")
-        fixed[int(key) if key.isdigit() else key] = value
+            raise InputError(f"--fix value must be an integer, got {_excerpt(raw)!r}")
+        # isdecimal, not isdigit: int() rejects digits such as superscripts
+        fixed[_parse_int(key, "--fix", None) if key.isdecimal() else key] = value
     return fixed
 
 

@@ -16,6 +16,8 @@ from .monomials import (
     BoxTable,
     Monomial,
     MonomialIdeal,
+    Packing,
+    _top,
     add,
     colon_ideal,
     contains_ideal,
@@ -23,7 +25,6 @@ from .monomials import (
     intersect,
     intersect_all,
     max_exponents,
-    minimize,
     power,
     require_proper_nonzero,
 )
@@ -74,7 +75,9 @@ def generator_power_ideal(I: MonomialIdeal, m: int) -> MonomialIdeal:
     """The ideal generated by the m-th powers of I's minimal generators."""
     if m < 0:
         raise InputError(f"power must be >= 0, got {m}")
-    return minimize((tuple(m * e for e in g) for g in I.generators), I.r)
+    # the fields hold the generators themselves as well as their m-th powers
+    P = Packing(I.r, max(m, 1) * _top(I))
+    return P.ideal(P.minimal(m * g for g in P.pack_ideal(I)))
 
 
 def h0_m_monomials(I: MonomialIdeal, n: int, budget: int | None = None) -> H0Report:

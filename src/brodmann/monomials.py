@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 from math import prod
 from typing import Iterable, Iterator
 
@@ -19,34 +19,12 @@ from .errors import InputError, charge_budget
 Monomial = tuple[int, ...]
 
 
-def degree(m: Monomial) -> int:
-    return sum(m)
-
-
 def divides(a: Monomial, b: Monomial) -> bool:
     """Componentwise a <= b, i.e. the monomial a divides b."""
     for x, y in zip(a, b):
         if x > y:
             return False
     return True
-
-
-def monomial_mul(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(x + y for x, y in zip(a, b))
-
-
-def monomial_lcm(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(x if x > y else y for x, y in zip(a, b))
-
-
-def monomial_colon(g: Monomial, m: Monomial) -> Monomial:
-    """lcm(g, m) / m, the generator contributed by g to an ideal colon by m."""
-    return tuple(x - y if x > y else 0 for x, y in zip(g, m))
-
-
-def support(m: Monomial) -> tuple[int, ...]:
-    """1-based indices of the variables occurring in m."""
-    return tuple(i + 1 for i, e in enumerate(m) if e)
 
 
 @dataclass(frozen=True)
@@ -97,6 +75,128 @@ def unit_ideal(r: int) -> MonomialIdeal:
     return MonomialIdeal(r, ((0,) * r,))
 
 
+class Packing:
+    """Exponent vectors in r variables packed into one int, for one operation.
+
+    Variable 1 sits in the top field.  Each field is `width` bits: the bit
+    length of the largest exponent the operation reads or produces, plus
+    one, rounded up to whole bytes so that packing is one `int.from_bytes`,
+    in time linear in r.  The top bit of every field, its guard, is therefore
+    clear in a packed monomial, and fields never overflow into each other:
+    integer order is lexicographic order, which extends divisibility, and a
+    product of monomials is the sum of their packings.  With G the guard
+    bits, (a | G) - b subtracts field by field without a borrow, and the
+    guard of field i survives exactly when a_i >= b_i.
+    """
+
+    __slots__ = ("r", "width", "guard", "field", "_bytes")
+
+    def __init__(self, r: int, top: int):
+        n = (top.bit_length() + 8) // 8
+        self.r = r
+        self.width = 8 * n
+        self.guard = int.from_bytes(b"\x80".ljust(n, b"\0") * r, "big")
+        # the value bits of one field
+        self.field = (1 << (8 * n - 1)) - 1
+        self._bytes = n
+
+    def pack(self, m: Iterable[int]) -> int:
+        n = self._bytes
+        if n == 1:
+            return int.from_bytes(bytes(m), "big")
+        return int.from_bytes(b"".join([e.to_bytes(n, "big") for e in m]), "big")
+
+    def unpack(self, x: int) -> Monomial:
+        n = self._bytes
+        raw = x.to_bytes(self.r * n, "big")
+        if n == 1:
+            return tuple(raw)
+        return tuple([int.from_bytes(raw[i : i + n], "big") for i in range(0, len(raw), n)])
+
+    def pack_ideal(self, I: MonomialIdeal) -> list[int]:
+        """I's generators packed, in ascending order."""
+        return [self.pack(g) for g in reversed(I.generators)]
+
+    def colon(self, g: int, m: int) -> int:
+        """lcm(g, m) / m: the fields g_i - m_i where g_i > m_i, else 0."""
+        x = (g | self.guard) - m
+        ge = x & self.guard
+        # each surviving guard becomes the value bits below it
+        return x & (ge - (ge >> (self.width - 1)))
+
+    def minimal(self, cands: Iterable[int]) -> list[int]:
+        """The divisibility-minimal packed monomials among cands, ascending.
+
+        Ascending integer order puts every divisor of a candidate before it,
+        so a candidate is kept unless an earlier kept one divides it.  The
+        kept monomials sit side by side in `block`, one slot of r*width + 1
+        bits each, and a candidate p meets all of them at once: (p | G) in
+        every slot minus `block` clears the guard of each field where p is
+        short of that slot.  The spare top bit of a slot, its flag, survives
+        flags - short only if the slot has no short field, that is, if the
+        slot divides p; no slot borrows from the next.
+        """
+        G = self.guard
+        stride = self.r * self.width + 1
+        kept: list[int] = []
+        block = ones = guards = flags = at = 0
+        for p in sorted(set(cands)):
+            short = ~((p | G) * ones - block) & guards
+            if (flags - short) & flags:
+                continue
+            kept.append(p)
+            block |= p << at
+            ones |= 1 << at
+            guards |= G << at
+            flags |= 1 << (at + stride - 1)
+            at += stride
+        return kept
+
+    def covers(self, A: list[int], B: list[int]) -> bool:
+        """Whether every monomial of B is a multiple of one of A, by the
+        slot test of `minimal` with all of A in the slots."""
+        G = self.guard
+        stride = self.r * self.width + 1
+        block = ones = 0
+        for a in reversed(A):
+            block = block << stride | a
+            ones = ones << stride | 1
+        guards, flags = G * ones, ones << (stride - 1)
+        for p in B:
+            short = ~((p | G) * ones - block) & guards
+            if not (flags - short) & flags:
+                return False
+        return True
+
+    def meet(self, A: list[int], B: list[int]) -> list[int]:
+        """The minimal generators of the intersection of two ideals given
+        by their ascending packed minimal generators."""
+        # nested ideals intersect to the smaller one; cheap test, big win on colon chains
+        if self.covers(B, A):
+            return A
+        if self.covers(A, B):
+            return B
+        G, s = self.guard, self.width - 1
+        lcms = set()
+        for a in A:
+            a |= G
+            for b in B:
+                # lcm(a, b) = b * (a : b), with the colon of `colon` inlined
+                x = a - b
+                ge = x & G
+                lcms.add(b + (x & (ge - (ge >> s))))
+        return self.minimal(lcms)
+
+    def ideal(self, kept: list[int]) -> MonomialIdeal:
+        """The ideal of ascending packed minimal generators."""
+        return MonomialIdeal(self.r, tuple(map(self.unpack, reversed(kept))))
+
+
+def _top(*ideals: MonomialIdeal) -> int:
+    """The largest exponent in the generators of the ideals (0 if none)."""
+    return max((max(g) for I in ideals for g in I.generators), default=0)
+
+
 def minimize(gens: Iterable[Monomial], r: int) -> MonomialIdeal:
     """Canonical form of the ideal generated by an arbitrary monomial list."""
     vecs: set[Monomial] = set()
@@ -107,13 +207,8 @@ def minimize(gens: Iterable[Monomial], r: int) -> MonomialIdeal:
         if any(e < 0 for e in t):
             raise InputError(f"negative exponent in generator {t}")
         vecs.add(t)
-    kept: list[Monomial] = []
-    # ascending total degree: any proper divisor is seen before its multiples
-    for v in sorted(vecs, key=lambda t: (sum(t), t)):
-        if not any(divides(k, v) for k in kept):
-            kept.append(v)
-    kept.sort(reverse=True)
-    return MonomialIdeal(r, tuple(kept))
+    P = Packing(r, max((e for v in vecs for e in v), default=0))
+    return P.ideal(P.minimal(map(P.pack, vecs)))
 
 
 def validate_minimal(I: MonomialIdeal) -> None:
@@ -142,7 +237,8 @@ def contains(I: MonomialIdeal, m: Monomial) -> bool:
 def contains_ideal(I: MonomialIdeal, J: MonomialIdeal) -> bool:
     """J is a subideal of I (every generator of J lies in I)."""
     _require_same_r(I, J)
-    return all(contains(I, g) for g in J.generators)
+    P = Packing(I.r, _top(I, J))
+    return P.covers(P.pack_ideal(I), P.pack_ideal(J))
 
 
 def product(I: MonomialIdeal, J: MonomialIdeal) -> MonomialIdeal:
@@ -153,9 +249,9 @@ def product(I: MonomialIdeal, J: MonomialIdeal) -> MonomialIdeal:
         return J
     if J.is_unit():
         return I
-    return minimize(
-        (monomial_mul(a, b) for a in I.generators for b in J.generators), I.r
-    )
+    P = Packing(I.r, _top(I) + _top(J))
+    B = P.pack_ideal(J)
+    return P.ideal(P.minimal(a + b for a in P.pack_ideal(I) for b in B))
 
 
 @lru_cache(maxsize=8192)
@@ -167,16 +263,9 @@ def power(I: MonomialIdeal, n: int) -> MonomialIdeal:
         return unit_ideal(I.r)
     if n == 1 or I.is_zero() or I.is_unit():
         return I
-    gens = I.generators
-    r = I.r
-    out: set[Monomial] = set()
-    for combo in itertools.combinations_with_replacement(gens, n):
-        v = [0] * r
-        for g in combo:
-            for i in range(r):
-                v[i] += g[i]
-        out.add(tuple(v))
-    return minimize(out, r)
+    P = Packing(I.r, n * _top(I))
+    combos = itertools.combinations_with_replacement(P.pack_ideal(I), n)
+    return P.ideal(P.minimal(map(sum, combos)))
 
 
 def intersect(I: MonomialIdeal, J: MonomialIdeal) -> MonomialIdeal:
@@ -187,14 +276,10 @@ def intersect(I: MonomialIdeal, J: MonomialIdeal) -> MonomialIdeal:
         return J
     if J.is_unit():
         return I
-    # nested ideals intersect to the smaller one; cheap test, big win on colon chains
-    if contains_ideal(J, I):
-        return I
-    if contains_ideal(I, J):
-        return J
-    return minimize(
-        (monomial_lcm(a, b) for a in I.generators for b in J.generators), I.r
-    )
+    P = Packing(I.r, _top(I, J))
+    A, B = P.pack_ideal(I), P.pack_ideal(J)
+    C = P.meet(A, B)
+    return I if C is A else J if C is B else P.ideal(C)
 
 
 def intersect_all(ideals: Iterable[MonomialIdeal], r: int) -> MonomialIdeal:
@@ -207,11 +292,13 @@ def intersect_all(ideals: Iterable[MonomialIdeal], r: int) -> MonomialIdeal:
 def add(I: MonomialIdeal, J: MonomialIdeal) -> MonomialIdeal:
     """Ideal sum I + J."""
     _require_same_r(I, J)
-    if contains_ideal(I, J):
+    P = Packing(I.r, _top(I, J))
+    A, B = P.pack_ideal(I), P.pack_ideal(J)
+    if P.covers(A, B):
         return I
-    if contains_ideal(J, I):
+    if P.covers(B, A):
         return J
-    return minimize(I.generators + J.generators, I.r)
+    return P.ideal(P.minimal(A + B))
 
 
 def colon_monomial(I: MonomialIdeal, m: Monomial) -> MonomialIdeal:
@@ -220,7 +307,9 @@ def colon_monomial(I: MonomialIdeal, m: Monomial) -> MonomialIdeal:
         raise InputError(f"bad colon monomial {m} for ambient {I.r}")
     if I.is_zero():
         return I
-    return minimize((monomial_colon(g, m) for g in I.generators), I.r)
+    P = Packing(I.r, max(_top(I), *m))
+    q = P.pack(m)
+    return P.ideal(P.minimal(P.colon(g, q) for g in P.pack_ideal(I)))
 
 
 def colon_ideal(I: MonomialIdeal, J: MonomialIdeal) -> MonomialIdeal:
@@ -229,10 +318,10 @@ def colon_ideal(I: MonomialIdeal, J: MonomialIdeal) -> MonomialIdeal:
     if J.is_zero():
         # everything multiplies the zero ideal into I
         return unit_ideal(I.r)
-    acc = unit_ideal(I.r)
-    for g in J.generators:
-        acc = intersect(acc, colon_monomial(I, g))
-    return acc
+    P = Packing(I.r, _top(I, J))
+    gens = P.pack_ideal(I)
+    parts = (P.minimal(P.colon(g, q) for g in gens) for q in P.pack_ideal(J))
+    return P.ideal(reduce(P.meet, parts))
 
 
 def saturate(I: MonomialIdeal, J: MonomialIdeal) -> MonomialIdeal:
@@ -250,15 +339,9 @@ def saturate(I: MonomialIdeal, J: MonomialIdeal) -> MonomialIdeal:
 
 def _zero_coords(I: MonomialIdeal, positions: frozenset[int]) -> MonomialIdeal:
     """Set the given 0-based exponent positions to zero in every generator."""
-    if I.is_zero():
-        return I
-    return minimize(
-        (
-            tuple(0 if i in positions else e for i, e in enumerate(g))
-            for g in I.generators
-        ),
-        I.r,
-    )
+    P = Packing(I.r, _top(I))
+    keep = P.pack(0 if i in positions else P.field for i in range(I.r))
+    return P.ideal(P.minimal(g & keep for g in P.pack_ideal(I)))
 
 
 @lru_cache(maxsize=8192)

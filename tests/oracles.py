@@ -4,8 +4,9 @@ Everything here is written for obviousness, not speed, and deliberately
 avoids the library's search strategies: membership is raw divisibility,
 associated primes come straight from the colon definition, the witness
 and torsion scans visit every cell of their box, power membership
-enumerates generator multiplicities, and cone membership does exact
-Gaussian elimination over Fractions.
+enumerates generator multiplicities, ideal arithmetic minimizes by pairwise
+divisibility, and cone membership does exact Gaussian elimination over
+Fractions.
 """
 
 from fractions import Fraction
@@ -176,3 +177,65 @@ def scan_max_ideal_in_ass(I, n):
         and all(monomial_in(v, D) for D in deletions)
         for v in iproduct(*(range(b + 1) for b in box))
     )
+
+
+# -- ideal arithmetic on generator tuples ------------------------------------
+#
+# References for `brodmann.monomials`: each takes and returns plain lists of
+# exponent tuples and decides minimality by pairwise divisibility alone.  The
+# result is in the canonical order, descending lexicographically.
+
+
+def minimal(gens):
+    """The minimal generators of the ideal generated by gens, canonical order."""
+    distinct = set(map(tuple, gens))
+    return tuple(
+        sorted(
+            (v for v in distinct if not any(w != v and divides(w, v) for w in distinct)),
+            reverse=True,
+        )
+    )
+
+
+def unit(r):
+    return ((0,) * r,)
+
+
+def product_ref(A, B):
+    return minimal(tuple(a + b for a, b in zip(g, h)) for g in A for h in B)
+
+
+def power_ref(A, n, r):
+    return minimal(power_gens(A, n, r))
+
+
+def lcm_ref(a, b):
+    return tuple(max(x, y) for x, y in zip(a, b))
+
+
+def intersect_ref(A, B):
+    return minimal(lcm_ref(g, h) for g in A for h in B)
+
+
+def colon_monomial_ref(A, m):
+    return minimal(tuple(max(x - y, 0) for x, y in zip(g, m)) for g in A)
+
+
+def colon_ideal_ref(A, B, r):
+    """(A : B) as the intersection of A : h over the generators h of B."""
+    acc = unit(r)
+    for h in B:
+        acc = intersect_ref(acc, colon_monomial_ref(A, h))
+    return acc
+
+
+def contains_ideal_ref(A, B):
+    return all(monomial_in(h, A) for h in B)
+
+
+def delete_variable_ref(A, j):
+    return minimal(_zeroed(A, {j - 1}))
+
+
+def generator_power_ref(A, m):
+    return minimal(tuple(m * e for e in g) for g in A)

@@ -323,6 +323,34 @@ class TestFeasible:
         )
         assert code == 2 and "input error" in err
 
+    @pytest.mark.parametrize("fix", ["a1=" + "7" * 5000, "7" * 5000 + "=3"])
+    def test_oversized_fix_is_one_line_parse_error(self, capsys, membership_file, fix):
+        code, out, err = run(
+            capsys, "feasible", "--system", membership_file, "--box", "2", "--fix", fix
+        )
+        assert (code, out) == (2, "")
+        assert err == "parse error: --fix: integer of 5000 digits exceeds the 4300-digit limit\n"
+
+    @pytest.mark.parametrize(
+        "fix, message",
+        [
+            ("a1=" + "x" * 500, "--fix value must be an integer, got '" + "x" * 60 + "...'"),
+            ("y" * 500, "--fix expects label=value, got '" + "y" * 60 + "...'"),
+        ],
+    )
+    def test_long_fix_echo_is_cut(self, capsys, membership_file, fix, message):
+        code, _, err = run(
+            capsys, "feasible", "--system", membership_file, "--box", "2", "--fix", fix
+        )
+        assert (code, err) == (2, f"input error: {message}\n")
+
+    def test_superscript_digit_is_a_label(self, capsys, membership_file):
+        # "²".isdigit() holds but int("²") raises; the label is looked up instead
+        code, _, err = run(
+            capsys, "feasible", "--system", membership_file, "--box", "2", "--fix", "²=1"
+        )
+        assert (code, err) == (2, "input error: unknown variable label '²'\n")
+
 
 class TestExitCodes:
     def test_missing_file_is_parse_error(self, capsys):

@@ -2,7 +2,10 @@ import random
 from math import prod
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import oracles as ref
+from brodmann.cohomology import generator_power_ideal
 from brodmann.errors import BudgetError, InputError
 from brodmann.monomials import (
     BoxTable,
@@ -79,6 +82,37 @@ class TestCanonicalForm:
     def test_validate_minimal_rejects_divisible_pair(self):
         with pytest.raises(InputError):
             validate_minimal(MonomialIdeal(2, ((2, 1), (1, 0))))
+
+
+class TestMinimizeErrors:
+    """minimize names the first offending generator in input order, with the
+    generator as read, even when a unit or a divisor met earlier makes it
+    redundant."""
+
+    @pytest.mark.parametrize(
+        "gens, message",
+        [
+            ([(1, 2), (1,), (-1, 0)], "generator (1,) does not have 2 exponents"),
+            ([(1, 2), (-1, 0), (1,)], "negative exponent in generator (-1, 0)"),
+            ([(0, 0), (1, 2, 3)], "generator (1, 2, 3) does not have 2 exponents"),
+            ([(1, 0), (5, -2)], "negative exponent in generator (5, -2)"),
+            ([("3", 2.0), (True,)], "generator (1,) does not have 2 exponents"),
+            ([[4, 0], (-7, "-1")], "negative exponent in generator (-7, -1)"),
+        ],
+    )
+    def test_first_offender_and_text(self, gens, message):
+        with pytest.raises(InputError) as exc:
+            minimize(gens, 2)
+        assert str(exc.value) == message
+
+    def test_bad_ambient(self):
+        for r in (0, -1):
+            with pytest.raises(InputError) as exc:
+                minimize([], r)
+            assert str(exc.value) == f"ambient variable count must be >= 1, got {r}"
+        with pytest.raises(InputError) as exc:
+            minimize([()], 0)
+        assert str(exc.value) == "ambient variable count must be >= 1, got 0"
 
 
 class TestMembership:
@@ -202,6 +236,118 @@ class TestArithmetic:
         J = ideal(2, (1, 1))
         S = saturate(I, J)
         assert colon_ideal(S, J) == S
+
+
+# Exponent caps, one drawn per exponent vector: 0 leaves every field zero,
+# 127 and 128 sit on either side of a one-byte field, and 2**80 needs eleven
+# bytes, so the operands of one operation differ in field width.
+CAPS = (0, 1, 4, 127, 128, 2**80)
+RANKS = st.integers(1, 5)
+KERNEL_SETTINGS = settings(max_examples=150, deadline=None, derandomize=True, database=None)
+
+
+@st.composite
+def exponent_vectors(draw, r):
+    cap = draw(st.sampled_from(CAPS))
+    return draw(st.tuples(*[st.integers(0, cap)] * r))
+
+
+def generator_lists(r):
+    """Up to 6 generators, duplicates and divisible pairs allowed; the empty
+    list gives the zero ideal and an all-zero vector the unit ideal."""
+    return st.lists(exponent_vectors(r), max_size=6)
+
+
+def ideals(r):
+    return generator_lists(r).map(lambda gens: minimize(gens, r))
+
+
+def ideal_pairs():
+    return RANKS.flatmap(lambda r: st.tuples(ideals(r), ideals(r)))
+
+
+class TestPackedKernelMatchesTupleReferences:
+    """The packed-int kernel against `oracles`, which minimizes by pairwise
+    divisibility on tuples: the same generators in the same order."""
+
+    @KERNEL_SETTINGS
+    @given(RANKS.flatmap(lambda r: st.tuples(st.just(r), generator_lists(r))))
+    def test_minimize(self, case):
+        r, gens = case
+        assert minimize(gens, r).generators == ref.minimal(gens)
+
+    @KERNEL_SETTINGS
+    @given(ideal_pairs())
+    def test_product(self, pair):
+        I, J = pair
+        assert product(I, J).generators == ref.product_ref(I.generators, J.generators)
+
+    @KERNEL_SETTINGS
+    @given(RANKS.flatmap(ideals), st.integers(0, 3))
+    def test_power(self, I, n):
+        assert power(I, n).generators == ref.power_ref(I.generators, n, I.r)
+
+    @KERNEL_SETTINGS
+    @given(ideal_pairs())
+    def test_intersect(self, pair):
+        I, J = pair
+        assert intersect(I, J).generators == ref.intersect_ref(I.generators, J.generators)
+
+    @KERNEL_SETTINGS
+    @given(ideal_pairs())
+    def test_add(self, pair):
+        I, J = pair
+        assert add(I, J).generators == ref.minimal(I.generators + J.generators)
+
+    @KERNEL_SETTINGS
+    @given(RANKS.flatmap(lambda r: st.tuples(ideals(r), exponent_vectors(r))))
+    def test_colon_monomial(self, case):
+        I, m = case
+        assert colon_monomial(I, m).generators == ref.colon_monomial_ref(I.generators, m)
+
+    @KERNEL_SETTINGS
+    @given(ideal_pairs())
+    def test_colon_ideal(self, pair):
+        I, J = pair
+        expected = ref.colon_ideal_ref(I.generators, J.generators, I.r)
+        assert colon_ideal(I, J).generators == expected
+
+    @KERNEL_SETTINGS
+    @given(ideal_pairs())
+    def test_contains_ideal(self, pair):
+        I, J = pair
+        assert contains_ideal(I, J) == ref.contains_ideal_ref(I.generators, J.generators)
+        assert contains_ideal(I, I)
+
+    @KERNEL_SETTINGS
+    @given(st.integers(2, 5).flatmap(lambda r: st.tuples(ideals(r), st.integers(1, r))))
+    def test_delete_variable(self, case):
+        I, j = case
+        assert delete_variable(I, j).generators == ref.delete_variable_ref(I.generators, j)
+
+    @KERNEL_SETTINGS
+    @given(RANKS.flatmap(ideals), st.integers(0, 3))
+    def test_generator_power_ideal(self, I, m):
+        expected = ref.generator_power_ref(I.generators, m)
+        assert generator_power_ideal(I, m).generators == expected
+
+    def test_many_variables(self):
+        # fields of 1 and 11 bytes, packed ints of several thousand bits
+        rng = random.Random(707)
+        r = 600
+        for cap in (3, 2**80):
+            gens = [
+                tuple(rng.choice((0, 0, 1, cap)) for _ in range(r)) for _ in range(6)
+            ]
+            I, J = minimize(gens[:3], r), minimize(gens[3:], r)
+            A, B = I.generators, J.generators
+            assert I.generators == ref.minimal(gens[:3])
+            assert product(I, J).generators == ref.product_ref(A, B)
+            assert power(I, 2).generators == ref.power_ref(A, 2, r)
+            assert intersect(I, J).generators == ref.intersect_ref(A, B)
+            assert colon_ideal(I, J).generators == ref.colon_ideal_ref(A, B, r)
+            assert contains_ideal(I, J) == ref.contains_ideal_ref(A, B)
+            assert delete_variable(I, r).generators == ref.delete_variable_ref(A, r)
 
 
 class TestVariableOps:

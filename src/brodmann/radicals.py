@@ -1,12 +1,14 @@
 """Exact arithmetic in the field generated by square roots of integers.
 
 Two layers: ExactRadical is a single term q*sqrt(m) with q a nonnegative
-rational and m squarefree, closed under multiplication; RadicalSum is a
-finite signed sum of such terms, closed under addition and comparable to
-rationals without any floating point.  Comparisons of a nonzero sum
-terminate because square roots of distinct squarefree integers are
-linearly independent over the rationals, so the sum is either identically
-zero (detectable term by term) or bounded away from zero.
+rational and m either 1 or not a perfect square, closed under
+multiplication; RadicalSum is a finite signed sum of such terms, closed
+under addition and comparable to rationals without any floating point.
+Nothing here factors an integer: q1*sqrt(m1) and q2*sqrt(m2) are rationally
+dependent exactly when m1*m2 is a perfect square, which one isqrt decides,
+and a RadicalSum merges such terms.  Its radicands are then pairwise
+independent, so a sum is either identically zero (detectable term by term)
+or bounded away from zero, and comparisons terminate.
 """
 
 from __future__ import annotations
@@ -19,29 +21,19 @@ from .errors import InputError
 
 
 def split_square(n: int) -> tuple[int, int]:
-    """n = a*a*m with m squarefree; returns (a, m).  Requires n >= 1."""
+    """n = a*a*m, with m == 1 exactly when n is a perfect square; returns
+    (a, m).  Square factors of a non-square n stay in m.  Requires n >= 1."""
     if n < 1:
         raise InputError(f"radicand must be >= 1, got {n}")
-    a, m = 1, 1
-    rest = n
-    d = 2
-    while d * d <= rest:
-        if rest % d == 0:
-            e = 0
-            while rest % d == 0:
-                rest //= d
-                e += 1
-            a *= d ** (e // 2)
-            if e % 2:
-                m *= d
-        d += 1 if d == 2 else 2
-    m *= rest
-    return a, m
+    a = isqrt(n)
+    return (a, 1) if a * a == n else (1, n)
 
 
 @dataclass(frozen=True)
 class ExactRadical:
-    """The nonnegative real q*sqrt(m), q rational >= 0, m squarefree >= 1.
+    """The nonnegative real q*sqrt(m), q rational >= 0, m >= 1 either 1 or
+    not a perfect square.  Equal values may carry different radicands, as
+    sqrt(8) and 2*sqrt(2) do; equality and hashing compare values.
 
     Zero is represented as coeff 0, radicand 1.
     """
@@ -54,11 +46,8 @@ class ExactRadical:
             raise InputError(f"coefficient must be >= 0, got {self.coeff}")
         if self.coeff == 0 and self.radicand != 1:
             raise InputError("zero must carry radicand 1")
-        a, m = split_square(self.radicand)
-        if a != 1:
-            raise InputError(f"radicand {self.radicand} is not squarefree")
-        if m != self.radicand:
-            raise InputError(f"radicand {self.radicand} is not squarefree")
+        if self.radicand != 1 and split_square(self.radicand)[1] == 1:
+            raise InputError(f"radicand {self.radicand} is a perfect square")
 
     @staticmethod
     def of_fraction(q: Fraction | int) -> "ExactRadical":
@@ -77,17 +66,6 @@ class ExactRadical:
         a, m = split_square(n)
         return ExactRadical(Fraction(a), m)
 
-    @staticmethod
-    def sqrt_of_fraction(q: Fraction | int) -> "ExactRadical":
-        q = Fraction(q)
-        if q < 0:
-            raise InputError(f"cannot take sqrt of {q}")
-        if q == 0:
-            return ExactRadical(Fraction(0), 1)
-        # sqrt(p/s) = sqrt(p*s)/s
-        num = ExactRadical.sqrt_of(q.numerator * q.denominator)
-        return ExactRadical(num.coeff / q.denominator, num.radicand)
-
     def is_zero(self) -> bool:
         return self.coeff == 0
 
@@ -103,8 +81,8 @@ class ExactRadical:
         if self.is_zero() or other.is_zero():
             return ExactRadical(Fraction(0), 1)
         g = gcd(self.radicand, other.radicand)
-        m = (self.radicand // g) * (other.radicand // g)
-        return ExactRadical(self.coeff * other.coeff * g, m)
+        a, m = split_square((self.radicand // g) * (other.radicand // g))
+        return ExactRadical(self.coeff * other.coeff * g * a, m)
 
     __rmul__ = __mul__
 
@@ -126,15 +104,13 @@ class ExactRadical:
 
     def __eq__(self, other) -> bool:
         if isinstance(other, ExactRadical):
-            return self.coeff == other.coeff and self.radicand == other.radicand
+            return self.square() == other.square()
         if isinstance(other, (int, Fraction)):
             return self.is_rational() and self.coeff == other
         return NotImplemented
 
     def __hash__(self) -> int:
-        if self.is_rational():
-            return hash(self.coeff)
-        return hash(((self.radicand, self.coeff),))
+        return hash(self.coeff if self.is_rational() else self.square())
 
     def __lt__(self, other) -> bool:
         return self._cmp(other) < 0
@@ -179,28 +155,47 @@ def _sqrt_bounds(m: int, k: int) -> tuple[Fraction, Fraction]:
     return Fraction(s, scale), Fraction(s + 1, scale)
 
 
-@dataclass(frozen=True)
-class RadicalSum:
-    """A signed sum of rational multiples of sqrt(squarefree integer).
+def _collect(terms) -> tuple[tuple[int, Fraction], ...]:
+    """Sum (radicand, coefficient) pairs into one term per square class.
 
-    Terms are (radicand, coefficient) pairs, radicands strictly increasing,
-    coefficients nonzero.  The empty sum is zero.
+    m1 and m2 share a class when m1*m2 is a perfect square; the class is
+    written on its smallest radicand m1, as q*sqrt(m2) = q*isqrt(m1*m2)/m1 *
+    sqrt(m1).  The result does not depend on the order of the pairs.
+    """
+    acc: dict[int, Fraction] = {}
+    for m, q in sorted(terms):
+        for rep in acc:
+            a, rest = split_square(rep * m)
+            if rest == 1:
+                acc[rep] += q * Fraction(a, rep)
+                break
+        else:
+            acc[m] = q
+    return tuple((m, q) for m, q in acc.items() if q)
+
+
+@dataclass(frozen=True, eq=False)
+class RadicalSum:
+    """A signed sum of rational multiples of square roots of integers.
+
+    Terms are (radicand, coefficient) pairs, radicands strictly increasing
+    and pairwise independent (no product of two is a perfect square),
+    coefficients nonzero.  The empty sum is zero.  Equality compares values;
+    a RadicalSum is not hashable.
     """
 
     terms: tuple[tuple[int, Fraction], ...]
 
     @staticmethod
     def of(*parts: "ExactRadical | Fraction | int") -> "RadicalSum":
-        acc: dict[int, Fraction] = {}
+        terms = []
         for p in parts:
             if isinstance(p, ExactRadical):
                 if not p.is_zero():
-                    acc[p.radicand] = acc.get(p.radicand, Fraction(0)) + p.coeff
-            else:
-                q = Fraction(p)
-                if q:
-                    acc[1] = acc.get(1, Fraction(0)) + q
-        return RadicalSum(tuple(sorted((m, q) for m, q in acc.items() if q)))
+                    terms.append((p.radicand, p.coeff))
+            elif p:
+                terms.append((1, Fraction(p)))
+        return RadicalSum(_collect(terms))
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -211,10 +206,7 @@ class RadicalSum:
     def __add__(self, other: "RadicalSum | ExactRadical | Fraction | int") -> "RadicalSum":
         if not isinstance(other, RadicalSum):
             other = RadicalSum.of(other)
-        acc = dict(self.terms)
-        for m, q in other.terms:
-            acc[m] = acc.get(m, Fraction(0)) + q
-        return RadicalSum(tuple(sorted((m, q) for m, q in acc.items() if q)))
+        return RadicalSum(_collect(self.terms + other.terms))
 
     __radd__ = __add__
 
@@ -225,12 +217,6 @@ class RadicalSum:
         if not isinstance(other, RadicalSum):
             other = RadicalSum.of(other)
         return self + (-other)
-
-    def scaled(self, q: Fraction | int) -> "RadicalSum":
-        q = Fraction(q)
-        if not q:
-            return RadicalSum(())
-        return RadicalSum(tuple((m, c * q) for m, c in self.terms))
 
     def bounds(self, k: int) -> tuple[Fraction, Fraction]:
         """Rational enclosure of the value, width shrinking as k grows."""
@@ -272,15 +258,8 @@ class RadicalSum:
 
     def __eq__(self, other) -> bool:
         if isinstance(other, (RadicalSum, ExactRadical, int, Fraction)):
-            if not isinstance(other, RadicalSum):
-                other = RadicalSum.of(other)
-            return self.terms == other.terms
+            return (self - other).is_zero()
         return NotImplemented
-
-    def __hash__(self) -> int:
-        if self.is_rational():
-            return hash(self.terms[0][1] if self.terms else Fraction(0))
-        return hash(self.terms)
 
     def __lt__(self, other) -> bool:
         return self.compare(other) < 0

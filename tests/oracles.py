@@ -5,12 +5,14 @@ avoids the library's search strategies: membership is raw divisibility,
 associated primes come straight from the colon definition, the witness
 and torsion scans visit every cell of their box, power membership
 enumerates generator multiplicities, ideal arithmetic minimizes by pairwise
-divisibility, and cone membership does exact Gaussian elimination over
-Fractions.
+divisibility, cone membership does exact Gaussian elimination over
+Fractions, and the cone bounds come from their closed forms by isqrt and
+mpmath.
 """
 
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, product as iproduct
+from math import isqrt
 
 
 def divides(a, b):
@@ -239,3 +241,49 @@ def delete_variable_ref(A, j):
 
 def generator_power_ref(A, m):
     return minimal(tuple(m * e for e in g) for g in A)
+
+
+def cone_bound_ceils(rows, rhs):
+    """Ceilings of bound_a1 (of the homogenized system) and, when b != 0,
+    bound_a2, from their closed forms: e * prod(e-1 largest column norms) and
+    (e + |b|) * prod(all column norms), an all-zero column counting as norm 1.
+    The first is one isqrt; the second, e*sqrt(Q) + sqrt(|b|^2 Q), is read by
+    mpmath at 60 digits past its size unless both terms are integers."""
+    import mpmath
+
+    e = len(rows[0])
+    sq = [sum(row[j] ** 2 for row in rows) or 1 for j in range(e)]
+    n_top = e * e
+    for q in sorted(sq, reverse=True)[: e - 1]:
+        n_top *= q
+    out = {"bound_a1": isqrt(n_top - 1) + 1}  # ceil(sqrt(n)) for n >= 1
+    b_sq = sum(b * b for b in rhs)
+    if b_sq:
+        n_all = 1
+        for q in sq:
+            n_all *= q
+        x, y = isqrt(e * e * n_all), isqrt(b_sq * n_all)
+        if x * x == e * e * n_all and y * y == b_sq * n_all:
+            out["bound_a2"] = x + y
+        else:
+            with mpmath.workdps(60 + len(str(b_sq * n_all))):
+                value = (e + mpmath.sqrt(b_sq)) * mpmath.sqrt(n_all)
+                assert abs(value - mpmath.nint(value)) > mpmath.mpf(10) ** -30
+                out["bound_a2"] = int(mpmath.ceil(value))
+    return out
+
+
+def is_prime(n):
+    """Miller-Rabin on the first 12 prime bases: exact for n < 3.3e24."""
+    assert n < 3 * 10**24
+    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+    if n < 2 or any(n % b == 0 for b in bases):
+        return n in bases
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for b in bases:
+        x = pow(b, d, n)
+        if x not in (1, n - 1) and all(pow(x, 2**i, n) != n - 1 for i in range(1, s)):
+            return False
+    return True

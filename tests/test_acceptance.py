@@ -8,6 +8,7 @@ internals under test.
 
 import random
 import time
+from fractions import Fraction
 
 import pytest
 
@@ -264,8 +265,9 @@ def test_criterion_8_stabilization_bounds(corpus, profiles4):
         for s in range(1, 7):
             for d in range(1, 11):
                 bracket = bound_b3(r, s, d) + RadicalSum.of(1)
-                lhs = bracket.scaled(bound_b4(r, s, d))
-                assert lhs.compare(RadicalSum.of(bound_b2(r, s, d))) < 0, (r, s, d)
+                # B4 >= 1, so B4 (B3 + 1) < B2 reads B3 + 1 < B2 / B4
+                ratio = Fraction(bound_b2(r, s, d), bound_b4(r, s, d))
+                assert bracket.compare(ratio) < 0, (r, s, d)
 
     stabilized = 0
     for I, profile in zip(corpus, profiles4):

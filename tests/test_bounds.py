@@ -52,8 +52,8 @@ class TestIndividualBounds:
                     b2 = bound_b2(r, s, d)
                     b4 = bound_b4(r, s, d)
                     bracket = bound_b3(r, s, d) + RadicalSum.of(1)
-                    lhs = bracket.scaled(b4)
-                    assert lhs.compare(RadicalSum.of(b2)) < 0, (r, s, d)
+                    # b4 >= 1, so b4 (b3 + 1) < b2 reads b3 + 1 < b2 / b4
+                    assert bracket.compare(Fraction(b2, b4)) < 0, (r, s, d)
 
     def test_stabilization_is_max(self):
         assert stabilization_bound(2, 2, 2) == 16777216

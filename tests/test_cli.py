@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 import brodmann
+import oracles
 from brodmann.cli import INDEX_NOTE, example_ideal, main
 from brodmann.errors import InconsistencyError
 from brodmann.ioformats import ideal_to_text, parse_system_text, system_to_text
@@ -228,6 +229,21 @@ class TestCone:
         payload = json.loads(out)
         assert "bound_a1" in payload and "bound_a2" in payload
         assert payload["bound_a1_ceil"] >= 1
+
+    def test_bound_with_large_right_hand_sides(self, capsys, tmp_path):
+        # |b|^2 = 2 * 1000000007^2: its square factor is a 30-bit prime
+        rows, rhs = ((1, 1, 0), (1, 0, 1), (1, 1, 1)), (1000000007, 1000000007, 0)
+        path = tmp_path / "big.txt"
+        path.write_text(system_to_text(ConstraintSystem(3, rows, rhs)))
+        code, out, _ = run(capsys, "cone", "--system", str(path), "--bound")
+        assert code == 0
+        ceils = {
+            line.split("\t")[0]: int(line.rsplit("ceil=", 1)[1])
+            for line in out.splitlines()
+            if line.startswith("bound_a")
+        }
+        assert ceils == oracles.cone_bound_ceils(rows, rhs)
+        assert "bound_a2\t6*sqrt(3) + 2*sqrt(6000000084000000294)\tceil=4898979531" in out
 
     def test_module_generators(self, capsys, halfplane_file):
         code, out, _ = run(

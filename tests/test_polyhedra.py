@@ -24,7 +24,7 @@ from brodmann.polyhedra import (
 )
 from brodmann.radicals import ExactRadical, RadicalSum
 
-from oracles import in_nonneg_span, solve_nonneg
+from oracles import cone_bound_ceils, in_nonneg_span, is_prime, solve_nonneg
 
 
 def ideal(r, *gens):
@@ -188,6 +188,22 @@ class TestNormBounds:
         # columns (1,1) and (-1,0) have norms sqrt(2) and 1, rhs is zero
         sys_ = ConstraintSystem(2, ((1, -1), (1, 0)), (0, 0))
         assert bound_a2(sys_) == RadicalSum.of(ExactRadical(Fraction(2), 2))
+
+    def test_bounds_with_an_unfactorable_radicand(self):
+        # rhs (p, p, 1) with p and (2p^2 + 1) / 3 prime near 2^40:
+        # |b|^2 = 3 * q with q a 79-bit prime
+        p = 1099511628427
+        assert is_prime(p) and is_prime((2 * p * p + 1) // 3)
+        rows, rhs = ((1, 2), (3, 1), (2, 5)), (p, p, 1)
+        sys_ = ConstraintSystem(2, rows, rhs)
+        want = cone_bound_ceils(rows, rhs)
+        assert bound_a1(sys_.homogenized()).ceil() == want["bound_a1"]
+        a2 = bound_a2(sys_)
+        assert a2.ceil() == want["bound_a2"]
+        # columns (1,3,2) and (2,1,5): squared norms 14 and 30, product 420
+        assert a2 == RadicalSum.of(
+            ExactRadical.sqrt_of(420) * 2, ExactRadical.sqrt_of(420 * (2 * p * p + 1))
+        )
 
 
 class TestHilbertGenerators:

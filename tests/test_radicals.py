@@ -1,8 +1,10 @@
 import random
 from fractions import Fraction
+from math import isqrt
 
 import mpmath
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from brodmann.errors import InputError
 from brodmann.radicals import ExactRadical, RadicalSum, split_square
@@ -13,17 +15,33 @@ class TestSplitSquare:
         assert split_square(1) == (1, 1)
         assert split_square(2) == (1, 2)
         assert split_square(4) == (2, 1)
-        assert split_square(8) == (2, 2)
-        assert split_square(12) == (2, 3)
-        assert split_square(360) == (6, 10)
+        assert split_square(8) == (1, 8)
+        assert split_square(12) == (1, 12)
+        assert split_square(36) == (6, 1)
+        assert split_square(360) == (1, 360)
+
+    @staticmethod
+    def check(n):
+        a, m = split_square(n)
+        assert a * a * m == n
+        assert (m == 1) == (isqrt(n) ** 2 == n)
 
     def test_exhaustive_reconstruction(self):
         for n in range(1, 400):
-            a, m = split_square(n)
-            assert a * a * m == n
-            # m squarefree: no square > 1 divides it
-            for q in range(2, int(m**0.5) + 1):
-                assert m % (q * q) != 0
+            self.check(n)
+
+    def test_4000_bit_inputs(self):
+        rng = random.Random(4713)
+        k = rng.getrandbits(2000) | 1 << 1999
+        for n in (k * k, k * k - 1, k * k + 1, 2 * k * k, (k * k) * (k * k)):
+            self.check(n)
+        assert split_square(k * k) == (k, 1)
+        assert split_square(3 * k * k) == (1, 3 * k * k)
+
+    def test_rejects_nonpositive(self):
+        for n in (0, -4):
+            with pytest.raises(InputError):
+                split_square(n)
 
 
 class TestExactRadical:
@@ -32,11 +50,20 @@ class TestExactRadical:
         assert ExactRadical.sqrt_of(9) == 3
         assert ExactRadical.sqrt_of(0).is_zero()
 
+    def test_equal_values_hash_alike(self):
+        r8, two_r2 = ExactRadical.sqrt_of(8), ExactRadical(Fraction(2), 2)
+        assert str(r8) == "sqrt(8)" and str(two_r2) == "2*sqrt(2)"
+        assert r8 == two_r2 and hash(r8) == hash(two_r2)
+        assert r8 != ExactRadical.sqrt_of(2)
+        assert hash(ExactRadical.sqrt_of(9)) == hash(3)
+        assert hash(ExactRadical.of_fraction(Fraction(1, 2))) == hash(Fraction(1, 2))
+
     def test_rejects_bad_input(self):
         with pytest.raises(InputError):
             ExactRadical(Fraction(-1), 2)
+        assert ExactRadical(Fraction(1), 8) == ExactRadical(Fraction(2), 2)
         with pytest.raises(InputError):
-            ExactRadical(Fraction(1), 8)  # not squarefree
+            ExactRadical(Fraction(1), 4)  # a perfect square
         with pytest.raises(InputError):
             ExactRadical(Fraction(0), 2)  # zero must use radicand 1
         with pytest.raises(InputError):
@@ -53,6 +80,9 @@ class TestExactRadical:
         assert ExactRadical.sqrt_of(6) * ExactRadical.sqrt_of(10) == ExactRadical(
             Fraction(2), 15
         )
+        # the gcd leaves 4 * 1 and 4 * 9, perfect squares
+        assert ExactRadical.sqrt_of(8) * ExactRadical.sqrt_of(2) == 4
+        assert ExactRadical.sqrt_of(12) * ExactRadical.sqrt_of(27) == 18
 
     def test_powers(self):
         r2 = ExactRadical.sqrt_of(2)
@@ -60,12 +90,6 @@ class TestExactRadical:
         assert r2**3 == ExactRadical(Fraction(2), 2)
         assert r2**0 == 1
         assert ExactRadical.of_fraction(0) ** 5 == 0
-
-    def test_sqrt_of_fraction(self):
-        v = ExactRadical.sqrt_of_fraction(Fraction(9, 4))
-        assert v == Fraction(3, 2)
-        w = ExactRadical.sqrt_of_fraction(Fraction(1, 2))
-        assert w.square() == Fraction(1, 2)
 
     def test_comparisons(self):
         r2 = ExactRadical.sqrt_of(2)
@@ -109,6 +133,19 @@ class TestRadicalSum:
         s = RadicalSum.of(ExactRadical.sqrt_of(2), ExactRadical.sqrt_of(2))
         assert s == ExactRadical(Fraction(2), 2)
 
+    def test_dependent_terms_merge_on_the_smallest_radicand(self):
+        r2, r8, r18 = (ExactRadical.sqrt_of(n) for n in (2, 8, 18))
+        for parts in ((r8, r2, r18), (r18, r8, r2)):
+            s = RadicalSum.of(*parts)
+            assert s.terms == ((2, Fraction(6)),)
+            assert str(s) == "6*sqrt(2)"
+        assert str(RadicalSum.of(r8) + RadicalSum.of(3)) == "3 + sqrt(8)"
+        assert str(RadicalSum.of(r18) + RadicalSum.of(r8)) == "5/2*sqrt(8)"
+
+    def test_not_hashable(self):
+        with pytest.raises(TypeError):
+            hash(RadicalSum.of(ExactRadical.sqrt_of(2)))
+
     def test_sign_and_compare(self):
         s = RadicalSum.of(ExactRadical.sqrt_of(2), ExactRadical.sqrt_of(3))
         assert s.sign() == 1
@@ -130,11 +167,6 @@ class TestRadicalSum:
         assert t.ceil() == 0
         assert RadicalSum.of(Fraction(7, 2)).floor() == 3
         assert RadicalSum.of().floor() == 0
-
-    def test_scaled(self):
-        s = RadicalSum.of(ExactRadical.sqrt_of(2), 1)
-        assert s.scaled(2) == RadicalSum.of(ExactRadical(Fraction(2), 2), 2)
-        assert s.scaled(0).is_zero()
 
     def test_random_sums_match_mpmath(self):
         """500 random signed radical sums against 128-bit floating point.
@@ -179,3 +211,112 @@ class TestRadicalSum:
         ordered = sorted(values, key=lambda v: float(v))
         for u, v in zip(ordered, ordered[1:]):
             assert u.compare(v) <= 0
+
+
+RADICAL_SETTINGS = settings(max_examples=100, deadline=None, derandomize=True, database=None)
+# radicand k^2 * m, drawn as (k, m): small m so that terms of one square class
+# meet often, k up to 10^12 so that the square factor is too large to find by
+# trial division
+SQUARED = st.tuples(st.integers(1, 10**12), st.integers(1, 30))
+COEFFS = st.builds(Fraction, st.integers(-9, 9).filter(bool), st.integers(1, 9))
+TERMS = st.lists(st.tuples(COEFFS, SQUARED), min_size=1, max_size=5)
+
+
+def _term(q: Fraction, k: int, m: int, factored: bool) -> ExactRadical:
+    """|q| * sqrt(k^2 m), built as sqrt_of(k^2 m) or as k * sqrt_of(m)."""
+    if factored:
+        return ExactRadical.sqrt_of(m) * (abs(q) * k)
+    return ExactRadical.sqrt_of(k * k * m) * abs(q)
+
+
+def _sum(terms, factored: bool) -> RadicalSum:
+    total = RadicalSum.of()
+    for q, (k, m) in terms:
+        t = _term(q, k, m, factored)
+        total = total + t if q > 0 else total - t
+    return total
+
+
+def _mp_value(terms) -> mpmath.mpf:
+    return mpmath.fsum(q.numerator * k * mpmath.sqrt(m) / q.denominator for q, (k, m) in terms)
+
+
+class TestRadicalProperties:
+    """Derandomized properties over radicands k^2 * m with k up to 10^12."""
+
+    @RADICAL_SETTINGS
+    @given(TERMS)
+    def test_sign_floor_ceil_match_mpmath(self, terms):
+        total = _sum(terms, factored=False)
+        with mpmath.workprec(256):
+            approx = _mp_value(terms)
+            nearest = mpmath.nint(approx)
+            margin = mpmath.mpf(2) ** -150
+            if abs(approx - nearest) < margin:
+                # no value of this size lies that close to an integer unless
+                # it is one, and then it must be exact and rational
+                assert total.is_rational(), str(total)
+                assert total == int(nearest)
+                assert total.floor() == total.ceil() == int(nearest)
+                assert total.sign() == mpmath.sign(nearest)
+                return
+            assert total.sign() == (1 if approx > 0 else -1), str(total)
+            assert total.floor() == int(mpmath.floor(approx)), str(total)
+            assert total.ceil() == int(mpmath.ceil(approx)), str(total)
+
+    @RADICAL_SETTINGS
+    @given(TERMS)
+    def test_products_are_exact(self, terms):
+        x, square, radicands = ExactRadical.of_fraction(1), Fraction(1), 1
+        for q, (k, m) in terms:
+            x = x * _term(q, k, m, factored=False)
+            square *= q * q * k * k * m
+            radicands *= m
+            assert x.square() == square
+            assert x.is_rational() == (isqrt(radicands) ** 2 == radicands)
+
+    @RADICAL_SETTINGS
+    @given(TERMS, TERMS)
+    def test_construction_does_not_change_value_or_order(self, terms, other):
+        plain, factored = _sum(terms, factored=False), _sum(terms, factored=True)
+        assert plain == factored and factored == plain
+        third = _sum(other, factored=True)
+        assert plain.compare(third) == factored.compare(third)
+        assert (plain < third) == (factored < third)
+        assert (plain >= third) == (factored >= third)
+        for q, (k, m) in terms:
+            a, b = _term(q, k, m, False), _term(q, k, m, True)
+            assert a == b and not a < b and not b < a
+
+    @RADICAL_SETTINGS
+    @given(TERMS, TERMS, st.randoms(use_true_random=False))
+    def test_str_does_not_depend_on_operand_order(self, terms, other, rng):
+        parts = [_term(q, k, m, factored=False) for q, (k, m) in terms]
+        shuffled = rng.sample(parts, len(parts))
+        assert str(RadicalSum.of(*parts)) == str(RadicalSum.of(*shuffled))
+        a, b = _sum(terms, factored=False), _sum(other, factored=True)
+        assert str(a + b) == str(b + a)
+        assert str(a - b) == str(-b + a)
+
+    @RADICAL_SETTINGS
+    @given(TERMS)
+    def test_both_constructions_print_alike_beside_the_bare_class(self, terms):
+        # once a sum holds sqrt(m) itself, sqrt_of(k^2 m) and k * sqrt_of(m)
+        # land on the same printed term
+        bare = [ExactRadical.sqrt_of(m) for _, (_, m) in terms]
+        a = RadicalSum.of(*bare) + _sum(terms, factored=False)
+        b = RadicalSum.of(*bare) + _sum(terms, factored=True)
+        assert str(a) == str(b) and a.terms == b.terms
+
+    @RADICAL_SETTINGS
+    @given(st.lists(st.tuples(COEFFS, SQUARED), min_size=2, max_size=6), st.booleans())
+    def test_hash_agrees_with_equality(self, terms, factored):
+        values = [_term(q, k, m, factored) for q, (k, m) in terms]
+        values += [_term(q, k, m, not factored) for q, (k, m) in terms]
+        values += [ExactRadical.sqrt_of(k * k) * abs(q) for q, (k, _) in terms]
+        for x in values:
+            for y in values:
+                if x == y:
+                    assert hash(x) == hash(y), (str(x), str(y))
+            if x.is_rational():
+                assert x == x.coeff and hash(x) == hash(x.coeff)

@@ -75,7 +75,8 @@ def ass_witnesses(
         restricted = _zero_coords(J, off_support)
         cells &= ~BoxTable(restricted.generators, bounds, budget).bits
         if cells:
-            found.append((next(table.points(cells)), prime))
+            # the lowest set bit is the lexicographically first cell
+            found.append((table.point((cells & -cells).bit_length() - 1), prime))
     return {prime: m for m, prime in sorted(found)}
 
 

@@ -13,9 +13,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import InconsistencyError, InputError
+from .errors import InputError
 from .monomials import MonomialIdeal, require_proper_nonzero
-from .assprimes import AssProfile
 from .radicals import ExactRadical, RadicalSum
 
 
@@ -139,61 +138,3 @@ def ideal_parameters(I: MonomialIdeal) -> tuple[int, int, int]:
     generator count, largest generator total degree."""
     require_proper_nonzero(I)
     return I.r, len(I.generators), max(sum(g) for g in I.generators)
-
-
-@dataclass(frozen=True)
-class ComparisonReport:
-    """Observed stabilization index next to the proved threshold."""
-
-    observed_stable_at: int | None
-    bound_ceiling: int
-    note: str
-    consistent: bool
-
-
-def compare_with_observed(I: MonomialIdeal, profile: AssProfile) -> ComparisonReport:
-    """Check an observed profile against the proved threshold B.
-
-    Entries at scanned indices n >= B must all be equal; a difference there
-    is a fatal inconsistency.  At desk scale n_max is far below B, so the
-    report normally just states the observed index and the slack.
-    """
-    if profile.ideal != I:
-        raise InputError("profile was computed for a different ideal")
-    r, s, d = ideal_parameters(I)
-    b_ceil = bound_report(r, s, d).b_ceil
-    beyond = [
-        (n, profile.entries[n]) for n in range(profile.n_max + 1) if n >= b_ceil
-    ]
-    if beyond and any(e != beyond[-1][1] for _, e in beyond):
-        raise InconsistencyError(
-            "profile entries differ beyond the proved stabilization threshold",
-            payload={
-                "bound_ceiling": b_ceil,
-                "entries_beyond": [
-                    {"n": n, "primes": sorted(map(list, e))} for n, e in beyond
-                ],
-            },
-        )
-    if profile.observed_stable_at is None:
-        note = (
-            f"no stabilization observed up to n_max={profile.n_max}; "
-            f"the proved threshold is {b_ceil}"
-        )
-        consistent = True
-    else:
-        slack = b_ceil - profile.observed_stable_at
-        note = (
-            f"observed stabilization at n={profile.observed_stable_at}, "
-            f"proved threshold {b_ceil} (slack {slack})"
-        )
-        consistent = profile.observed_stable_at <= b_ceil
-        if not consistent:
-            raise InconsistencyError(
-                "observed stabilization exceeds the proved threshold",
-                payload={
-                    "observed_stable_at": profile.observed_stable_at,
-                    "bound_ceiling": b_ceil,
-                },
-            )
-    return ComparisonReport(profile.observed_stable_at, b_ceil, note, consistent)

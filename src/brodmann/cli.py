@@ -456,8 +456,11 @@ def _run(args: argparse.Namespace) -> int:
         sys.set_int_max_str_digits(limit)
     text = text if text.endswith("\n") else text + "\n"
     if getattr(args, "out", None):
-        with open(args.out, "w") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise InputError(f"cannot write {args.out}: {exc.strerror}") from exc
     else:
         sys.stdout.write(text)
     return 4 if payload.get("failed") else 0

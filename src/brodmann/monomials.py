@@ -19,14 +19,6 @@ from .errors import InputError, charge_budget
 Monomial = tuple[int, ...]
 
 
-def divides(a: Monomial, b: Monomial) -> bool:
-    """Componentwise a <= b, i.e. the monomial a divides b."""
-    for x, y in zip(a, b):
-        if x > y:
-            return False
-    return True
-
-
 @dataclass(frozen=True)
 class MonomialIdeal:
     """A monomial ideal in r variables as its canonical minimal generating set.
@@ -211,27 +203,9 @@ def minimize(gens: Iterable[Monomial], r: int) -> MonomialIdeal:
     return P.ideal(P.minimal(map(P.pack, vecs)))
 
 
-def validate_minimal(I: MonomialIdeal) -> None:
-    """Full antichain check; raises if the representation is not canonical."""
-    gens = I.generators
-    for i, a in enumerate(gens):
-        for j, b in enumerate(gens):
-            if i != j and divides(a, b):
-                raise InputError(f"generator {a} divides generator {b}")
-
-
 def _require_same_r(I: MonomialIdeal, J: MonomialIdeal) -> None:
     if I.r != J.r:
         raise InputError(f"ambient mismatch: {I.r} vs {J.r} variables")
-
-
-def contains(I: MonomialIdeal, m: Monomial) -> bool:
-    """Monomial membership: some generator divides m."""
-    if len(m) != I.r:
-        raise InputError(f"monomial {m} does not have {I.r} exponents")
-    if any(e < 0 for e in m):
-        raise InputError(f"negative exponent in monomial {m}")
-    return any(divides(g, m) for g in I.generators)
 
 
 def contains_ideal(I: MonomialIdeal, J: MonomialIdeal) -> bool:
@@ -381,11 +355,6 @@ def max_exponents(I: MonomialIdeal) -> tuple[int, ...]:
     return tuple(out)
 
 
-def iter_box(bounds: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
-    """All integer points v with 0 <= v_i <= bounds_i, ascending lexicographically."""
-    return itertools.product(*(range(b + 1) for b in bounds))
-
-
 def _axis_mask(total: int, stride: int, dim: int, k: int) -> int:
     """Cells of a row-major box whose coordinate on the axis (stride, dim) is >= k."""
     mask = ((1 << (dim - k) * stride) - 1) << (k * stride)
@@ -411,7 +380,7 @@ class BoxTable:
     point queries.
     """
 
-    __slots__ = ("bounds", "dims", "strides", "bits", "table")
+    __slots__ = ("dims", "strides", "bits", "table")
 
     def __init__(
         self,
@@ -439,7 +408,6 @@ class BoxTable:
             while k < d and bits:
                 bits |= (bits << k * s) & _axis_mask(total, s, d, k)
                 k *= 2
-        self.bounds = bounds
         self.dims = dims
         self.strides = tuple(strides)
         self.bits = bits

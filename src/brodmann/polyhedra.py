@@ -28,10 +28,6 @@ def norm_sq(v: IntVector) -> int:
     return sum(c * c for c in v)
 
 
-def star_norm(v: IntVector) -> int:
-    return max((abs(c) for c in v), default=0)
-
-
 @dataclass(frozen=True)
 class ConstraintSystem:
     """Integer constraints A*x >= b over e variables, all implicitly >= 0."""
@@ -257,60 +253,6 @@ def module_generators(
         if not reducible:
             gens.append(v)
     return gens
-
-
-def greedy_decompose(
-    v: IntVector, gens: list[IntVector], sys: ConstraintSystem
-) -> dict[IntVector, int]:
-    """Write a cone point as a nonnegative combination of the given generators.
-
-    Repeatedly subtracts any generator that keeps the remainder in the cone.
-    Raises an inconsistency error if the point cannot be reduced to zero,
-    which would disprove the generating property.
-    """
-    if not sys.is_homogeneous():
-        raise InputError("greedy decomposition works in the homogeneous cone")
-    if not sys.satisfies(v):
-        raise InputError(f"{v} does not satisfy the system")
-    remaining = v
-    counts: dict[IntVector, int] = {}
-    while any(remaining):
-        for g in gens:
-            if any(g) and all(a <= b for a, b in zip(g, remaining)):
-                rest = tuple(b - a for a, b in zip(g, remaining))
-                if sys.satisfies(rest):
-                    counts[g] = counts.get(g, 0) + 1
-                    remaining = rest
-                    break
-        else:
-            raise InconsistencyError(
-                "cone point resists greedy decomposition",
-                payload={"point": list(v), "stuck_at": list(remaining)},
-            )
-    return counts
-
-
-def decompose_module(
-    v: IntVector,
-    module_gens: list[IntVector],
-    cone_gens: list[IntVector],
-    sys: ConstraintSystem,
-) -> tuple[IntVector, dict[IntVector, int]]:
-    """Write a solution as one module generator plus a cone combination."""
-    if not sys.satisfies(v):
-        raise InputError(f"{v} does not satisfy the system")
-    cone = sys.homogenized()
-    for m in module_gens:
-        if all(a <= b for a, b in zip(m, v)):
-            rest = tuple(b - a for a, b in zip(m, v))
-            if cone.satisfies(rest):
-                try:
-                    return m, greedy_decompose(rest, cone_gens, cone)
-                except InconsistencyError:
-                    continue
-    raise InconsistencyError(
-        "solution resists module decomposition", payload={"point": list(v)}
-    )
 
 
 def staircase_system(e: int, d: int) -> ConstraintSystem:

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import total_ordering
 from math import gcd, isqrt
 
 from .errors import InputError
@@ -29,6 +30,7 @@ def split_square(n: int) -> tuple[int, int]:
     return (a, 1) if a * a == n else (1, n)
 
 
+@total_ordering
 @dataclass(frozen=True)
 class ExactRadical:
     """The nonnegative real q*sqrt(m), q rational >= 0, m >= 1 either 1 or
@@ -94,14 +96,6 @@ class ExactRadical:
             return ExactRadical(q, self.radicand) if q else ExactRadical(Fraction(0), 1)
         return ExactRadical.of_fraction(q)
 
-    def _cmp(self, other: "ExactRadical | Fraction | int") -> int:
-        if not isinstance(other, ExactRadical):
-            other = ExactRadical.of_fraction(Fraction(other))
-        a, b = self.square(), other.square()
-        if a == b:
-            return 0
-        return -1 if a < b else 1
-
     def __eq__(self, other) -> bool:
         if isinstance(other, ExactRadical):
             return self.square() == other.square()
@@ -112,17 +106,10 @@ class ExactRadical:
     def __hash__(self) -> int:
         return hash(self.coeff if self.is_rational() else self.square())
 
-    def __lt__(self, other) -> bool:
-        return self._cmp(other) < 0
-
-    def __le__(self, other) -> bool:
-        return self._cmp(other) <= 0
-
-    def __gt__(self, other) -> bool:
-        return self._cmp(other) > 0
-
-    def __ge__(self, other) -> bool:
-        return self._cmp(other) >= 0
+    def __lt__(self, other: "ExactRadical | Fraction | int") -> bool:
+        if not isinstance(other, ExactRadical):
+            other = ExactRadical.of_fraction(Fraction(other))
+        return self.square() < other.square()
 
     def floor(self) -> int:
         if self.is_rational():
@@ -174,6 +161,7 @@ def _collect(terms) -> tuple[tuple[int, Fraction], ...]:
     return tuple((m, q) for m, q in acc.items() if q)
 
 
+@total_ordering
 @dataclass(frozen=True, eq=False)
 class RadicalSum:
     """A signed sum of rational multiples of square roots of integers.
@@ -263,15 +251,6 @@ class RadicalSum:
 
     def __lt__(self, other) -> bool:
         return self.compare(other) < 0
-
-    def __le__(self, other) -> bool:
-        return self.compare(other) <= 0
-
-    def __gt__(self, other) -> bool:
-        return self.compare(other) > 0
-
-    def __ge__(self, other) -> bool:
-        return self.compare(other) > -1
 
     def floor(self) -> int:
         if self.is_rational():

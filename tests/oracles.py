@@ -11,6 +11,7 @@ mpmath.
 """
 
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations, combinations_with_replacement, product as iproduct
 from math import isqrt
 
@@ -21,6 +22,23 @@ def divides(a, b):
 
 def monomial_in(m, gens):
     return any(divides(g, m) for g in gens)
+
+
+def iter_box(bounds):
+    """All integer points v with 0 <= v_i <= bounds_i, ascending lexicographically."""
+    return iproduct(*(range(b + 1) for b in bounds))
+
+
+def validate_minimal(gens):
+    """Raise ValueError unless the generators form a divisibility antichain."""
+    for i, a in enumerate(gens):
+        for j, b in enumerate(gens):
+            if i != j and divides(a, b):
+                raise ValueError(f"generator {a} divides generator {b}")
+
+
+def star_norm(v):
+    return max((abs(c) for c in v), default=0)
 
 
 def colon_by_monomial(gens, m):
@@ -114,6 +132,35 @@ def in_nonneg_span(v, rays):
             if solve_nonneg(subset, v) is not None:
                 return True
     return False
+
+
+def decompose(v, gens, bases=None):
+    """Write v as b + g1 + ... + gk with b from bases (the zero vector when
+    bases is None) and each gi a nonzero member of gens, by exhaustive search.
+
+    Returns (b, (g1, ..., gk)), or None when no such sum exists.  Every
+    member is a nonnegative vector, so the search only subtracts divisors;
+    the parts are taken in the order of gens, so no sum is tried twice.
+    """
+    gens = [g for g in gens if any(g)]
+
+    @lru_cache(maxsize=None)
+    def parts(rest, start):
+        if not any(rest):
+            return ()
+        for k in range(start, len(gens)):
+            if divides(gens[k], rest):
+                tail = parts(tuple(a - b for a, b in zip(rest, gens[k])), k)
+                if tail is not None:
+                    return (gens[k],) + tail
+        return None
+
+    for b in [(0,) * len(v)] if bases is None else bases:
+        if divides(b, v):
+            found = parts(tuple(a - c for a, c in zip(v, b)), 0)
+            if found is not None:
+                return b, found
+    return None
 
 
 def _zeroed(gens, positions):

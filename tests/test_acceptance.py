@@ -46,9 +46,10 @@ from brodmann.polyhedra import (
     hilbert_generators,
     norm_sq,
     staircase_system,
-    star_norm,
 )
 from brodmann.radicals import RadicalSum
+
+from oracles import star_norm
 
 
 def full_prime(I: MonomialIdeal):

@@ -1,0 +1,117 @@
+"""The public API: what `brodmann` exports, and what it no longer has."""
+
+import importlib
+import pkgutil
+
+import brodmann
+from brodmann.monomials import BoxTable
+from brodmann.radicals import ExactRadical
+
+PUBLIC = [
+    "A0Result",
+    "AssProfile",
+    "BUDGET_ENV_VAR",
+    "BoundReport",
+    "BudgetError",
+    "ConstraintSystem",
+    "DEFAULT_BUDGET",
+    "ExactRadical",
+    "H0Report",
+    "InconsistencyError",
+    "InputError",
+    "Monomial",
+    "MonomialIdeal",
+    "ParseError",
+    "RRResult",
+    "RadicalSum",
+    "__version__",
+    "a0_observed",
+    "add",
+    "ass_of_quotient",
+    "ass_power",
+    "ass_profile",
+    "bound_a1",
+    "bound_a2",
+    "bound_b1",
+    "bound_b2",
+    "bound_b3",
+    "bound_b4",
+    "bound_report",
+    "build_system",
+    "colon_ideal",
+    "colon_monomial",
+    "contains_ideal",
+    "delete_variable",
+    "designated_generator",
+    "enumeration_budget",
+    "extreme_rays",
+    "h0_m_monomials",
+    "hilbert_generators",
+    "ideal_parameters",
+    "ideal_to_json",
+    "ideal_to_text",
+    "intersect",
+    "intersect_all",
+    "load_ideal",
+    "load_system",
+    "max_ideal_in_ass",
+    "minimize",
+    "module_generators",
+    "parse_ideal_json",
+    "parse_ideal_text",
+    "parse_system_json",
+    "parse_system_text",
+    "power",
+    "product",
+    "ratliff_rush",
+    "saturate",
+    "solve_feasible",
+    "stabilization_bound",
+    "staircase_system",
+    "system_to_json",
+    "system_to_text",
+    "unit_ideal",
+    "zero_ideal",
+]
+
+# Removed from the library: nothing in the CLI, the benchmark or README used
+# them.  The test-only helpers among them live on in tests/oracles.py.
+REMOVED = [
+    "ComparisonReport",
+    "compare_with_observed",
+    "contains",
+    "decompose_module",
+    "divides",
+    "greedy_decompose",
+    "iter_box",
+    "star_norm",
+    "validate_minimal",
+]
+
+
+def test_all_is_the_pinned_list():
+    assert len(set(brodmann.__all__)) == len(brodmann.__all__)
+    assert sorted(brodmann.__all__) == PUBLIC
+
+
+def test_every_exported_name_resolves():
+    assert [name for name in PUBLIC if not hasattr(brodmann, name)] == []
+
+
+def test_removed_names_are_gone():
+    # every module but __main__, which runs the CLI on import
+    names = [m.name for m in pkgutil.iter_modules(brodmann.__path__)]
+    modules = ["brodmann"] + [f"brodmann.{n}" for n in names if n != "__main__"]
+    assert len(modules) == 10
+    left = [
+        (module, name)
+        for module in modules
+        for name in REMOVED
+        if hasattr(importlib.import_module(module), name)
+    ]
+    assert left == []
+
+
+def test_removed_members_are_gone():
+    assert "bounds" not in BoxTable.__slots__
+    assert not hasattr(ExactRadical, "_cmp")

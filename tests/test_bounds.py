@@ -3,7 +3,6 @@ from fractions import Fraction
 
 import pytest
 
-from brodmann.assprimes import AssProfile, ass_profile
 from brodmann.bounds import (
     BoundReport,
     _decimal_digits,
@@ -13,12 +12,11 @@ from brodmann.bounds import (
     bound_b3_floor_reading,
     bound_b4,
     bound_report,
-    compare_with_observed,
     ideal_parameters,
     stabilization_bound,
 )
 from brodmann.cli import example_ideal
-from brodmann.errors import InconsistencyError, InputError
+from brodmann.errors import InputError
 from brodmann.monomials import minimize, unit_ideal, zero_ideal
 from brodmann.radicals import ExactRadical, RadicalSum
 
@@ -118,43 +116,3 @@ class TestIdealParameters:
             ideal_parameters(zero_ideal(2))
         with pytest.raises(InputError):
             ideal_parameters(unit_ideal(2))
-
-
-class TestCompareWithObserved:
-    def test_family_is_consistent(self):
-        I = example_ideal(5)
-        prof = ass_profile(I, n_max=4)
-        rep = compare_with_observed(I, prof)
-        assert rep.consistent
-        assert rep.observed_stable_at == 2
-        assert rep.bound_ceiling >= 2
-        assert "slack" in rep.note
-
-    def test_mismatched_ideal_is_rejected(self):
-        I = example_ideal(5)
-        other = minimize([(2, 0), (1, 1)], 2)
-        prof = ass_profile(other, n_max=2)
-        with pytest.raises(InputError):
-            compare_with_observed(I, prof)
-
-    def test_tampered_profile_beyond_bound_is_flagged(self):
-        I = minimize([(1,)], 1)
-        # r = s = d = 1 gives B = 32, so any disagreement past n = 32
-        # within the profile must be reported with its positions
-        good = ((1,),)
-        bad = ((1,), (1,))
-        entries = tuple(good if n < 33 else bad for n in range(36))
-        prof = AssProfile(
-            ideal=I,
-            n_max=35,
-            entries=entries,
-            observed_stable_at=None,
-            non_monotone_at=(),
-            method="quotient",
-        )
-        with pytest.raises(InconsistencyError) as info:
-            compare_with_observed(I, prof)
-        payload = info.value.payload
-        assert payload["bound_ceiling"] == 32
-        seen = {row["n"] for row in payload["entries_beyond"]}
-        assert {32, 33} <= seen

@@ -1,3 +1,4 @@
+import errno
 import json
 import os
 import subprocess
@@ -291,6 +292,20 @@ class TestBuildSystem:
         assert code == 0 and out == ""
         reparsed = parse_system_text(target.read_text())
         assert reparsed.is_homogeneous()
+
+    @pytest.mark.parametrize(
+        "where, err_code",
+        [(".", errno.EISDIR), ("missing/system.txt", errno.ENOENT)],
+        ids=["directory", "missing-parent"],
+    )
+    def test_unwritable_out_is_input_error(self, capsys, tmp_path, ideal_file, where, err_code):
+        target = tmp_path / where
+        code, out, err = run(
+            capsys, "build-system", "--ideal", ideal_file, "--mode", "ED2",
+            "--out", str(target),
+        )
+        assert (code, out) == (2, "")
+        assert err == f"input error: cannot write {target}: {os.strerror(err_code)}\n"
 
 
 class TestFeasible:

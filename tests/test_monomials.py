@@ -13,13 +13,11 @@ from brodmann.monomials import (
     add,
     colon_ideal,
     colon_monomial,
-    contains,
     contains_ideal,
     delete_variable,
     intersect,
     intersect_all,
     is_pure_power,
-    iter_box,
     max_exponents,
     minimize,
     power,
@@ -27,11 +25,10 @@ from brodmann.monomials import (
     saturate,
     unit_ideal,
     used_variables,
-    validate_minimal,
     zero_ideal,
 )
 
-from oracles import divides, in_power, monomial_in
+from oracles import divides, in_power, iter_box, monomial_in
 
 
 def ideal(r, *gens):
@@ -80,8 +77,8 @@ class TestCanonicalForm:
             MonomialIdeal(2, ((1, 1), (2, 0)))  # not descending
 
     def test_validate_minimal_rejects_divisible_pair(self):
-        with pytest.raises(InputError):
-            validate_minimal(MonomialIdeal(2, ((2, 1), (1, 0))))
+        with pytest.raises(ValueError):
+            ref.validate_minimal(MonomialIdeal(2, ((2, 1), (1, 0))).generators)
 
 
 class TestMinimizeErrors:
@@ -118,14 +115,14 @@ class TestMinimizeErrors:
 class TestMembership:
     def test_contains_basics(self):
         I = ideal(2, (2, 0), (1, 1))
-        assert contains(I, (2, 0))
-        assert contains(I, (5, 3))
-        assert not contains(I, (1, 0))
-        assert not contains(I, (0, 4))
+        assert monomial_in((2, 0), I.generators)
+        assert monomial_in((5, 3), I.generators)
+        assert not monomial_in((1, 0), I.generators)
+        assert not monomial_in((0, 4), I.generators)
 
     def test_zero_unit_membership(self):
-        assert not contains(zero_ideal(2), (0, 0))
-        assert contains(unit_ideal(2), (0, 0))
+        assert not monomial_in((0, 0), zero_ideal(2).generators)
+        assert monomial_in((0, 0), unit_ideal(2).generators)
 
     def test_contains_ideal_reflexive_and_orders(self):
         I = ideal(2, (2, 0), (1, 1))
@@ -167,7 +164,9 @@ class TestArithmetic:
             P = power(I, n)
             caps = tuple(c * n + 1 for c in max_exponents(I))
             for m in iter_box(caps):
-                assert contains(P, m) == in_power(m, I.generators, n), (I, n, m)
+                assert monomial_in(m, P.generators) == in_power(
+                    m, I.generators, n
+                ), (I, n, m)
 
     def test_intersect_membership_property(self):
         rng = random.Random(303)
@@ -180,7 +179,9 @@ class TestArithmetic:
             J = minimize([g for g in gens() if any(g)] or [(0, 1)], r)
             M = intersect(I, J)
             for m in iter_box((6, 6)):
-                assert contains(M, m) == (contains(I, m) and contains(J, m))
+                assert monomial_in(m, M.generators) == (
+                    monomial_in(m, I.generators) and monomial_in(m, J.generators)
+                )
 
     def test_intersect_specifics(self):
         I = ideal(2, (2, 0), (1, 1))
@@ -212,10 +213,10 @@ class TestArithmetic:
             C = colon_ideal(I, J)
             for u in iter_box((5, 5)):
                 expected = all(
-                    contains(I, tuple(a + b for a, b in zip(u, g)))
+                    monomial_in(tuple(a + b for a, b in zip(u, g)), I.generators)
                     for g in J.generators
                 )
-                assert contains(C, u) == expected, (I, J, u)
+                assert monomial_in(u, C.generators) == expected, (I, J, u)
 
     def test_colon_specifics(self):
         I = ideal(2, (3, 0), (1, 2))
@@ -369,7 +370,9 @@ class TestVariableOps:
                 lifted = tuple(
                     big if i == j - 1 else c for i, c in enumerate(m)
                 )
-                assert contains(D, m) == contains(I, lifted), (I, j, m)
+                assert monomial_in(m, D.generators) == monomial_in(
+                    lifted, I.generators
+                ), (I, j, m)
 
     def test_delete_variable_drops_coordinate(self):
         # y := 1 turns y^3 into a unit

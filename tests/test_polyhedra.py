@@ -3,28 +3,34 @@ from fractions import Fraction
 
 import pytest
 
-from brodmann.errors import BudgetError, InconsistencyError, InputError
-from brodmann.monomials import contains, intersect_all, minimize, power
+from brodmann.errors import BudgetError, InputError
+from brodmann.monomials import intersect_all, minimize, power
 from brodmann.polyhedra import (
     ConstraintSystem,
     _det,
     bound_a1,
     bound_a2,
     build_system,
-    decompose_module,
     designated_generator,
     extreme_rays,
-    greedy_decompose,
     hilbert_generators,
     module_generators,
     norm_sq,
     solve_feasible,
     staircase_system,
-    star_norm,
 )
 from brodmann.radicals import ExactRadical, RadicalSum
 
-from oracles import cone_bound_ceils, in_nonneg_span, is_prime, solve_nonneg
+from oracles import (
+    cone_bound_ceils,
+    decompose,
+    in_nonneg_span,
+    is_prime,
+    iter_box,
+    monomial_in,
+    solve_nonneg,
+    star_norm,
+)
 
 
 def ideal(r, *gens):
@@ -240,11 +246,10 @@ class TestHilbertGenerators:
         for v in iproduct(range(7), repeat=2):
             if not sys_.satisfies(v) or not any(v):
                 continue
-            counts = greedy_decompose(v, gens, sys_)
-            total = (0, 0)
-            for g, c in counts.items():
-                total = tuple(a + c * b for a, b in zip(total, g))
-            assert total == v
+            found = decompose(v, gens)
+            assert found is not None, v
+            base, parts = found
+            assert tuple(map(sum, zip(base, *parts))) == v
 
     def test_requires_homogeneous_and_cap(self):
         inhom = ConstraintSystem(2, ((1, 0),), (1,))
@@ -270,17 +275,14 @@ class TestModuleGenerators:
         sys_ = ConstraintSystem(2, ((2, -1),), (1,))
         mgens = module_generators(sys_, cap=4)
         cone = hilbert_generators(sys_.homogenized(), cap=4)
-        base, counts = decompose_module((3, 2), mgens, cone, sys_)
-        total = base
-        for g, c in counts.items():
-            total = tuple(a + c * b for a, b in zip(total, g))
-        assert total == (3, 2)
-        assert base in mgens
-
-    def test_greedy_dead_end_is_inconsistency(self):
-        with pytest.raises(InconsistencyError) as info:
-            greedy_decompose((2, 1), [(1, 1)], orthant(2))
-        assert "stuck_at" in info.value.payload
+        for v in iter_box((4, 4)):
+            if not sys_.satisfies(v):
+                continue
+            found = decompose(v, cone, mgens)
+            assert found is not None, v
+            base, parts = found
+            assert base in mgens
+            assert tuple(map(sum, zip(base, *parts))) == v
 
 
 class TestEDSystems:
@@ -349,10 +351,8 @@ class TestEDSystems:
                 for b2 in range(5):
                     fixed = {"z": n, "y1": b1, "y2": b2}
                     witness = solve_feasible(sys_, fixed, box=2 * n + 2)
-                    assert (witness is not None) == contains(member, (b1, b2)), (
-                        n,
-                        (b1, b2),
-                    )
+                    expected = monomial_in((b1, b2), member.generators)
+                    assert (witness is not None) == expected, (n, (b1, b2))
 
 
 class TestSolveFeasible:

@@ -73,7 +73,7 @@ def ass_witnesses(
         # in it exactly when the restriction of m does
         off_support = frozenset(i for i in range(r) if (i + 1) not in prime)
         restricted = _zero_coords(J, off_support)
-        cells &= ~BoxTable(restricted.generators, bounds, budget).bits
+        cells &= ~BoxTable(restricted.generators, bounds, budget, table.masks).bits
         if cells:
             # the lowest set bit is the lexicographically first cell
             found.append((table.point((cells & -cells).bit_length() - 1), prime))
@@ -114,8 +114,8 @@ def max_ideal_in_ass(I: MonomialIdeal, n: int, budget: int | None = None) -> boo
                 bounds[j] = e
     box = tuple(bounds)
     upper = BoxTable(i_n.generators, box, budget)
-    lower = BoxTable(i_n1.generators, box, budget)
-    del_tables = [BoxTable(D.generators, box, budget) for D in deletions]
+    lower = BoxTable(i_n1.generators, box, budget, upper.masks)
+    del_tables = [BoxTable(D.generators, box, budget, upper.masks) for D in deletions]
     cells = upper.bits & ~lower.bits
     for t in del_tables:
         cells &= t.bits

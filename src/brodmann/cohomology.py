@@ -105,7 +105,7 @@ def h0_m_monomials(I: MonomialIdeal, n: int, budget: int | None = None) -> H0Rep
         max(a, b) for a, b in zip(max_exponents(numerator), max_exponents(denominator))
     )
     num_table = BoxTable(numerator.generators, bounds, budget)
-    den_table = BoxTable(denominator.generators, bounds, budget)
+    den_table = BoxTable(denominator.generators, bounds, budget, num_table.masks)
     witnesses = tuple(num_table.points(num_table.bits & ~den_table.bits))
     return H0Report(n, witnesses, bool(witnesses))
 

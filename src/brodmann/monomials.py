@@ -144,9 +144,10 @@ class Packing:
             at += stride
         return kept
 
-    def covers(self, A: list[int], B: list[int]) -> bool:
-        """Whether every monomial of B is a multiple of one of A, by the
-        slot test of `minimal` with all of A in the slots."""
+    def split(self, A: list[int], B: list[int]) -> tuple[list[int], list[int]]:
+        """The monomials of B that are multiples of one of A, and the rest,
+        each in B's order, by the slot test of `minimal` with all of A in
+        the slots."""
         G = self.guard
         stride = self.r * self.width + 1
         block = ones = 0
@@ -154,25 +155,37 @@ class Packing:
             block = block << stride | a
             ones = ones << stride | 1
         guards, flags = G * ones, ones << (stride - 1)
+        inside: list[int] = []
+        outside: list[int] = []
         for p in B:
             short = ~((p | G) * ones - block) & guards
-            if not (flags - short) & flags:
-                return False
-        return True
+            (inside if (flags - short) & flags else outside).append(p)
+        return inside, outside
+
+    def covers(self, A: list[int], B: list[int]) -> bool:
+        """Whether every monomial of B is a multiple of one of A."""
+        return not self.split(A, B)[1]
 
     def meet(self, A: list[int], B: list[int]) -> list[int]:
         """The minimal generators of the intersection of two ideals given
-        by their ascending packed minimal generators."""
-        # nested ideals intersect to the smaller one; cheap test, big win on colon chains
-        if self.covers(B, A):
+        by their ascending packed minimal generators.
+
+        A generator a of A that lies in (B) lies in the intersection, and
+        every lcm(a, b) is a multiple of it; so only the generators of each
+        side outside the other form lcms.  With none outside, one ideal
+        holds the other and meet returns it, the same list object.
+        """
+        in_a, out_a = self.split(B, A)
+        if not out_a:
             return A
-        if self.covers(A, B):
+        in_b, out_b = self.split(A, B)
+        if not out_b:
             return B
         G, s = self.guard, self.width - 1
-        lcms = set()
-        for a in A:
+        lcms = {*in_a, *in_b}
+        for a in out_a:
             a |= G
-            for b in B:
+            for b in out_b:
                 # lcm(a, b) = b * (a : b), with the colon of `colon` inlined
                 x = a - b
                 ge = x & G
@@ -366,6 +379,16 @@ def _axis_mask(total: int, stride: int, dim: int, k: int) -> int:
     return mask & ((1 << total) - 1)
 
 
+class _AxisMasks(dict):
+    """`_axis_mask` by its arguments, each built on first use.  The tables
+    of one box share one of these and drop it with them: nothing caches
+    masks across calls, since a mask holds one bit per cell of the box."""
+
+    def __missing__(self, key: tuple[int, int, int, int]) -> int:
+        mask = self[key] = _axis_mask(*key)
+        return mask
+
+
 _CELL_BYTES = bytes.maketrans(b"01", b"\x00\x01")
 
 
@@ -376,17 +399,19 @@ class BoxTable:
     sum(v_i * strides[i]) is idx, so the lowest set bit is the
     lexicographically first cell.  The upward closure is a prefix OR along
     each axis by doubling shifts, each masked to the cells that did not wrap
-    into the next row.  `table` holds the same cells one byte each, for O(r)
-    point queries.
+    into the next row.  Tables on one box share their axis masks when each
+    after the first is given the first one's `masks`.  `table` holds the same
+    cells one byte each, for O(r) point queries, built when first read.
     """
 
-    __slots__ = ("dims", "strides", "bits", "table")
+    __slots__ = ("dims", "strides", "bits", "masks", "_table")
 
     def __init__(
         self,
         gens: Iterable[Monomial],
         bounds: tuple[int, ...],
         budget: int | None = None,
+        masks: _AxisMasks | None = None,
     ):
         dims = tuple(b + 1 for b in bounds)
         total = prod(dims)
@@ -395,6 +420,8 @@ class BoxTable:
         strides = [1] * e
         for i in range(e - 2, -1, -1):
             strides[i] = strides[i + 1] * dims[i + 1]
+        if masks is None:
+            masks = _AxisMasks()
         cells = bytearray((total + 7) // 8)
         for g in gens:
             if all(x <= b for x, b in zip(g, bounds)):
@@ -406,14 +433,23 @@ class BoxTable:
             # after the step for k, each cell holds the OR of the 2k cells
             # that end at it along this axis
             while k < d and bits:
-                bits |= (bits << k * s) & _axis_mask(total, s, d, k)
+                bits |= (bits << k * s) & masks[total, s, d, k]
                 k *= 2
         self.dims = dims
         self.strides = tuple(strides)
         self.bits = bits
-        self.table = bytearray(format(bits, f"0{total}b")[::-1], "ascii").translate(
-            _CELL_BYTES
-        )
+        self.masks = masks
+        self._table: bytearray | None = None
+
+    @property
+    def table(self) -> bytearray:
+        """One byte per cell, 1 for the cells in the ideal."""
+        if self._table is None:
+            total = prod(self.dims)
+            self._table = bytearray(
+                format(self.bits, f"0{total}b")[::-1], "ascii"
+            ).translate(_CELL_BYTES)
+        return self._table
 
     def __getitem__(self, v: tuple[int, ...]) -> bool:
         idx = 0
@@ -439,9 +475,9 @@ class BoxTable:
 
     def sub_box(self, caps: tuple[int, ...]) -> int:
         """The bitset of the cells v with v <= caps componentwise."""
-        total = len(self.table)
+        total = prod(self.dims)
         cells = (1 << total) - 1
         for s, d, c in zip(self.strides, self.dims, caps):
             if c + 1 < d:
-                cells &= ~_axis_mask(total, s, d, c + 1)
+                cells &= ~self.masks[total, s, d, c + 1]
         return cells

@@ -3,7 +3,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from brodmann import assprimes
+from brodmann import assprimes, monomials
 from brodmann.assprimes import (
     ass_of_quotient,
     ass_power,
@@ -13,6 +13,7 @@ from brodmann.assprimes import (
     max_ideal_in_ass,
 )
 from brodmann.cli import example_ideal
+from brodmann.cohomology import h0_m_monomials
 from brodmann.errors import BudgetError, InconsistencyError, InputError
 from brodmann.monomials import (
     MonomialIdeal,
@@ -310,3 +311,30 @@ class TestBitsetScansMatchCellScans:
         monkeypatch.setattr(assprimes, "BoxTable", counting)
         ass_profile(example_ideal(6), 6, method="both")
         assert (len(built), sum(built)) == (88, 89293)
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: ass_witnesses(power(example_ideal(6), 4)),
+            lambda: max_ideal_in_ass(example_ideal(6), 3),
+            lambda: h0_m_monomials(example_ideal(6), 1),
+        ],
+        ids=["ass_witnesses", "max_ideal_in_ass", "h0_m_monomials"],
+    )
+    def test_axis_masks_built_once_per_box(self, monkeypatch, call):
+        """The tables of one call share one box and build each of its axis
+        masks once; a second call builds them again (no cache outlives a
+        call)."""
+        built = []
+        original = monomials._axis_mask
+
+        def counting(*args):
+            built.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(monomials, "_axis_mask", counting)
+        call()
+        first = list(built)
+        assert first and len(set(first)) == len(first)
+        call()
+        assert built == first + first

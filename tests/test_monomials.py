@@ -351,6 +351,77 @@ class TestPackedKernelMatchesTupleReferences:
             assert delete_variable(I, r).generators == ref.delete_variable_ref(A, r)
 
 
+@st.composite
+def overlapping_pairs(draw):
+    """(I, J), both proper and nonzero, J built from I's generators: each is
+    kept, raised in one variable or dropped, and a few new ones join.  One
+    side then often lies in the other or shares generators with it.  The
+    raise by 130 crosses a one-byte field."""
+    r = draw(RANKS)
+    vectors = st.tuples(*[st.integers(0, 6)] * r).filter(any)
+    gens = draw(st.lists(vectors, min_size=1, max_size=6))
+    derived = []
+    for g in gens:
+        action = draw(st.sampled_from(("keep", "raise", "drop")))
+        if action == "keep":
+            derived.append(g)
+        elif action == "raise":
+            i = draw(st.integers(0, r - 1))
+            e = draw(st.sampled_from((1, 2, 130)))
+            derived.append(g[:i] + (g[i] + e,) + g[i + 1 :])
+    derived += draw(st.lists(vectors, min_size=0 if derived else 1, max_size=3))
+    pair = (minimize(gens, r), minimize(derived, r))
+    return pair[::-1] if draw(st.booleans()) else pair
+
+
+def overlap_case(I, J):
+    """Which way `Packing.meet` goes on (I, J), read from the references."""
+    A, B = I.generators, J.generators
+    if ref.contains_ideal_ref(B, A):
+        return "I in J"
+    if ref.contains_ideal_ref(A, B):
+        return "J in I"
+    if set(A) & set(B):
+        return "shared generator"
+    return "both outside"
+
+
+class TestMeetOnOverlappingIdeals:
+    """`meet` forms lcms only between the generators of each side outside
+    the other; on pairs built to overlap, against `oracles`."""
+
+    def test_every_case_is_drawn(self):
+        seen = set()
+
+        @KERNEL_SETTINGS
+        @given(overlapping_pairs())
+        def record(pair):
+            seen.add(overlap_case(*pair))
+
+        record()
+        assert seen == {"I in J", "J in I", "shared generator", "both outside"}
+
+    @KERNEL_SETTINGS
+    @given(overlapping_pairs())
+    def test_intersect(self, pair):
+        I, J = pair
+        got = intersect(I, J)
+        assert got.generators == ref.intersect_ref(I.generators, J.generators)
+        case = overlap_case(I, J)
+        if case == "I in J":
+            assert got is I
+        elif case == "J in I":
+            assert got is J
+
+    @KERNEL_SETTINGS
+    @given(overlapping_pairs())
+    def test_colon_ideal(self, pair):
+        I, J = pair
+        for A, B in ((I, J), (J, I)):
+            expected = ref.colon_ideal_ref(A.generators, B.generators, A.r)
+            assert colon_ideal(A, B).generators == expected
+
+
 class TestVariableOps:
     def test_delete_variable_semantics(self):
         rng = random.Random(505)
@@ -439,6 +510,11 @@ class TestBoxTable:
             ]
             bounds = tuple(rng.randint(0, 9 if r < 4 else 5) for _ in range(r))
             check_box(gens, bounds)
+
+    def test_byte_table_built_on_first_read(self):
+        t = BoxTable([(1, 2)], (3, 3))
+        assert t._table is None
+        assert t.table is t.table and t._table is not None
 
     @pytest.mark.parametrize("bounds", [(0,), (4,), (0, 0), (3, 0, 2), (2, 2, 2, 2)])
     def test_empty_generator_list(self, bounds):

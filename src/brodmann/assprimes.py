@@ -19,7 +19,6 @@ from .monomials import (
     Monomial,
     Packing,
     _top,
-    _zero_coords,
     delete_variable,
     is_pure_power,
     max_exponents,
@@ -69,11 +68,12 @@ def ass_witnesses(
     for prime, cells in groups:
         if not prime:
             continue
-        # the restricted ideal's generators vanish off the support, so m lies
-        # in it exactly when the restriction of m does
-        off_support = frozenset(i for i in range(r) if (i + 1) not in prime)
-        restricted = _zero_coords(J, off_support)
-        cells &= ~BoxTable(restricted.generators, bounds, budget, table.masks).bits
+        # J restricted to the support is J saturated by the variables off it
+        restricted = table.bits
+        for i in range(r):
+            if i + 1 not in prime:
+                restricted = table.saturate(restricted, i)
+        cells &= ~restricted
         if cells:
             # the lowest set bit is the lexicographically first cell
             found.append((table.point((cells & -cells).bit_length() - 1), prime))
@@ -87,39 +87,39 @@ def ass_of_quotient(
     return frozenset(ass_witnesses(J, budget))
 
 
+def _torsion_cells(I: MonomialIdeal, n: int, budget: int | None) -> tuple[BoxTable, int]:
+    """The table of I^(n+1) and, in its box, the cells of I^n in every
+    I^(n+1) : x_i^inf (the (n+1)-st power of I with x_i set to 1) but not
+    in I^(n+1): the maximal-ideal torsion of I^n/I^(n+1).  The box reaches
+    the exponents of I^n and I^(n+1), so `saturate` is exact on it, and it
+    holds the whole torsion: a monomial of I^(n+1) : x_i^inf whose x_i
+    exponent passes those of I^(n+1) lies in I^(n+1)."""
+    i_n, i_n1 = power(I, n), power(I, n + 1)
+    box = tuple(map(max, max_exponents(i_n), max_exponents(i_n1)))
+    upper = BoxTable(i_n.generators, box, budget)
+    lower = BoxTable(i_n1.generators, box, budget, upper.masks)
+    cells = upper.bits & ~lower.bits
+    for i in range(I.r):
+        if cells:
+            cells &= lower.saturate(lower.bits, i)
+    return lower, cells
+
+
 def max_ideal_in_ass(I: MonomialIdeal, n: int, budget: int | None = None) -> bool:
     """Whether the full-support prime is associated to I^n/I^(n+1).
 
     Decided by the torsion criterion: I^n intersected with the (n+1)-st
-    powers of all single-variable deletions must exceed I^(n+1).  Evaluated
-    as bitsets over a finite box instead of through ideal intersections.  In
-    one variable the answer is False by convention, and any unused variable
+    powers of all single-variable deletions must exceed I^(n+1), tested by
+    `_torsion_cells` on the tables of I^n and I^(n+1) alone.  In one
+    variable the answer is False by convention, and any unused variable
     forces False (its deletion leaves I unchanged, collapsing the numerator).
     """
     require_proper_nonzero(I)
     if n < 0:
         raise InputError(f"power index must be >= 0, got {n}")
-    r = I.r
-    if r == 1:
+    if I.r == 1 or len(used_variables(I)) < I.r:
         return False
-    if len(used_variables(I)) < r:
-        return False
-    i_n = power(I, n)
-    i_n1 = power(I, n + 1)
-    deletions = [power(delete_variable(I, i), n + 1) for i in range(1, r + 1)]
-    bounds = list(max_exponents(i_n1))
-    for other in [i_n, *deletions]:
-        for j, e in enumerate(max_exponents(other)):
-            if e > bounds[j]:
-                bounds[j] = e
-    box = tuple(bounds)
-    upper = BoxTable(i_n.generators, box, budget)
-    lower = BoxTable(i_n1.generators, box, budget, upper.masks)
-    del_tables = [BoxTable(D.generators, box, budget, upper.masks) for D in deletions]
-    cells = upper.bits & ~lower.bits
-    for t in del_tables:
-        cells &= t.bits
-    return bool(cells)
+    return bool(_torsion_cells(I, n, budget)[1])
 
 
 def _compress(I: MonomialIdeal, used: tuple[int, ...]) -> MonomialIdeal:

@@ -11,9 +11,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .assprimes import _torsion_cells
 from .errors import InputError
 from .monomials import (
-    BoxTable,
     Monomial,
     MonomialIdeal,
     Packing,
@@ -21,10 +21,7 @@ from .monomials import (
     add,
     colon_ideal,
     contains_ideal,
-    delete_variable,
     intersect,
-    intersect_all,
-    max_exponents,
     power,
     require_proper_nonzero,
 )
@@ -83,30 +80,18 @@ def generator_power_ideal(I: MonomialIdeal, m: int) -> MonomialIdeal:
 def h0_m_monomials(I: MonomialIdeal, n: int, budget: int | None = None) -> H0Report:
     """Witnesses of the maximal-ideal torsion of I^n/I^(n+1).
 
-    The numerator is I^n intersected with the (n+1)-st powers of every
-    single-variable deletion of I; witnesses are its monomials outside
-    I^(n+1), enumerated inside the exponent box spanned by the numerator and
-    denominator generators.  The quotient has finite length, so the box holds
-    the complete list.
+    The torsion is I^n intersected with the (n+1)-st powers of every
+    single-variable deletion of I, modulo I^(n+1).  Its monomials are the
+    cells of `_torsion_cells`, listed ascending lexicographically from the
+    box of I^n and I^(n+1), which holds them all.
     """
     require_proper_nonzero(I)
     if n < 0:
         raise InputError(f"degree must be >= 0, got {n}")
     if I.r == 1:
         return H0Report(n, (), False)
-    numerator = intersect(
-        power(I, n),
-        intersect_all((power(delete_variable(I, i), n + 1) for i in range(1, I.r + 1)), I.r),
-    )
-    denominator = power(I, n + 1)
-    if numerator == denominator:
-        return H0Report(n, (), False)
-    bounds = tuple(
-        max(a, b) for a, b in zip(max_exponents(numerator), max_exponents(denominator))
-    )
-    num_table = BoxTable(numerator.generators, bounds, budget)
-    den_table = BoxTable(denominator.generators, bounds, budget, num_table.masks)
-    witnesses = tuple(num_table.points(num_table.bits & ~den_table.bits))
+    table, cells = _torsion_cells(I, n, budget)
+    witnesses = tuple(table.points(cells))
     return H0Report(n, witnesses, bool(witnesses))
 
 

@@ -71,6 +71,11 @@ def _parse_int(token: str, source: str, lineno: int | None) -> int:
         ) from None
 
 
+def _is_int(x) -> bool:
+    """x is a JSON integer; json gives booleans as bool, a subclass of int."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def _load_json(text: str, source: str):
     try:
         return json.loads(text)
@@ -144,7 +149,7 @@ def parse_ideal_json(text: str, source: str = "<string>") -> MonomialIdeal:
         raise ParseError("expected object with keys `r` and `generators`", source=source)
     r = obj["r"]
     gens = obj["generators"]
-    if not isinstance(r, int) or r < 1:
+    if not _is_int(r) or r < 1:
         raise ParseError(f"`r` must be a positive integer, got {r!r}", source=source)
     if not isinstance(gens, list):
         raise ParseError("`generators` must be a list of exponent lists", source=source)
@@ -153,7 +158,7 @@ def parse_ideal_json(text: str, source: str = "<string>") -> MonomialIdeal:
         if (
             not isinstance(g, list)
             or len(g) != r
-            or not all(isinstance(e, int) and e >= 0 for e in g)
+            or not all(_is_int(e) and e >= 0 for e in g)
         ):
             raise ParseError(
                 f"generator {g!r} is not a list of {r} nonnegative integers",
@@ -167,15 +172,21 @@ def ideal_to_json(I: MonomialIdeal) -> str:
     return json.dumps({"r": I.r, "generators": [list(g) for g in I.generators]})
 
 
-def load_ideal(path: str | Path) -> MonomialIdeal:
+def _load(path: str | Path, parse_json, parse_text):
+    """Parse a UTF-8 file as JSON if its name ends in `.json`, else as text."""
     path = Path(path)
     try:
-        text = path.read_text()
+        text = path.read_text(encoding="utf-8")
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc.strerror}", source=str(path)) from exc
-    if path.suffix == ".json":
-        return parse_ideal_json(text, source=str(path))
-    return parse_ideal_text(text, source=str(path))
+    except UnicodeDecodeError as exc:
+        line = exc.object.count(b"\n", 0, exc.start) + 1
+        raise ParseError(f"not UTF-8: {exc.reason}", source=str(path), line=line) from exc
+    return (parse_json if path.suffix == ".json" else parse_text)(text, source=str(path))
+
+
+def load_ideal(path: str | Path) -> MonomialIdeal:
+    return _load(path, parse_ideal_json, parse_ideal_text)
 
 
 def parse_system_text(text: str, source: str = "<string>") -> "ConstraintSystem":
@@ -235,7 +246,7 @@ def parse_system_json(text: str, source: str = "<string>") -> "ConstraintSystem"
     if not isinstance(obj, dict) or "e" not in obj or "rows" not in obj or "rhs" not in obj:
         raise ParseError("expected object with keys `e`, `rows`, `rhs`", source=source)
     e = obj["e"]
-    if not isinstance(e, int) or e < 1:
+    if not _is_int(e) or e < 1:
         raise ParseError(f"`e` must be a positive integer, got {e!r}", source=source)
     rows = obj["rows"]
     rhs = obj["rhs"]
@@ -243,10 +254,10 @@ def parse_system_json(text: str, source: str = "<string>") -> "ConstraintSystem"
         raise ParseError("`rows` and `rhs` must be lists of equal length", source=source)
     parsed_rows = []
     for row in rows:
-        if not isinstance(row, list) or len(row) != e or not all(isinstance(c, int) for c in row):
+        if not isinstance(row, list) or len(row) != e or not all(map(_is_int, row)):
             raise ParseError(f"row {row!r} is not a list of {e} integers", source=source)
         parsed_rows.append(tuple(row))
-    if not all(isinstance(b, int) for b in rhs):
+    if not all(map(_is_int, rhs)):
         raise ParseError("`rhs` entries must be integers", source=source)
     labels = obj.get("labels")
     if labels is not None:
@@ -270,11 +281,4 @@ def system_to_json(sys: "ConstraintSystem") -> str:
 
 
 def load_system(path: str | Path) -> "ConstraintSystem":
-    path = Path(path)
-    try:
-        text = path.read_text()
-    except OSError as exc:
-        raise ParseError(f"cannot read {path}: {exc.strerror}", source=str(path)) from exc
-    if path.suffix == ".json":
-        return parse_system_json(text, source=str(path))
-    return parse_system_text(text, source=str(path))
+    return _load(path, parse_system_json, parse_system_text)

@@ -397,11 +397,11 @@ class BoxTable:
 
     The box is a bitset: bit idx of `bits` is the cell whose row-major index
     sum(v_i * strides[i]) is idx, so the lowest set bit is the
-    lexicographically first cell.  The upward closure is a prefix OR along
-    each axis by doubling shifts, each masked to the cells that did not wrap
-    into the next row.  Tables on one box share their axis masks when each
-    after the first is given the first one's `masks`.  `table` holds the same
-    cells one byte each, for O(r) point queries, built when first read.
+    lexicographically first cell.  The upward closure is `close` along each
+    axis, and `saturate` gives the table of each J : x_i^inf from J's.  A
+    second table on the box shares the axis masks when given `masks`.
+    `table` holds the same cells one byte each, for O(r) point queries,
+    built when first read.
     """
 
     __slots__ = ("dims", "strides", "bits", "masks", "_table")
@@ -420,26 +420,36 @@ class BoxTable:
         strides = [1] * e
         for i in range(e - 2, -1, -1):
             strides[i] = strides[i + 1] * dims[i + 1]
-        if masks is None:
-            masks = _AxisMasks()
         cells = bytearray((total + 7) // 8)
         for g in gens:
             if all(x <= b for x, b in zip(g, bounds)):
                 idx = sum(x * s for x, s in zip(g, strides))
                 cells[idx >> 3] |= 1 << (idx & 7)
-        bits = int.from_bytes(cells, "little")
-        for s, d in zip(strides, dims):
-            k = 1
-            # after the step for k, each cell holds the OR of the 2k cells
-            # that end at it along this axis
-            while k < d and bits:
-                bits |= (bits << k * s) & masks[total, s, d, k]
-                k *= 2
         self.dims = dims
         self.strides = tuple(strides)
-        self.bits = bits
-        self.masks = masks
+        self.masks = _AxisMasks() if masks is None else masks
         self._table: bytearray | None = None
+        self.bits = reduce(self.close, range(e), int.from_bytes(cells, "little"))
+
+    def close(self, bits: int, i: int) -> int:
+        """bits closed upward along axis i by a prefix OR of doubling shifts,
+        each masked to the cells that did not wrap into the next row."""
+        s, d, k = self.strides[i], self.dims[i], 1
+        # after the step for k, each cell holds the OR of the 2k cells that
+        # end at it along this axis
+        while k < d and bits:
+            bits |= (bits << k * s) & self.masks[prod(self.dims), s, d, k]
+            k *= 2
+        return bits
+
+    def saturate(self, bits: int, i: int) -> int:
+        """The cells v whose copy with v_i at the top of axis i lies in bits:
+        from the table of J, that of J : x_i^inf when the top is at or past
+        J's exponents of x_i, since raising v_i to it is then as good as any
+        power of x_i."""
+        s, d = self.strides[i], self.dims[i]
+        top = bits & self.masks[prod(self.dims), s, d, d - 1]
+        return self.close(top >> (d - 1) * s, i)
 
     @property
     def table(self) -> bytearray:

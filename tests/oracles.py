@@ -204,28 +204,39 @@ def power_gens(gens, n, r):
     return list({tuple(map(sum, zip(*c))) for c in combinations_with_replacement(gens, n)})
 
 
-def scan_max_ideal_in_ass(I, n):
-    """The torsion test of `assprimes.max_ideal_in_ass`, cell by cell.
+def _scan_torsion(I, n):
+    """The cells of I^n that lie in the (n+1)-st power of every
+    single-variable deletion but not in I^(n+1), ascending lexicographically.
 
-    Some cell must lie in I^n and in the (n+1)-st power of every
-    single-variable deletion, but not in I^(n+1).  The box spans every
-    generator involved; a witness anywhere clamps into it.  One variable
-    gives False by convention.
+    The box spans every generator involved; a witness anywhere clamps into
+    it.  One variable gives none by convention.
     """
     r, gens = I.r, I.generators
     if r == 1:
-        return False
+        return
     upper = power_gens(gens, n, r)
     lower = power_gens(gens, n + 1, r)
     deletions = [power_gens(_zeroed(gens, {j}), n + 1, r) for j in range(r)]
     everything = upper + lower + [g for D in deletions for g in D]
     box = [max(g[i] for g in everything) for i in range(r)]
-    return any(
-        monomial_in(v, upper)
-        and not monomial_in(v, lower)
-        and all(monomial_in(v, D) for D in deletions)
-        for v in iproduct(*(range(b + 1) for b in box))
-    )
+    for v in iproduct(*(range(b + 1) for b in box)):
+        if (
+            monomial_in(v, upper)
+            and not monomial_in(v, lower)
+            and all(monomial_in(v, D) for D in deletions)
+        ):
+            yield v
+
+
+def scan_max_ideal_in_ass(I, n):
+    """The torsion test of `assprimes.max_ideal_in_ass`, cell by cell:
+    whether `_scan_torsion` finds a cell."""
+    return next(_scan_torsion(I, n), None) is not None
+
+
+def scan_h0_witnesses(I, n):
+    """The witnesses of `cohomology.h0_m_monomials`, cell by cell."""
+    return tuple(_scan_torsion(I, n))
 
 
 # -- ideal arithmetic on generator tuples ------------------------------------

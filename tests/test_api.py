@@ -1,7 +1,10 @@
-"""The public API: what `brodmann` exports, and what it no longer has."""
+"""The public API: what `brodmann` exports, what it no longer has, and no
+unused import from within the package."""
 
+import ast
 import importlib
 import pkgutil
+from pathlib import Path
 
 import brodmann
 from brodmann.monomials import BoxTable
@@ -115,3 +118,22 @@ def test_removed_names_are_gone():
 def test_removed_members_are_gone():
     assert "bounds" not in BoxTable.__slots__
     assert not hasattr(ExactRadical, "_cmp")
+
+
+def test_no_unused_relative_imports():
+    """Every name a module imports from within the package is used there
+    (`__init__` imports only to re-export)."""
+    unused = []
+    for path in sorted(Path(brodmann.__file__).parent.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [
+            (path.name, alias.asname or alias.name)
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and node.level
+            for alias in node.names
+            if (alias.asname or alias.name) not in used
+        ]
+    assert unused == []

@@ -412,6 +412,21 @@ class TestExitCodes:
             f"parse error: {path}:2: integer of 5000 digits exceeds the 4300-digit limit\n"
         )
 
+    @pytest.mark.parametrize(
+        "argv, name, data",
+        [
+            (["ass", "--n", "0", "--ideal"], "ideal.txt", b"vars: 2\nx1 \xff\n"),
+            (["cone", "--system"], "system.json", b'{"e": 1,\n"rows": [["\xe9"]]}'),
+        ],
+        ids=["load_ideal", "load_system"],
+    )
+    def test_non_utf8_file_is_located_parse_error(self, capsys, tmp_path, argv, name, data):
+        path = tmp_path / name
+        path.write_bytes(data)
+        code, out, err = run(capsys, *argv, str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith(f"parse error: {path}:2: not UTF-8: ")
+
     def test_budget_flag(self, capsys, family_file):
         code, _, err = run(
             capsys, "ass", "--ideal", family_file, "--n", "1", "--budget", "1"

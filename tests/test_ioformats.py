@@ -103,6 +103,10 @@ class TestIdealJson:
             '{"r": 2, "generators": [[1]]}',
             '{"r": 2, "generators": [[1, -1]]}',
             '{"r": "2", "generators": []}',
+            # JSON booleans are not integers
+            '{"r": true, "generators": [[true]]}',
+            '{"r": 1, "generators": [[true]]}',
+            '{"r": 2, "generators": [[1, false]]}',
         ],
     )
     def test_json_errors(self, bad):
@@ -143,6 +147,19 @@ class TestSystemFormats:
     def test_system_parse_errors(self, bad):
         with pytest.raises(ParseError):
             parse_system_text(bad)
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            # JSON booleans are not integers
+            '{"e": true, "rows": [[true]], "rhs": [false]}',
+            '{"e": 1, "rows": [[true]], "rhs": [0]}',
+            '{"e": 2, "rows": [[1, 0]], "rhs": [false]}',
+        ],
+    )
+    def test_system_json_errors(self, bad):
+        with pytest.raises(ParseError):
+            parse_system_json(bad)
 
     def test_round_trip_random_systems(self):
         rng = random.Random(808)

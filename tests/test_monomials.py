@@ -2,13 +2,14 @@ import random
 from math import prod
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import oracles as ref
 from brodmann.cohomology import generator_power_ideal
 from brodmann.errors import BudgetError, InputError
 from brodmann.monomials import (
     BoxTable,
+    _zero_coords,
     MonomialIdeal,
     add,
     colon_ideal,
@@ -549,3 +550,49 @@ class TestBoxTable:
     def test_iter_box_count(self):
         assert sum(1 for _ in iter_box((2, 3))) == 12
         assert list(iter_box((0, 0))) == [(0, 0)]
+
+
+@st.composite
+def saturation_cases(draw):
+    """An ideal in 1..4 variables, a box past its exponents by up to 2 (by
+    0 on an axis the ideal may leave unused, which then has length 1), and
+    two axes to saturate along in turn, possibly the same one."""
+    r = draw(st.integers(1, 4))
+    unused = draw(st.sampled_from([None, *range(r)]))
+    vectors = st.tuples(*[st.integers(0, 4 if r < 4 else 3)] * r)
+    gens = [
+        tuple(0 if k == unused else e for k, e in enumerate(g))
+        for g in draw(st.lists(vectors, max_size=5))
+    ]
+    J = minimize(gens, r)
+    bounds = tuple(
+        c + (0 if k == unused else draw(st.integers(0, 2)))
+        for k, c in enumerate(max_exponents(J))
+    )
+    axes = st.integers(0, r - 1)
+    return J, bounds, draw(axes), draw(axes)
+
+
+def saturated(J, axes):
+    """J with the variables on the given 0-based axes set to 1."""
+    if J.r == 1:
+        return _zero_coords(J, frozenset(axes))
+    for i in axes:
+        J = delete_variable(J, i + 1)
+    return J
+
+
+class TestSaturation:
+    @KERNEL_SETTINGS
+    @given(saturation_cases())
+    @example((minimize([(2, 0, 1), (1, 0, 3)], 3), (3, 0, 4), 1, 2))
+    @example((minimize([(3,)], 1), (4,), 0, 0))
+    def test_saturate_gives_the_table_of_the_saturation(self, case):
+        """On a box past J's exponents, saturating J's table along axis i
+        gives the table of J with x_(i+1) set to 1, once and twice over."""
+        J, bounds, i, j = case
+        t = BoxTable(J.generators, bounds)
+        once = t.saturate(t.bits, i)
+        assert once == BoxTable(saturated(J, [i]).generators, bounds).bits
+        twice = t.saturate(once, j)
+        assert twice == BoxTable(saturated(J, [i, j]).generators, bounds).bits

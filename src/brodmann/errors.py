@@ -23,7 +23,7 @@ class ParseError(InputError):
 
 
 class BudgetError(RuntimeError):
-    """An enumeration would exceed the lattice-point budget; no partial result."""
+    """An enumeration would exceed the enumeration budget; no partial result."""
 
 
 class InconsistencyError(RuntimeError):
@@ -51,7 +51,14 @@ def enumeration_budget(override: int | None = None) -> int:
     return value
 
 
-def charge_budget(points: int, budget: int | None = None, what: str = "enumeration") -> None:
+def charge_budget(
+    points: int,
+    budget: int | None = None,
+    what: str = "enumeration",
+    unit: str = "lattice points",
+) -> None:
+    """Refuse with a BudgetError when an enumeration of `points` units
+    would pass the budget; `unit` names what is counted in the message."""
     limit = enumeration_budget(budget)
     if points > limit:
-        raise BudgetError(f"{what} needs {points} lattice points, budget is {limit}")
+        raise BudgetError(f"{what} needs {points} {unit}, budget is {limit}")

@@ -76,11 +76,34 @@ def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
+def _deepest_nesting(text: str) -> tuple[int, int]:
+    """Greatest array/object nesting depth of JSON text, and the line of the
+    first bracket that reaches it; brackets inside strings do not count."""
+    depth = deepest = 0
+    at = 0
+    for m in re.finditer(r'"(?:[^"\\]|\\.)*"|[][{}]', text):
+        c = m.group()[0]
+        if c in "[{":
+            depth += 1
+            if depth > deepest:
+                deepest, at = depth, m.start()
+        elif c in "]}":
+            depth -= 1
+    return deepest, text.count("\n", 0, at) + 1
+
+
 def _load_json(text: str, source: str):
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON: {exc}", source=source) from exc
+    except RecursionError:
+        depth, line = _deepest_nesting(text)
+        raise ParseError(
+            f"invalid JSON: arrays and objects nested {depth} deep exceed the recursion limit",
+            source=source,
+            line=line,
+        ) from None
     except ValueError:
         # json raises a plain ValueError for an integer past the int-from-str
         # limit; find the first such digit run to name its line

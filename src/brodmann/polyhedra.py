@@ -7,11 +7,19 @@ as radicals, never floats), desk-scale Hilbert-basis and module-generator
 enumeration with an explicit lattice-point budget, the specific constraint
 systems used for power membership and closure membership of a monomial
 ideal, and a bounded exhaustive feasibility search.
+
+Pruned box scans: the generator enumerations and the feasibility search
+list the solutions in a box through one depth-first scan, _box_solutions.
+It drops a prefix as soon as some row can no longer reach its right-hand
+side, which no completion inside the box could change, so it finds the
+same solutions in the same order as testing every box point.  The budget
+is still charged the whole box up front.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections.abc import Iterator
 from dataclasses import dataclass
 from math import comb, gcd
 
@@ -119,7 +127,7 @@ def extreme_rays(sys: ConstraintSystem, budget: int | None = None) -> list[IntVe
     if e == 1:
         one = (1,)
         return [one] if sys.satisfies(one) else []
-    charge_budget(comb(n, e - 1), budget, "ray subsystem enumeration")
+    charge_budget(comb(n, e - 1), budget, "ray subsystem enumeration", unit="subsystems")
     rays: set[IntVector] = set()
     for combo in itertools.combinations(range(n), e - 1):
         chosen = [candidates[i] for i in combo]
@@ -178,17 +186,87 @@ def bound_a2(sys: ConstraintSystem) -> RadicalSum:
     return RadicalSum.of(prod * sys.e, prod * b_norm)
 
 
+def _box_solutions(
+    sys: ConstraintSystem, box: int, pinned: dict[int, int] | None = None
+) -> Iterator[IntVector]:
+    """Solutions whose unpinned coordinates lie in 0..box, in ascending
+    lexicographic order; pinned coordinates keep their given values.
+
+    The search is depth-first over the unpinned coordinates in index order,
+    with the pinned values folded into the right-hand sides up front.
+    need[r] is what row r still asks of the coordinates not yet assigned,
+    and reach[i][r] is the most that the i-th unpinned coordinate and those
+    after it can add to row r: box times each positive coefficient.  A value
+    x at level i keeps a prefix alive only if a*x + reach[i+1][r] >= need[r]
+    for every row r with coefficient a, which confines x to one interval.
+    Any x outside it leaves some row short under every completion, so no
+    solution is dropped.  At the last level nothing is left to add, so
+    the interval holds exactly the values that meet every row, and each
+    point yielded is a solution.
+    """
+    pinned = pinned or {}
+    free = [k for k in range(sys.e) if k not in pinned]
+    v = [pinned.get(k, 0) for k in range(sys.e)]
+    need = [b - sum(a * x for a, x in zip(row, v)) for row, b in zip(sys.rows, sys.rhs)]
+    reach = [[0] * len(need)]
+    for k in reversed(free):
+        reach.append([c + box * max(row[k], 0) for c, row in zip(reach[-1], sys.rows)])
+    reach.reverse()
+    if any(n > c for n, c in zip(need, reach[0])):
+        return
+    if not free:
+        yield tuple(v)
+        return
+    # per level, the rows the coordinate enters: (row, coefficient, reach after it)
+    cols = [
+        [(r, row[k], reach[i + 1][r]) for r, row in enumerate(sys.rows) if row[k]]
+        for i, k in enumerate(free)
+    ]
+    last = len(free) - 1
+    his = [0] * len(free)
+    i = 0
+    while i >= 0:
+        lo, hi = 0, box
+        for r, a, c in cols[i]:
+            t = need[r] - c
+            if a < 0:
+                # a adds nothing to reach, so need[r] <= reach[i][r] == c:
+                # t <= 0 and t // a >= 0
+                hi = min(hi, t // a)
+            elif t > 0:
+                lo = max(lo, -(-t // a))
+        k = free[i]
+        if i == last:
+            for x in range(lo, hi + 1):
+                v[k] = x
+                yield tuple(v)
+        elif lo <= hi:
+            v[k] = lo
+            his[i] = hi
+            for r, a, _ in cols[i]:
+                need[r] -= a * lo
+            i += 1
+            continue
+        # step the deepest open level that has a next value, undoing the spent ones
+        i -= 1
+        while i >= 0:
+            k = free[i]
+            if v[k] < his[i]:
+                v[k] += 1
+                for r, a, _ in cols[i]:
+                    need[r] -= a
+                i += 1
+                break
+            for r, a, _ in cols[i]:
+                need[r] += a * v[k]
+            i -= 1
+
+
 def _solutions_in_box(
     sys: ConstraintSystem, box: int, budget: int | None, what: str
 ) -> list[IntVector]:
     charge_budget((box + 1) ** sys.e, budget, what)
-    sols = [
-        v
-        for v in itertools.product(range(box + 1), repeat=sys.e)
-        if sys.satisfies(v)
-    ]
-    sols.sort(key=lambda v: (sum(v), v))
-    return sols
+    return sorted(_box_solutions(sys, box), key=lambda v: (sum(v), v))
 
 
 def hilbert_generators(
@@ -438,8 +516,12 @@ def solve_feasible(
     """First integer solution with the fixed coordinates, or None.
 
     Fixed keys are variable labels (when the system has labels) or 0-based
-    indices.  The unfixed coordinates range over 0..box exhaustively; the
-    search is refused upfront when the lattice box exceeds the budget.
+    indices, and fixed values are nonnegative ints (not bools); a fixed
+    value may lie past the box.  The unfixed coordinates range over 0..box,
+    and the answer is the lexicographically first solution there.  The
+    search is refused upfront when the lattice box exceeds the budget,
+    although the pruned scan drops every prefix that some row can no
+    longer meet and so visits fewer points.
     """
     if box < 0:
         raise InputError(f"box must be >= 0, got {box}")
@@ -449,23 +531,16 @@ def solve_feasible(
             if not sys.labels or key not in sys.labels:
                 raise InputError(f"unknown variable label {key!r}")
             idx = sys.labels.index(key)
-        else:
+        elif isinstance(key, int) and not isinstance(key, bool):
             idx = key
+        else:
+            raise InputError(f"variable key {key!r} is not a label or a 0-based index")
         if not 0 <= idx < sys.e:
             raise InputError(f"variable index {idx} out of range")
-        if not isinstance(value, int) or value < 0:
+        if not isinstance(value, int) or isinstance(value, bool) or value < 0:
             raise InputError(f"fixed value for index {idx} must be a nonnegative integer")
         if idx in assignment and assignment[idx] != value:
             raise InputError(f"conflicting assignments for variable index {idx}")
         assignment[idx] = value
-    free = [i for i in range(sys.e) if i not in assignment]
-    charge_budget((box + 1) ** len(free), budget, "feasibility search")
-    template = [assignment.get(i, 0) for i in range(sys.e)]
-    for combo in itertools.product(range(box + 1), repeat=len(free)):
-        v = list(template)
-        for idx, val in zip(free, combo):
-            v[idx] = val
-        tv = tuple(v)
-        if sys.satisfies(tv):
-            return tv
-    return None
+    charge_budget((box + 1) ** (sys.e - len(assignment)), budget, "feasibility search")
+    return next(_box_solutions(sys, box, assignment), None)

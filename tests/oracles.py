@@ -5,9 +5,9 @@ avoids the library's search strategies: membership is raw divisibility,
 associated primes come straight from the colon definition, the witness
 and torsion scans visit every cell of their box, power membership
 enumerates generator multiplicities, ideal arithmetic minimizes by pairwise
-divisibility, cone membership does exact Gaussian elimination over
-Fractions, and the cone bounds come from their closed forms by isqrt and
-mpmath.
+divisibility, boxed constraint solutions are tested at every box point,
+cone membership does exact Gaussian elimination over Fractions, and the
+cone bounds come from their closed forms by isqrt and mpmath.
 """
 
 from fractions import Fraction
@@ -27,6 +27,21 @@ def monomial_in(m, gens):
 def iter_box(bounds):
     """All integer points v with 0 <= v_i <= bounds_i, ascending lexicographically."""
     return iproduct(*(range(b + 1) for b in bounds))
+
+
+def box_solutions(rows, rhs, e, box, pinned):
+    """Every v with v_k = pinned[k] for pinned k, the other coordinates in
+    0..box, and row . v >= b for each row, in ascending lexicographic order:
+    the whole box, tested point by point."""
+    free = [k for k in range(e) if k not in pinned]
+    out = []
+    for combo in iter_box([box] * len(free)):
+        v = [pinned.get(k, 0) for k in range(e)]
+        for k, x in zip(free, combo):
+            v[k] = x
+        if all(sum(a * x for a, x in zip(row, v)) >= b for row, b in zip(rows, rhs)):
+            out.append(tuple(v))
+    return out
 
 
 def validate_minimal(gens):

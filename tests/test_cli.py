@@ -427,6 +427,24 @@ class TestExitCodes:
         assert (code, out) == (2, "")
         assert err.startswith(f"parse error: {path}:2: not UTF-8: ")
 
+    @pytest.mark.parametrize(
+        "argv, name, head",
+        [
+            (["ass", "--n", "0", "--ideal"], "deep-ideal.json", '{"r": 1,\n"generators": '),
+            (["cone", "--system"], "deep-system.json", '{"e": 1, "rhs": [0],\n"rows": '),
+        ],
+        ids=["load_ideal", "load_system"],
+    )
+    def test_deeply_nested_json_is_located_parse_error(self, capsys, tmp_path, argv, name, head):
+        path = tmp_path / name
+        path.write_text(head + "[" * 100000 + "]" * 100000 + "}")
+        code, out, err = run(capsys, *argv, str(path))
+        assert (code, out) == (2, "")
+        assert err == (
+            f"parse error: {path}:2: invalid JSON: arrays and objects nested 100001 deep"
+            " exceed the recursion limit\n"
+        )
+
     def test_budget_flag(self, capsys, family_file):
         code, _, err = run(
             capsys, "ass", "--ideal", family_file, "--n", "1", "--budget", "1"

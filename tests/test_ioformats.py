@@ -216,6 +216,20 @@ class TestOversizedIntegers:
         assert str(info.value).endswith("...'") and len(str(info.value)) < 100
 
 
+class TestDeepNesting:
+    """JSON nested past the recursion limit is a located ParseError."""
+
+    @pytest.mark.parametrize("parse", [parse_ideal_json, parse_system_json])
+    def test_deep_nesting_is_located_parse_error(self, parse):
+        # a bracket inside a string neither nests nor locates
+        text = '{"note": "[[[",\n"x":\n' + '{"a": [' * 50000 + "]}" * 50000 + "}"
+        with pytest.raises(ParseError) as info:
+            parse(text, source="deep")
+        assert str(info.value) == (
+            "deep:3: invalid JSON: arrays and objects nested 100001 deep exceed the recursion limit"
+        )
+
+
 class TestFileLoading:
     def test_load_ideal_sniffs_json(self, tmp_path):
         p = tmp_path / "ideal.json"

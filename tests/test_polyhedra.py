@@ -2,11 +2,13 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from brodmann.errors import BudgetError, InputError
 from brodmann.monomials import intersect_all, minimize, power
 from brodmann.polyhedra import (
     ConstraintSystem,
+    _box_solutions,
     _det,
     bound_a1,
     bound_a2,
@@ -22,6 +24,7 @@ from brodmann.polyhedra import (
 from brodmann.radicals import ExactRadical, RadicalSum
 
 from oracles import (
+    box_solutions,
     cone_bound_ceils,
     decompose,
     in_nonneg_span,
@@ -167,8 +170,10 @@ class TestExtremeRays:
             tuple((i * 7 + j * 3) % 5 - 2 for j in range(8)) for i in range(20)
         )
         sys_ = ConstraintSystem(8, rows, (0,) * 20)
-        with pytest.raises(BudgetError):
+        with pytest.raises(BudgetError) as info:
             extreme_rays(sys_, budget=10)
+        # 7 of the 20 rows and 8 coordinate hyperplanes: C(28, 7) subsystems
+        assert str(info.value) == "ray subsystem enumeration needs 1184040 subsystems, budget is 10"
 
 
 class TestNormBounds:
@@ -210,6 +215,45 @@ class TestNormBounds:
         assert a2 == RadicalSum.of(
             ExactRadical.sqrt_of(420) * 2, ExactRadical.sqrt_of(420 * (2 * p * p + 1))
         )
+
+
+BOX_SETTINGS = settings(max_examples=300, deadline=None, derandomize=True, database=None)
+
+
+@st.composite
+def boxed_systems(draw):
+    """(system, box, pinned): e = 1..5, box 0..3, up to 3 rows, all of them
+    nonnegative in about half the draws, pinned values up to 3 past the box."""
+    e = draw(st.integers(1, 5))
+    box = draw(st.integers(0, 3))
+    low = 0 if draw(st.booleans()) else -3
+    k = draw(st.integers(0, 3))
+    rows = tuple(tuple(draw(st.integers(low, 3)) for _ in range(e)) for _ in range(k))
+    rhs = tuple(draw(st.integers(-4, 8)) for _ in range(k))
+    pinned = draw(st.dictionaries(st.integers(0, e - 1), st.integers(0, box + 3), max_size=e))
+    return ConstraintSystem(e, rows, rhs), box, pinned
+
+
+class TestBoxSolutions:
+    """The pruned depth-first scan against the whole box tested point by point."""
+
+    @BOX_SETTINGS
+    @given(boxed_systems())
+    @example((ConstraintSystem(3, ((1, 1, -1),), (5,)), 2, {2: 4}))
+    @example((ConstraintSystem(2, ((0, 1), (0, -1)), (1, 0)), 3, {}))
+    @example((ConstraintSystem(2, ((1, 2),), (0,)), 3, {0: 6, 1: 5}))
+    @example((ConstraintSystem(4, ((1, 1, 1, 1),), (0,)), 2, {}))  # nothing to prune
+    def test_equals_product_and_test(self, case):
+        sys_, box, pinned = case
+        want = box_solutions(sys_.rows, sys_.rhs, sys_.e, box, pinned)
+        assert list(_box_solutions(sys_, box, pinned)) == want
+
+    @BOX_SETTINGS
+    @given(boxed_systems())
+    def test_feasibility_search_returns_the_first_solution(self, case):
+        sys_, box, pinned = case
+        want = box_solutions(sys_.rows, sys_.rhs, sys_.e, box, pinned)
+        assert solve_feasible(sys_, pinned, box) == (want[0] if want else None)
 
 
 class TestHilbertGenerators:
@@ -392,6 +436,17 @@ class TestSolveFeasible:
             solve_feasible(sys_, {5: 1}, box=2)
         with pytest.raises(InputError):
             solve_feasible(sys_, {"a": -1}, box=2)
+
+    def test_bool_fixed_value_is_refused(self):
+        sys_ = ConstraintSystem(1, ((1,),), (1,))
+        with pytest.raises(InputError, match="must be a nonnegative integer"):
+            solve_feasible(sys_, {0: True}, 1)
+
+    @pytest.mark.parametrize("key", [True, 0.0, None])
+    def test_key_that_is_not_a_label_or_index_is_refused(self, key):
+        sys_ = ConstraintSystem(2, ((1, 0),), (1,))
+        with pytest.raises(InputError, match="label or a 0-based index"):
+            solve_feasible(sys_, {key: 1}, 1)
 
     def test_index_keys_work_without_labels(self):
         sys_ = ConstraintSystem(2, ((1, -1),), (0,))

@@ -196,12 +196,12 @@ def _cmd_cone(args: argparse.Namespace) -> dict:
             raise InputError("--hilbert requires --cap")
         payload["hilbert"] = hilbert_generators(system, args.cap, budget=args.budget)
     if args.module:
-        if homogeneous:
-            payload["module"] = [(0,) * system.e]
-        elif args.cap is None:
-            raise InputError("--module requires --cap")
-        else:
+        if args.cap is not None:
             payload["module"] = module_generators(system, args.cap, budget=args.budget)
+        elif homogeneous:
+            payload["module"] = [(0,) * system.e]
+        else:
+            raise InputError("--module requires --cap")
     return payload
 
 

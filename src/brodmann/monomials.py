@@ -203,10 +203,20 @@ def _top(*ideals: MonomialIdeal) -> int:
 
 
 def minimize(gens: Iterable[Monomial], r: int) -> MonomialIdeal:
-    """Canonical form of the ideal generated by an arbitrary monomial list."""
+    """Canonical form of the ideal generated by an arbitrary monomial list.
+
+    An exponent may be anything int() reads without losing a fraction, such
+    as 2.0 or "3"; any other value is refused, never truncated."""
     vecs: set[Monomial] = set()
     for g in gens:
-        t = tuple(int(e) for e in g)
+        g = tuple(g)
+        try:
+            t = tuple(map(int, g))
+            exact = t == g or all(a == b or isinstance(a, str) for a, b in zip(g, t))
+        except (TypeError, ValueError, OverflowError):
+            exact = False
+        if not exact:
+            raise InputError(f"non-integer exponent in generator {g}")
         if len(t) != r:
             raise InputError(f"generator {t} does not have {r} exponents")
         if any(e < 0 for e in t):

@@ -14,12 +14,24 @@ It drops a prefix as soon as some row can no longer reach its right-hand
 side, which no completion inside the box could change, so it finds the
 same solutions in the same order as testing every box point.  The budget
 is still charged the whole box up front.
+
+One reduction, _irreducible, serves both generator enumerations: a boxed
+solution v, taken in (degree, lex) order, is kept unless v = g + c for a
+kept g and a nonzero point c of the cone A*x >= 0.  One kept summand
+suffices because the cone is closed under addition; and a cone point below
+a boxed solution is boxed, so module generators scan one box.
+
+The ED systems of build_system are made of blocks, _ed_block: s-1
+product-count columns, a row per variable and a sum row.  ED1/ED2 take a
+block over every variable, then for each variable i a block that leaves i
+out, with these r sum rows last.  ED3 takes a block over every variable
+for each generator, with the extra column x.
 """
 
 from __future__ import annotations
 
 import itertools
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from math import comb, gcd
 
@@ -124,9 +136,6 @@ def extreme_rays(sys: ConstraintSystem, budget: int | None = None) -> list[IntVe
     for i in range(e):
         candidates.append(tuple(1 if j == i else 0 for j in range(e)))
     n = len(candidates)
-    if e == 1:
-        one = (1,)
-        return [one] if sys.satisfies(one) else []
     charge_budget(comb(n, e - 1), budget, "ray subsystem enumeration", unit="subsystems")
     rays: set[IntVector] = set()
     for combo in itertools.combinations(range(n), e - 1):
@@ -269,6 +278,27 @@ def _solutions_in_box(
     return sorted(_box_solutions(sys, box), key=lambda v: (sum(v), v))
 
 
+def _irreducible(sols: list[IntVector], cone: ConstraintSystem) -> list[IntVector]:
+    """The members v of sols, given in (degree, lex) order, that are not
+    g + c for a kept member g and a nonzero point c of the cone.
+
+    Kept members alone suffice: if v = u + w for an earlier member u and a
+    nonzero cone point w, then u was kept, or u = g + c for a kept g, and
+    v = g + (c + w) with c + w a nonzero cone point.  Such a g has a lower
+    degree than v, so the test stops at the first kept member that does not.
+    """
+    kept: list[IntVector] = []
+    for v in sols:
+        below = itertools.takewhile(lambda g: sum(g) < sum(v), kept)
+        if not any(
+            all(a <= b for a, b in zip(g, v))
+            and cone.satisfies(tuple(b - a for a, b in zip(g, v)))
+            for g in below
+        ):
+            kept.append(v)
+    return kept
+
+
 def hilbert_generators(
     sys: ConstraintSystem, cap: int, budget: int | None = None
 ) -> list[IntVector]:
@@ -284,22 +314,7 @@ def hilbert_generators(
         raise InputError(f"cap must be >= 1, got {cap}")
     box = min(cap, bound_a1(sys).ceil())
     sols = _solutions_in_box(sys, box, budget, "semigroup generator box")
-    irreducible: list[IntVector] = []
-    for v in sols:
-        if not any(v):
-            continue
-        reducible = False
-        for g in irreducible:
-            if sum(g) >= sum(v):
-                break
-            if all(a <= b for a, b in zip(g, v)):
-                rest = tuple(b - a for a, b in zip(g, v))
-                if sys.satisfies(rest):
-                    reducible = True
-                    break
-        if not reducible:
-            irreducible.append(v)
-    return irreducible
+    return _irreducible([v for v in sols if any(v)], sys)
 
 
 def module_generators(
@@ -309,28 +324,16 @@ def module_generators(
 
     For b = 0 the zero vector alone generates.  Together with the
     homogenized system's semigroup generators, the result reaches every
-    solution in the box.
+    solution in the box.  A cone point below a boxed solution is boxed, so
+    the scan of the system's own solutions is the only one.
     """
     if cap < 1:
         raise InputError(f"cap must be >= 1, got {cap}")
     if sys.is_homogeneous():
         return [(0,) * sys.e]
     box = min(cap, bound_a2(sys).ceil())
-    esols = _solutions_in_box(sys, box, budget, "module generator box")
-    cone = sys.homogenized()
-    csols = [v for v in _solutions_in_box(cone, box, budget, "module generator cone box") if any(v)]
-    gens: list[IntVector] = []
-    for v in esols:
-        reducible = False
-        for w in csols:
-            if all(a <= b for a, b in zip(w, v)):
-                rest = tuple(b - a for a, b in zip(w, v))
-                if sys.satisfies(rest):
-                    reducible = True
-                    break
-        if not reducible:
-            gens.append(v)
-    return gens
+    sols = _solutions_in_box(sys, box, budget, "module generator box")
+    return _irreducible(sols, sys.homogenized())
 
 
 def staircase_system(e: int, d: int) -> ConstraintSystem:
@@ -377,6 +380,31 @@ def _norm_assert(cond: bool, what: str, detail: dict) -> None:
         raise InconsistencyError(f"column norm bookkeeping failed: {what}", payload=detail)
 
 
+def _ed_block(
+    gens: list[IntVector], x: list[str], js: Iterable[int], a_i: IntVector | None = None
+) -> list[dict[str, int]]:
+    """One block of an ED system, as rows keyed by column label.
+
+    x labels the block's s-1 product-count columns x_1..x_(s-1).  Each
+    variable j in js (0-based) gets the row -a_sj*z + y_j + sum_k
+    (a_sj - a_kj)*x_k, and the block ends with its sum row z - sum_k x_k.
+    Given a_i (ED3), the column x enters the j-th row as (a_ij - a_sj)*x
+    and the sum row as +x.
+    """
+    a_s = gens[-1]
+    rows = []
+    for j in js:
+        row = {"z": -a_s[j], f"y{j + 1}": 1}
+        if a_i is not None:
+            row["x"] = a_i[j] - a_s[j]
+        row.update((lab, a_s[j] - g[j]) for lab, g in zip(x, gens))
+        rows.append(row)
+    total = {"z": 1, **dict.fromkeys(x, -1)}
+    if a_i is not None:
+        total["x"] = 1
+    return rows + [total]
+
+
 def build_system(I: MonomialIdeal, mode: str) -> ConstraintSystem:
     """Constraint system whose integer solutions encode membership questions.
 
@@ -398,112 +426,42 @@ def build_system(I: MonomialIdeal, mode: str) -> ConstraintSystem:
     r = I.r
     s = len(gens)
     d = max(sum(g) for g in gens)
-    a = gens  # a[k][j-1] = exponent of variable j in generator k+1
-    a_s = gens[-1]
+    blocks = s if mode == "ED3" else r
+    ys = [f"y{j}" for j in range(1, r + 1)]
+    xs = [[f"x{i}_{k}" for k in range(1, s)] for i in range(1, blocks + 1)]
 
-    rows: list[IntVector] = []
-    rhs: list[int] = []
-
-    if mode in ("ED1", "ED2"):
-        e = r * s + s
-        z = 0
-        y = lambda j: 1 + (j - 1)
-        x1 = lambda k: 1 + r + (k - 1)
-        x2 = lambda i, k: 1 + r + (s - 1) + (i - 1) * (s - 1) + (k - 1)
-        labels = (
-            ["z"]
-            + [f"y{j}" for j in range(1, r + 1)]
-            + [f"x{k}" for k in range(1, s)]
-            + [f"x{i}_{k}" for i in range(1, r + 1) for k in range(1, s)]
-        )
-        for j in range(1, r + 1):
-            row = [0] * e
-            row[z] = -a_s[j - 1]
-            row[y(j)] = 1
-            for k in range(1, s):
-                row[x1(k)] = a_s[j - 1] - a[k - 1][j - 1]
-            rows.append(tuple(row))
-            rhs.append(-a_s[j - 1])
-        row = [0] * e
-        row[z] = 1
-        for k in range(1, s):
-            row[x1(k)] = -1
-        rows.append(tuple(row))
-        rhs.append(1)
-        for i in range(1, r + 1):
-            for j in range(1, r + 1):
-                if j == i:
-                    continue
-                row = [0] * e
-                row[z] = -a_s[j - 1]
-                row[y(j)] = 1
-                for k in range(1, s):
-                    row[x2(i, k)] = a_s[j - 1] - a[k - 1][j - 1]
-                rows.append(tuple(row))
-                rhs.append(0)
-        for i in range(1, r + 1):
-            row = [0] * e
-            row[z] = 1
-            for k in range(1, s):
-                row[x2(i, k)] = -1
-            rows.append(tuple(row))
-            rhs.append(0)
-        if mode == "ED2":
-            rhs = [0] * len(rhs)
-        sys = ConstraintSystem(e, tuple(rows), tuple(rhs), tuple(labels))
-        detail = {"mode": mode, "r": r, "s": s, "d": d}
-        _norm_assert(norm_sq(sys.column(z)) < r * d * d, "z column", detail)
-        for j in range(1, r + 1):
-            _norm_assert(norm_sq(sys.column(y(j))) == r, f"y{j} column", detail)
-        for k in range(1, s):
-            _norm_assert(norm_sq(sys.column(x1(k))) < 2 * d * d, f"x{k} column", detail)
-        for i in range(1, r + 1):
-            for k in range(1, s):
-                _norm_assert(
-                    norm_sq(sys.column(x2(i, k))) < 2 * d * d, f"x{i}_{k} column", detail
-                )
-        if mode == "ED1":
-            _norm_assert(norm_sq(tuple(rhs)) < d * d, "free coefficients", detail)
-        return sys
-
-    e = s * (s - 1) + r + 2
-    z = 0
-    w = 1
-    y = lambda j: 2 + (j - 1)
-    x2 = lambda i, k: 2 + r + (i - 1) * (s - 1) + (k - 1)
-    labels = (
-        ["z", "x"]
-        + [f"y{j}" for j in range(1, r + 1)]
-        + [f"x{i}_{k}" for i in range(1, s + 1) for k in range(1, s)]
-    )
-    for i in range(1, s + 1):
-        for j in range(1, r + 1):
-            row = [0] * e
-            row[z] = -a_s[j - 1]
-            row[w] = a[i - 1][j - 1] - a_s[j - 1]
-            row[y(j)] = 1
-            for k in range(1, s):
-                row[x2(i, k)] = a_s[j - 1] - a[k - 1][j - 1]
-            rows.append(tuple(row))
-            rhs.append(0)
-        row = [0] * e
-        row[z] = 1
-        row[w] = 1
-        for k in range(1, s):
-            row[x2(i, k)] = -1
-        rows.append(tuple(row))
-        rhs.append(0)
-    sys = ConstraintSystem(e, tuple(rows), tuple(rhs), tuple(labels))
+    if mode == "ED3":
+        labels = ["z", "x", *ys, *itertools.chain(*xs)]
+        rows = [row for a_i, x in zip(gens, xs) for row in _ed_block(gens, x, range(r), a_i)]
+    else:
+        x1 = [f"x{k}" for k in range(1, s)]
+        labels = ["z", *ys, *x1, *itertools.chain(*xs)]
+        rest = [_ed_block(gens, x, [j for j in range(r) if j != i]) for i, x in enumerate(xs)]
+        rows = _ed_block(gens, x1, range(r))
+        rows += [row for block in rest for row in block[:-1]] + [block[-1] for block in rest]
+    rhs = [0] * len(rows)
+    if mode == "ED1":
+        rhs[: r + 1] = [-c for c in gens[-1]] + [1]
+    col = {lab: c for c, lab in enumerate(labels)}
+    dense = [[0] * len(labels) for _ in rows]
+    for v, row in zip(dense, rows):
+        for lab, a in row.items():
+            v[col[lab]] = a
+    sys = ConstraintSystem(len(labels), tuple(map(tuple, dense)), tuple(rhs), tuple(labels))
     detail = {"mode": mode, "r": r, "s": s, "d": d}
-    _norm_assert(norm_sq(sys.column(z)) < s * d * d, "z column", detail)
-    _norm_assert(norm_sq(sys.column(w)) < 2 * s * d * d, "x column", detail)
-    for j in range(1, r + 1):
-        _norm_assert(norm_sq(sys.column(y(j))) == s, f"y{j} column", detail)
-    for i in range(1, s + 1):
-        for k in range(1, s):
-            _norm_assert(
-                norm_sq(sys.column(x2(i, k))) < 2 * d * d, f"x{i}_{k} column", detail
-            )
+    for lab, column in zip(labels, zip(*dense)):
+        q = norm_sq(column)
+        if lab[0] == "y":
+            ok = q == blocks
+        elif lab == "z":
+            ok = q < blocks * d * d
+        elif lab == "x":
+            ok = q < 2 * s * d * d
+        else:
+            ok = q < 2 * d * d
+        _norm_assert(ok, f"{lab} column", detail)
+    if mode == "ED1":
+        _norm_assert(norm_sq(sys.rhs) < d * d, "free coefficients", detail)
     return sys
 
 

@@ -6,8 +6,10 @@ associated primes come straight from the colon definition, the witness
 and torsion scans visit every cell of their box, power membership
 enumerates generator multiplicities, ideal arithmetic minimizes by pairwise
 divisibility, boxed constraint solutions are tested at every box point,
-cone membership does exact Gaussian elimination over Fractions, and the
-cone bounds come from their closed forms by isqrt and mpmath.
+semigroup and module generators are the boxed solutions that no two boxed
+parts add up to, cone membership does exact Gaussian elimination over
+Fractions, and the cone bounds come from their closed forms by isqrt and
+mpmath.
 """
 
 from fractions import Fraction
@@ -344,6 +346,35 @@ def cone_bound_ceils(rows, rhs):
                 assert abs(value - mpmath.nint(value)) > mpmath.mpf(10) ** -30
                 out["bound_a2"] = int(mpmath.ceil(value))
     return out
+
+
+def _splits(v, first, second):
+    """Is v = u + w for some u in the set first and w in the set second?"""
+    return any(
+        u in first and tuple(a - b for a, b in zip(v, u)) in second for u in iter_box(v)
+    )
+
+
+def hilbert_generators_ref(rows, e, cap):
+    """The nonzero solutions of rows . v >= 0 in the box that are not the
+    sum of two nonzero solutions in the box, in (degree, lex) order; the
+    box is 0..min(cap, ceil(bound_a1)).  Needs at least one row."""
+    rhs = (0,) * len(rows)
+    box = min(cap, cone_bound_ceils(rows, rhs)["bound_a1"])
+    nonzero = set(box_solutions(rows, rhs, e, box, {})) - {(0,) * e}
+    irreducible = (v for v in nonzero if not _splits(v, nonzero, nonzero))
+    return sorted(irreducible, key=lambda v: (sum(v), v))
+
+
+def module_generators_ref(rows, rhs, e, cap):
+    """The solutions of rows . v >= rhs in the box that are not a solution
+    in the box plus a nonzero solution of rows . v >= 0 in the box, in
+    (degree, lex) order: two scans of the box 0..min(cap, ceil(bound_a2)),
+    or of 0..cap when rhs is zero.  Needs at least one row."""
+    box = min(cap, cone_bound_ceils(rows, rhs).get("bound_a2", cap))
+    sols = set(box_solutions(rows, rhs, e, box, {}))
+    cone = set(box_solutions(rows, (0,) * len(rows), e, box, {})) - {(0,) * e}
+    return sorted((v for v in sols if not _splits(v, sols, cone)), key=lambda v: (sum(v), v))
 
 
 def is_prime(n):

@@ -137,3 +137,38 @@ def test_no_unused_relative_imports():
             if (alias.asname or alias.name) not in used
         ]
     assert unused == []
+
+
+def _mentions(node):
+    """Every name that node uses: variables, attributes and imported names."""
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            yield sub.id
+        elif isinstance(sub, ast.Attribute):
+            yield sub.attr
+        elif isinstance(sub, ast.alias):
+            yield sub.name
+
+
+def test_every_private_helper_is_used():
+    """Every module-level private function or class of the package is used
+    somewhere in the package outside its own definition."""
+    statements = [
+        node
+        for path in sorted(Path(brodmann.__file__).parent.glob("*.py"))
+        for node in ast.parse(path.read_text()).body
+    ]
+    private = [
+        node
+        for node in statements
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and node.name.startswith("_")
+        and not node.name.startswith("__")
+    ]
+    assert len(private) > 10
+    unused = [
+        node.name
+        for node in private
+        if not any(other is not node and node.name in _mentions(other) for other in statements)
+    ]
+    assert unused == []

@@ -253,6 +253,17 @@ class TestCone:
         assert code == 0
         assert "module\t1 0" in out and "module\t1 1" in out
 
+    @pytest.mark.parametrize("cap", ["-3", "0"])
+    def test_module_cap_below_one_is_refused_on_a_homogeneous_system(
+        self, capsys, staircase_file, cap
+    ):
+        code, out, err = run(capsys, "cone", "--system", staircase_file, "--module", "--cap", cap)
+        assert (code, out) == (2, "")
+        assert err == f"input error: cap must be >= 1, got {cap}\n"
+        # without --cap the homogeneous system still gets the origin
+        code, out, _ = run(capsys, "cone", "--system", staircase_file, "--module")
+        assert (code, out) == (0, "# module generators\nmodule\t0 0 0\n")
+
 
 class TestBuildSystem:
     @pytest.fixture

@@ -96,6 +96,12 @@ class TestMinimizeErrors:
             ([(1, 0), (5, -2)], "negative exponent in generator (5, -2)"),
             ([("3", 2.0), (True,)], "generator (1,) does not have 2 exponents"),
             ([[4, 0], (-7, "-1")], "negative exponent in generator (-7, -1)"),
+            ([(2.5, 0), (0, 1.9)], "non-integer exponent in generator (2.5, 0)"),
+            ([(1, 0), ("4", 1.5), (1,)], "non-integer exponent in generator ('4', 1.5)"),
+            ([("2.5", 0)], "non-integer exponent in generator ('2.5', 0)"),
+            ([(float("nan"), 0)], "non-integer exponent in generator (nan, 0)"),
+            ([(float("inf"), 0)], "non-integer exponent in generator (inf, 0)"),
+            ([(None, 1)], "non-integer exponent in generator (None, 1)"),
         ],
     )
     def test_first_offender_and_text(self, gens, message):

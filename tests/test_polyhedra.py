@@ -2,8 +2,9 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
+from brodmann.cli import example_ideal
 from brodmann.errors import BudgetError, InputError
 from brodmann.monomials import intersect_all, minimize, power
 from brodmann.polyhedra import (
@@ -27,9 +28,11 @@ from oracles import (
     box_solutions,
     cone_bound_ceils,
     decompose,
+    hilbert_generators_ref,
     in_nonneg_span,
     is_prime,
     iter_box,
+    module_generators_ref,
     monomial_in,
     solve_nonneg,
     star_norm,
@@ -130,6 +133,8 @@ class TestExtremeRays:
     def test_single_variable(self):
         assert extreme_rays(ConstraintSystem(1, ((1,),), (0,))) == [(1,)]
         assert extreme_rays(ConstraintSystem(1, ((-1,),), (0,))) == []
+        # the one empty subsystem, charged as one against the budget
+        assert extreme_rays(orthant(1), budget=1) == [(1,)]
 
     def test_requires_homogeneous(self):
         with pytest.raises(InputError):
@@ -254,6 +259,32 @@ class TestBoxSolutions:
         sys_, box, pinned = case
         want = box_solutions(sys_.rows, sys_.rhs, sys_.e, box, pinned)
         assert solve_feasible(sys_, pinned, box) == (want[0] if want else None)
+
+
+class TestGeneratorsAgainstDefinitions:
+    """Both generator enumerations against their definitions, read off the
+    whole box: the kept-summand reduction and the single scan of the module
+    enumeration give the same lists, element for element."""
+
+    @BOX_SETTINGS
+    @given(boxed_systems())
+    def test_hilbert_generators(self, case):
+        sys_, box, _ = case
+        assume(sys_.rows)
+        cap = max(box, 1)
+        want = hilbert_generators_ref(sys_.rows, sys_.e, cap)
+        assert hilbert_generators(sys_.homogenized(), cap) == want
+
+    @BOX_SETTINGS
+    @given(boxed_systems())
+    @example((ConstraintSystem(2, ((2, -1),), (1,)), 3, {}))
+    @example((ConstraintSystem(2, ((1, 1),), (-2,)), 2, {}))  # the origin is a solution
+    def test_module_generators(self, case):
+        sys_, box, _ = case
+        assume(sys_.rows)
+        cap = max(box, 1)
+        want = module_generators_ref(sys_.rows, sys_.rhs, sys_.e, cap)
+        assert module_generators(sys_, cap) == want
 
 
 class TestHilbertGenerators:
@@ -397,6 +428,121 @@ class TestEDSystems:
                     witness = solve_feasible(sys_, fixed, box=2 * n + 2)
                     expected = monomial_in((b1, b2), member.generators)
                     assert (witness is not None) == expected, (n, (b1, b2))
+
+
+def sparse_rows(sys_):
+    """Each row as its nonzero terms, coefficient then column label, and
+    its right-hand side."""
+    return [
+        " ".join(f"{c:+d}{lab}" for c, lab in zip(row, sys_.labels) if c) + f" >= {b}"
+        for row, b in zip(sys_.rows, sys_.rhs)
+    ]
+
+
+# the designated generator x1 x2 x3 x4 is second in canonical order
+FOUR_VARIABLES = minimize([(3, 1, 0, 0), (0, 2, 1, 0), (1, 0, 0, 2), (1, 1, 1, 1)], 4)
+
+# (labels, sparse_rows) as build_system wrote them when each mode had its own
+# row loops; ED2 is ED1 with every right-hand side zero
+FAMILY5_ED1 = (
+    "z y1 y2 y3 x1 x2 x3 x4 x1_1 x1_2 x1_3 x1_4 x2_1 x2_2 x2_3 x2_4 x3_1 x3_2 x3_3 x3_4",
+    [
+        "-2z +1y1 -3x1 -2x2 +1x3 +2x4 >= -2",
+        "-3z +1y2 +3x1 +2x2 -1x3 -2x4 >= -3",
+        "-1z +1y3 +1x1 +1x2 +1x3 +1x4 >= -1",
+        "+1z -1x1 -1x2 -1x3 -1x4 >= 1",
+        "-3z +1y2 +3x1_1 +2x1_2 -1x1_3 -2x1_4 >= 0",
+        "-1z +1y3 +1x1_1 +1x1_2 +1x1_3 +1x1_4 >= 0",
+        "-2z +1y1 -3x2_1 -2x2_2 +1x2_3 +2x2_4 >= 0",
+        "-1z +1y3 +1x2_1 +1x2_2 +1x2_3 +1x2_4 >= 0",
+        "-2z +1y1 -3x3_1 -2x3_2 +1x3_3 +2x3_4 >= 0",
+        "-3z +1y2 +3x3_1 +2x3_2 -1x3_3 -2x3_4 >= 0",
+        "+1z -1x1_1 -1x1_2 -1x1_3 -1x1_4 >= 0",
+        "+1z -1x2_1 -1x2_2 -1x2_3 -1x2_4 >= 0",
+        "+1z -1x3_1 -1x3_2 -1x3_3 -1x3_4 >= 0",
+    ],
+)
+FOUR_ED1 = (
+    "z y1 y2 y3 y4 x1 x2 x3 x1_1 x1_2 x1_3 x2_1 x2_2 x2_3 x3_1 x3_2 x3_3 x4_1 x4_2 x4_3",
+    [
+        "-1z +1y1 -2x1 +1x3 >= -1",
+        "-1z +1y2 +1x2 -1x3 >= -1",
+        "-1z +1y3 +1x1 +1x2 >= -1",
+        "-1z +1y4 +1x1 -1x2 +1x3 >= -1",
+        "+1z -1x1 -1x2 -1x3 >= 1",
+        "-1z +1y2 +1x1_2 -1x1_3 >= 0",
+        "-1z +1y3 +1x1_1 +1x1_2 >= 0",
+        "-1z +1y4 +1x1_1 -1x1_2 +1x1_3 >= 0",
+        "-1z +1y1 -2x2_1 +1x2_3 >= 0",
+        "-1z +1y3 +1x2_1 +1x2_2 >= 0",
+        "-1z +1y4 +1x2_1 -1x2_2 +1x2_3 >= 0",
+        "-1z +1y1 -2x3_1 +1x3_3 >= 0",
+        "-1z +1y2 +1x3_2 -1x3_3 >= 0",
+        "-1z +1y4 +1x3_1 -1x3_2 +1x3_3 >= 0",
+        "-1z +1y1 -2x4_1 +1x4_3 >= 0",
+        "-1z +1y2 +1x4_2 -1x4_3 >= 0",
+        "-1z +1y3 +1x4_1 +1x4_2 >= 0",
+        "+1z -1x1_1 -1x1_2 -1x1_3 >= 0",
+        "+1z -1x2_1 -1x2_2 -1x2_3 >= 0",
+        "+1z -1x3_1 -1x3_2 -1x3_3 >= 0",
+        "+1z -1x4_1 -1x4_2 -1x4_3 >= 0",
+    ],
+)
+FOUR_ED3 = (
+    "z x y1 y2 y3 y4 x1_1 x1_2 x1_3 x2_1 x2_2 x2_3 x3_1 x3_2 x3_3 x4_1 x4_2 x4_3",
+    [
+        "-1z +2x +1y1 -2x1_1 +1x1_3 >= 0",
+        "-1z +1y2 +1x1_2 -1x1_3 >= 0",
+        "-1z -1x +1y3 +1x1_1 +1x1_2 >= 0",
+        "-1z -1x +1y4 +1x1_1 -1x1_2 +1x1_3 >= 0",
+        "+1z +1x -1x1_1 -1x1_2 -1x1_3 >= 0",
+        "-1z +1y1 -2x2_1 +1x2_3 >= 0",
+        "-1z -1x +1y2 +1x2_2 -1x2_3 >= 0",
+        "-1z -1x +1y3 +1x2_1 +1x2_2 >= 0",
+        "-1z +1x +1y4 +1x2_1 -1x2_2 +1x2_3 >= 0",
+        "+1z +1x -1x2_1 -1x2_2 -1x2_3 >= 0",
+        "-1z -1x +1y1 -2x3_1 +1x3_3 >= 0",
+        "-1z +1x +1y2 +1x3_2 -1x3_3 >= 0",
+        "-1z +1y3 +1x3_1 +1x3_2 >= 0",
+        "-1z -1x +1y4 +1x3_1 -1x3_2 +1x3_3 >= 0",
+        "+1z +1x -1x3_1 -1x3_2 -1x3_3 >= 0",
+        "-1z +1y1 -2x4_1 +1x4_3 >= 0",
+        "-1z +1y2 +1x4_2 -1x4_3 >= 0",
+        "-1z +1y3 +1x4_1 +1x4_2 >= 0",
+        "-1z +1y4 +1x4_1 -1x4_2 +1x4_3 >= 0",
+        "+1z +1x -1x4_1 -1x4_2 -1x4_3 >= 0",
+    ],
+)
+
+
+
+class TestEDLayout:
+    """The whole layout of ED1/ED2 for the d = 5 worked family (ED3 of it
+    is pinned by the CLI goldens) and of all three modes for a 4-variable,
+    4-generator ideal whose designated generator is not last in canonical
+    order: the j != i skip of ED1/ED2 and its row order show here."""
+
+    @pytest.mark.parametrize(
+        "I, mode, pinned",
+        [
+            (example_ideal(5), "ED1", FAMILY5_ED1),
+            (FOUR_VARIABLES, "ED1", FOUR_ED1),
+            (FOUR_VARIABLES, "ED3", FOUR_ED3),
+        ],
+        ids=["family5-ED1", "four-ED1", "four-ED3"],
+    )
+    def test_rows_rhs_and_labels(self, I, mode, pinned):
+        labels, rows = pinned
+        sys_ = build_system(I, mode)
+        assert " ".join(sys_.labels) == labels
+        assert sys_.e == len(sys_.labels)
+        assert sparse_rows(sys_) == rows
+
+    @pytest.mark.parametrize("I", [example_ideal(5), FOUR_VARIABLES], ids=["family5", "four"])
+    def test_ed2_is_ed1_with_zero_right_hand_sides(self, I):
+        ed1, ed2 = build_system(I, "ED1"), build_system(I, "ED2")
+        assert (ed2.e, ed2.rows, ed2.labels) == (ed1.e, ed1.rows, ed1.labels)
+        assert ed2.rhs == (0,) * len(ed1.rows)
 
 
 class TestSolveFeasible:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import InconsistencyError, InputError
+from .errors import METHODS, InconsistencyError, InputError
 from .monomials import (
     BoxTable,
     MonomialIdeal,
@@ -28,8 +28,6 @@ from .monomials import (
 )
 
 VariablePrime = tuple[int, ...]
-
-METHODS = ("quotient", "recursion", "both")
 
 
 def full_support_prime(r: int) -> VariablePrime:

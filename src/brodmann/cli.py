@@ -7,6 +7,10 @@ search, and a self-checking examples runner.
 
 Exit codes: 0 success, 2 malformed input or arguments, 3 enumeration budget
 exceeded, 4 internal inconsistency (both conflicting answers are dumped).
+
+Each command imports the library functions it calls when it runs, so that
+building the parser loads no computing module and a call loads only what
+its command needs.
 """
 
 from __future__ import annotations
@@ -14,35 +18,20 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from typing import TYPE_CHECKING
 
-from .assprimes import METHODS, ass_power, ass_profile
-from .bounds import bound_report, ideal_parameters
-from .cohomology import DEFAULT_M_CAP, a0_observed, ratliff_rush
-from .errors import BudgetError, InconsistencyError, InputError, ParseError
-from .ioformats import (
-    _excerpt,
-    _parse_int,
-    load_ideal,
-    load_system,
-    monomial_str,
-    parse_system_json,
-    prime_str,
-    system_to_json,
-    system_to_text,
-)
-from .monomials import MonomialIdeal
-from .polyhedra import (
+from .errors import (
+    DEFAULT_M_CAP,
     ED_MODES,
-    bound_a1,
-    bound_a2,
-    build_system,
-    designated_generator,
-    extreme_rays,
-    hilbert_generators,
-    module_generators,
-    solve_feasible,
-    staircase_system,
+    METHODS,
+    BudgetError,
+    InconsistencyError,
+    InputError,
+    ParseError,
 )
+
+if TYPE_CHECKING:
+    from .monomials import MonomialIdeal
 
 INDEX_NOTE = (
     "row n lists Ass(I^n/I^(n+1)); in the shifted numbering Ass(I^(m-1)/I^m) "
@@ -51,6 +40,8 @@ INDEX_NOTE = (
 
 
 def _primes_cell(primes: list[tuple[int, ...]]) -> str:
+    from .ioformats import prime_str
+
     return ",".join(prime_str(p) for p in primes) or "-"
 
 
@@ -59,6 +50,9 @@ def _vector_cell(v: tuple[int, ...]) -> str:
 
 
 def _cmd_ass_profile(args: argparse.Namespace) -> dict:
+    from .assprimes import ass_profile
+    from .ioformats import load_ideal
+
     I = load_ideal(args.ideal)
     profile = ass_profile(
         I, args.n_max, method=args.method, jobs=args.jobs, budget=args.budget
@@ -93,6 +87,9 @@ def _tsv_ass_profile(p: dict) -> str:
 
 
 def _cmd_ass(args: argparse.Namespace) -> dict:
+    from .assprimes import ass_power
+    from .ioformats import load_ideal
+
     I = load_ideal(args.ideal)
     primes = ass_power(I, args.n, method=args.method, budget=args.budget)
     return {
@@ -109,6 +106,9 @@ def _tsv_ass(p: dict) -> str:
 
 
 def _cmd_rr(args: argparse.Namespace) -> dict:
+    from .cohomology import ratliff_rush
+    from .ioformats import load_ideal, monomial_str
+
     I = load_ideal(args.ideal)
     res = ratliff_rush(I, args.n, m_cap=args.m_cap)
     return {
@@ -131,6 +131,9 @@ def _tsv_rr(p: dict) -> str:
 
 
 def _cmd_a0(args: argparse.Namespace) -> dict:
+    from .cohomology import a0_observed
+    from .ioformats import load_ideal
+
     I = load_ideal(args.ideal)
     res = a0_observed(I, args.n_max, m_cap=args.m_cap)
     return {
@@ -150,10 +153,14 @@ def _tsv_a0(p: dict) -> str:
 
 
 def _cmd_bound(args: argparse.Namespace) -> dict:
+    from .bounds import bound_report, ideal_parameters
+
     explicit = [v for v in (args.r, args.s, args.d) if v is not None]
     if args.ideal is not None:
         if explicit:
             raise InputError("--ideal conflicts with explicit --r/--s/--d")
+        from .ioformats import load_ideal
+
         r, s, d = ideal_parameters(load_ideal(args.ideal))
     else:
         if len(explicit) != 3:
@@ -180,6 +187,15 @@ _BOUND_TSV = (
 
 
 def _cmd_cone(args: argparse.Namespace) -> dict:
+    from .ioformats import load_system
+    from .polyhedra import (
+        bound_a1,
+        bound_a2,
+        extreme_rays,
+        hilbert_generators,
+        module_generators,
+    )
+
     system = load_system(args.system)
     homogeneous = system.is_homogeneous()
     payload: dict = {"e": system.e, "homogeneous": homogeneous}
@@ -221,6 +237,9 @@ def _tsv_cone(p: dict) -> str:
 
 
 def _cmd_build_system(args: argparse.Namespace) -> dict:
+    from .ioformats import load_ideal, system_to_json
+    from .polyhedra import build_system, designated_generator
+
     I = load_ideal(args.ideal)
     system = build_system(I, args.mode)
     gen = I.generators[designated_generator(I)]
@@ -232,6 +251,8 @@ def _cmd_build_system(args: argparse.Namespace) -> dict:
 
 
 def _tsv_build_system(p: dict) -> str:
+    from .ioformats import monomial_str, parse_system_json, system_to_text
+
     # the payload holds the system in its JSON form, extra keys aside
     system = parse_system_json(json.dumps(p))
     return (
@@ -245,6 +266,8 @@ def _parse_fix(pairs: list[str]) -> dict[str | int, int]:
     """label=value pairs; an all-digit label is a 0-based index.  Integers
     past the int-from-str limit are a ParseError naming --fix, and echoed
     input is cut to 60 characters."""
+    from .ioformats import _excerpt, _parse_int
+
     fixed: dict[str | int, int] = {}
     for pair in pairs:
         if "=" not in pair:
@@ -263,6 +286,9 @@ def _parse_fix(pairs: list[str]) -> dict[str | int, int]:
 
 
 def _cmd_feasible(args: argparse.Namespace) -> dict:
+    from .ioformats import load_system
+    from .polyhedra import solve_feasible
+
     system = load_system(args.system)
     fixed = _parse_fix(args.fix or [])
     witness = solve_feasible(system, fixed, args.box, budget=args.budget)
@@ -283,6 +309,8 @@ def _tsv_feasible(p: dict) -> str:
 def example_ideal(d: int) -> MonomialIdeal:
     """The five-generator family in three variables used by the examples
     runner: x^d, x^(d-1)y, xy^(d-1), y^d, x^2 y^(d-2) z for d >= 4."""
+    from .monomials import MonomialIdeal
+
     if d < 4:
         raise InputError(f"the example family needs d >= 4, got {d}")
     gens = [(d, 0, 0), (d - 1, 1, 0), (1, d - 1, 0), (0, d, 0), (2, d - 2, 1)]
@@ -290,6 +318,8 @@ def example_ideal(d: int) -> MonomialIdeal:
 
 
 def _check_example_family(d: int, jobs: int) -> tuple[bool, str]:
+    from .assprimes import ass_profile
+
     I = example_ideal(d)
     profile = ass_profile(I, d, method="both", jobs=jobs)
     small = frozenset({(1, 2), (1, 2, 3)})
@@ -305,6 +335,8 @@ def _check_example_family(d: int, jobs: int) -> tuple[bool, str]:
 
 
 def _check_staircase(e: int, d: int) -> tuple[bool, str]:
+    from .polyhedra import extreme_rays, hilbert_generators, staircase_system
+
     system = staircase_system(e, d)
     ray = tuple(d**k for k in range(e))
     rays = extreme_rays(system)
@@ -314,6 +346,8 @@ def _check_staircase(e: int, d: int) -> tuple[bool, str]:
 
 
 def _check_bounds() -> tuple[bool, str]:
+    from .bounds import bound_report
+
     rep = bound_report(2, 2, 2)
     ok = (rep.b1, rep.b2, rep.b_exact, rep.b4) == (1024, 16777216, 16777216, 5791)
     return ok, f"b1={rep.b1_ceil} b2={rep.b2} b4={rep.b4} b={rep.b_ceil}"

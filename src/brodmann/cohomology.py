@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .assprimes import _torsion_cells
-from .errors import InputError
+from .errors import DEFAULT_M_CAP, InputError
 from .monomials import (
     Monomial,
     MonomialIdeal,
@@ -25,8 +25,6 @@ from .monomials import (
     power,
     require_proper_nonzero,
 )
-
-DEFAULT_M_CAP = 6
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,5 @@
-"""Shared exceptions and the enumeration budget."""
+"""Shared exceptions, the enumeration budget and the choices and defaults the
+command line offers, kept here so that its parser loads no computing module."""
 
 from __future__ import annotations
 
@@ -6,6 +7,10 @@ import os
 
 DEFAULT_BUDGET = 50_000_000
 BUDGET_ENV_VAR = "BRODMANN_BUDGET"
+
+METHODS = ("quotient", "recursion", "both")
+ED_MODES = ("ED1", "ED2", "ED3")
+DEFAULT_M_CAP = 6
 
 
 class InputError(ValueError):

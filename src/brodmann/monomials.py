@@ -445,10 +445,16 @@ class BoxTable:
         """bits closed upward along axis i by a prefix OR of doubling shifts,
         each masked to the cells that did not wrap into the next row."""
         s, d, k = self.strides[i], self.dims[i], 1
+        # only the k = 1 mask is shared: the cells with coordinate >= 2k are
+        # those >= k whose cell k steps down is also >= k, so each step
+        # derives its mask from the last one's and drops it after use
+        mask = self.masks[prod(self.dims), s, d, 1]
         # after the step for k, each cell holds the OR of the 2k cells that
         # end at it along this axis
         while k < d and bits:
-            bits |= (bits << k * s) & self.masks[prod(self.dims), s, d, k]
+            if k > 1:
+                mask &= mask << (k // 2) * s
+            bits |= (bits << k * s) & mask
             k *= 2
         return bits
 

@@ -35,13 +35,11 @@ from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from math import comb, gcd
 
-from .errors import InconsistencyError, InputError, charge_budget
+from .errors import ED_MODES, InconsistencyError, InputError, charge_budget
 from .monomials import MonomialIdeal, is_pure_power, require_proper_nonzero
 from .radicals import ExactRadical, RadicalSum
 
 IntVector = tuple[int, ...]
-
-ED_MODES = ("ED1", "ED2", "ED3")
 
 
 def norm_sq(v: IntVector) -> int:

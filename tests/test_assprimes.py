@@ -331,7 +331,9 @@ class TestBitsetScansMatchCellScans:
     def test_axis_masks_built_once_per_box(self, monkeypatch, call):
         """The tables of one call share one box and build each of its axis
         masks once; a second call builds them again (no cache outlives a
-        call)."""
+        call).  Per axis only two masks are kept: the first doubling mask
+        of `close`, which derives the others, and the top one of `saturate`
+        and `sub_box`."""
         built = []
         original = monomials._axis_mask
 
@@ -343,5 +345,6 @@ class TestBitsetScansMatchCellScans:
         call()
         first = list(built)
         assert first and len(set(first)) == len(first)
+        assert [k for _, _, d, k in first if k not in (1, d - 1)] == []
         call()
         assert built == first + first

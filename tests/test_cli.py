@@ -476,7 +476,7 @@ class TestExitCodes:
                 payload={"quotient": [[1]], "recursion": [[1], [2]]},
             )
 
-        monkeypatch.setattr("brodmann.cli.ass_power", broken)
+        monkeypatch.setattr("brodmann.assprimes.ass_power", broken)
         code, _, err = run(capsys, "ass", "--ideal", family_file, "--n", "1")
         assert code == 4
         assert "internal inconsistency" in err

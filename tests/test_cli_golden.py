@@ -122,6 +122,8 @@ ARGPARSE_CASES = [
     ("no-command", []),
     ("missing-required", ["ass", "--n", "1"]),
     ("build-bad-mode", ["build-system", "--ideal", "{t}/two.txt", "--mode", "ED9"]),
+    ("no-such-command", ["no-such-command"]),
+    ("ass-unknown-flag", ["ass", "--ideal", "{t}/two.txt", "--n", "1", "--no-such-flag"]),
     *((f"help-{name}", [name, "--help"]) for name in SUBCOMMANDS),
 ]
 

@@ -233,13 +233,16 @@ def ass_profile(
     if jobs < 1:
         raise InputError(f"parallelism degree must be >= 1, got {jobs}")
     tasks = [(I, n, method, budget) for n in range(n_max + 1)]
-    if jobs == 1 or len(tasks) == 1:
+    # a fork-started pool starts all its workers at the first submit, so no
+    # more workers than tasks
+    workers = min(jobs, len(tasks))
+    if workers == 1:
         results = [_profile_entry(t) for t in tasks]
     else:
         # imported here: multiprocessing is slow to load and rarely needed
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_profile_entry, tasks))
     entries = tuple(e for _, e in sorted(results))
     stable_at: int | None = n_max

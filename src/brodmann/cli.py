@@ -10,7 +10,8 @@ exceeded, 4 internal inconsistency (both conflicting answers are dumped).
 
 Each command imports the library functions it calls when it runs, so that
 building the parser loads no computing module and a call loads only what
-its command needs.
+its command needs.  Likewise a call builds only the parser of the
+subcommand it names (see `build_parser`).
 """
 
 from __future__ import annotations
@@ -389,15 +390,7 @@ def _add_budget(p: argparse.ArgumentParser) -> None:
     )
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="brodmann",
-        description="Associated primes of monomial ideal powers, Ratliff-Rush "
-        "closures, polyhedral generator enumeration, and stabilization bounds.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("ass-profile", help="primes of I^n/I^(n+1) for n = 0..n_max")
+def _args_ass_profile(p: argparse.ArgumentParser) -> None:
     p.add_argument("--ideal", required=True, help="ideal file (text or .json)")
     p.add_argument("--n-max", type=int, required=True, dest="n_max")
     p.add_argument("--method", choices=METHODS, default="quotient")
@@ -405,33 +398,38 @@ def build_parser() -> argparse.ArgumentParser:
     _add_budget(p)
     _add_output(p, _cmd_ass_profile, _tsv_ass_profile)
 
-    p = sub.add_parser("ass", help="primes of I^n/I^(n+1) for a single n")
+
+def _args_ass(p: argparse.ArgumentParser) -> None:
     p.add_argument("--ideal", required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--method", choices=METHODS, default="quotient")
     _add_budget(p)
     _add_output(p, _cmd_ass, _tsv_ass)
 
-    p = sub.add_parser("rr", help="Ratliff-Rush closure of I^n")
+
+def _args_rr(p: argparse.ArgumentParser) -> None:
     p.add_argument("--ideal", required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--m-cap", type=int, default=DEFAULT_M_CAP, dest="m_cap")
     _add_output(p, _cmd_rr, _tsv_rr, "json")
 
-    p = sub.add_parser("a0", help="top degree with nonzero Rees-irrelevant torsion")
+
+def _args_a0(p: argparse.ArgumentParser) -> None:
     p.add_argument("--ideal", required=True)
     p.add_argument("--n-max", type=int, required=True, dest="n_max")
     p.add_argument("--m-cap", type=int, default=DEFAULT_M_CAP, dest="m_cap")
     _add_output(p, _cmd_a0, _tsv_a0, "json")
 
-    p = sub.add_parser("bound", help="stabilization thresholds from (r, s, d)")
+
+def _args_bound(p: argparse.ArgumentParser) -> None:
     p.add_argument("--r", type=int, default=None, help="number of variables")
     p.add_argument("--s", type=int, default=None, help="number of generators")
     p.add_argument("--d", type=int, default=None, help="largest generator degree")
     p.add_argument("--ideal", default=None, help="derive (r, s, d) from this ideal")
     _add_output(p, _cmd_bound, _BOUND_TSV.format_map)
 
-    p = sub.add_parser("cone", help="extreme rays and generator enumeration")
+
+def _args_cone(p: argparse.ArgumentParser) -> None:
     p.add_argument("--system", required=True, help="constraint-system file")
     p.add_argument("--rays", action="store_true", help="list extreme rays (default)")
     p.add_argument("--hilbert", action="store_true", help="semigroup generators")
@@ -441,13 +439,15 @@ def build_parser() -> argparse.ArgumentParser:
     _add_budget(p)
     _add_output(p, _cmd_cone, _tsv_cone)
 
-    p = sub.add_parser("build-system", help="construct an ED constraint system")
+
+def _args_build_system(p: argparse.ArgumentParser) -> None:
     p.add_argument("--ideal", required=True)
     p.add_argument("--mode", type=str.upper, choices=ED_MODES, required=True)
     p.add_argument("--out", default=None, help="write to this file instead of stdout")
     _add_output(p, _cmd_build_system, _tsv_build_system)
 
-    p = sub.add_parser("feasible", help="bounded search for an integer solution")
+
+def _args_feasible(p: argparse.ArgumentParser) -> None:
     p.add_argument("--system", required=True)
     p.add_argument(
         "--fix",
@@ -460,14 +460,52 @@ def build_parser() -> argparse.ArgumentParser:
     _add_budget(p)
     _add_output(p, _cmd_feasible, _tsv_feasible)
 
-    p = sub.add_parser(
-        "paper-examples",
-        help="run the built-in example expectations and print a pass/fail table",
-    )
+
+def _args_paper_examples(p: argparse.ArgumentParser) -> None:
     p.add_argument("--quick", action="store_true", help="smallest family member only")
     p.add_argument("--jobs", type=int, default=1)
     p.set_defaults(func=_cmd_paper_examples, tsv=_tsv_paper_examples, format="tsv")
 
+
+# subcommand -> (help line, function adding its arguments and defaults)
+_COMMANDS = {
+    "ass-profile": ("primes of I^n/I^(n+1) for n = 0..n_max", _args_ass_profile),
+    "ass": ("primes of I^n/I^(n+1) for a single n", _args_ass),
+    "rr": ("Ratliff-Rush closure of I^n", _args_rr),
+    "a0": ("top degree with nonzero Rees-irrelevant torsion", _args_a0),
+    "bound": ("stabilization thresholds from (r, s, d)", _args_bound),
+    "cone": ("extreme rays and generator enumeration", _args_cone),
+    "build-system": ("construct an ED constraint system", _args_build_system),
+    "feasible": ("bounded search for an integer solution", _args_feasible),
+    "paper-examples": (
+        "run the built-in example expectations and print a pass/fail table",
+        _args_paper_examples,
+    ),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The argument parser, with only `command`'s subparser when it names a
+    subcommand and with all of them otherwise.
+
+    Either parses that subcommand's argv alike and prints the same
+    top-level usage, which lists every subcommand.
+    """
+    parser = argparse.ArgumentParser(
+        prog="brodmann",
+        description="Associated primes of monomial ideal powers, Ratliff-Rush "
+        "closures, polyhedral generator enumeration, and stabilization bounds.",
+    )
+    if command in _COMMANDS:
+        # metavar keeps every subcommand in the usage line; the full parser
+        # leaves it unset, since it also replaces "command" in its errors
+        names, metavar = [command], "{" + ",".join(_COMMANDS) + "}"
+    else:
+        names, metavar = list(_COMMANDS), None
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name in names:
+        help_text, add_arguments = _COMMANDS[name]
+        add_arguments(sub.add_parser(name, help=help_text))
     return parser
 
 
@@ -501,7 +539,9 @@ def _run(args: argparse.Namespace) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = build_parser(argv[0] if argv else None).parse_args(argv)
     try:
         return _run(args)
     except ParseError as exc:

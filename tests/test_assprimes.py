@@ -259,6 +259,30 @@ class TestProfile:
         b = ass_profile(I, 4, jobs=2)
         assert a == b
 
+    def test_pool_has_no_more_workers_than_powers(self, monkeypatch):
+        import concurrent.futures
+
+        started = []
+
+        class FakePool:
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            map = staticmethod(map)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
+        I = example_ideal(5)
+        serial = ass_profile(I, 2)
+        assert ass_profile(I, 2, jobs=5000) == serial
+        assert ass_profile(I, 2, jobs=2) == serial
+        assert started == [3, 2]
+
     def test_method_recorded(self):
         prof = ass_profile(ideal(2, (1, 1)), 2, method="recursion")
         assert prof.method == "recursion"

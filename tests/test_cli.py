@@ -1,3 +1,4 @@
+import argparse
 import errno
 import json
 import os
@@ -9,7 +10,7 @@ import pytest
 
 import brodmann
 import oracles
-from brodmann.cli import INDEX_NOTE, example_ideal, main
+from brodmann.cli import _COMMANDS, INDEX_NOTE, build_parser, example_ideal, main
 from brodmann.errors import InconsistencyError
 from brodmann.ioformats import ideal_to_text, parse_system_text, system_to_text
 from brodmann.monomials import minimize
@@ -502,6 +503,33 @@ class TestPaperExamples:
         assert any(line.startswith("PASS\tbound_report_2_2_2") for line in lines)
         assert lines[-1] == "# 6 checks, 6 passed, 0 failed"
         assert not any(line.startswith("FAIL") for line in lines)
+
+
+class TestParser:
+    def test_a_call_builds_only_its_subcommand(self, capsys, monkeypatch):
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        assert run(capsys, "bound", "--r", "2", "--s", "2", "--d", "2")[0] == 0
+        assert built == ["brodmann", "brodmann bound"]
+
+    @pytest.mark.parametrize("name", list(_COMMANDS))
+    def test_one_subcommand_parser_prints_as_the_full_one(self, capsys, monkeypatch, name):
+        monkeypatch.setenv("COLUMNS", "80")
+        one, full = build_parser(name), build_parser()
+        assert one.format_usage() == full.format_usage()
+
+        def subcommand_help(parser):
+            with pytest.raises(SystemExit):
+                parser.parse_args([name, "--help"])
+            return capsys.readouterr().out
+
+        assert subcommand_help(one) == subcommand_help(full)
 
 
 def test_import_leaves_out_multiprocessing():

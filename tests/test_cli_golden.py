@@ -124,6 +124,11 @@ ARGPARSE_CASES = [
     ("build-bad-mode", ["build-system", "--ideal", "{t}/two.txt", "--mode", "ED9"]),
     ("no-such-command", ["no-such-command"]),
     ("ass-unknown-flag", ["ass", "--ideal", "{t}/two.txt", "--n", "1", "--no-such-flag"]),
+    # edges of choosing the parser by argv[0]: errors that print the top-level usage
+    ("rr-no-args", ["rr"]),
+    ("flag-before-command", ["--bogus", "rr", "--ideal", "{t}/gap.txt", "--n", "1"]),
+    ("dashdash-before-command", ["--", "rr", "--ideal", "{t}/gap.txt", "--n", "1"]),
+    ("rr-extra-positional", ["rr", "--ideal", "{t}/gap.txt", "--n", "1", "extra"]),
     *((f"help-{name}", [name, "--help"]) for name in SUBCOMMANDS),
 ]
 

@@ -34,9 +34,7 @@ def full_support_prime(r: int) -> VariablePrime:
     return tuple(range(1, r + 1))
 
 
-def ass_witnesses(
-    J: MonomialIdeal, budget: int | None = None
-) -> dict[VariablePrime, Monomial]:
+def ass_witnesses(J: MonomialIdeal) -> dict[VariablePrime, Monomial]:
     """One explicit witness monomial per associated prime of R/J.
 
     A monomial m witnesses the prime on support P exactly when m is outside
@@ -50,7 +48,7 @@ def ass_witnesses(
     r = J.r
     caps = max_exponents(J)
     bounds = tuple(c + 1 for c in caps)
-    table = BoxTable(J.generators, bounds, budget)
+    table = BoxTable(J.generators, bounds)
     scan = table.sub_box(caps)
     # split the scanned cells outside J by the prime {i : m * x_i in J}
     groups: list[tuple[VariablePrime, int]] = [((), scan & ~table.bits)]
@@ -78,14 +76,12 @@ def ass_witnesses(
     return {prime: m for m, prime in sorted(found)}
 
 
-def ass_of_quotient(
-    J: MonomialIdeal, budget: int | None = None
-) -> frozenset[VariablePrime]:
+def ass_of_quotient(J: MonomialIdeal) -> frozenset[VariablePrime]:
     """Associated primes of R/J for a proper nonzero monomial ideal J."""
-    return frozenset(ass_witnesses(J, budget))
+    return frozenset(ass_witnesses(J))
 
 
-def _torsion_cells(I: MonomialIdeal, n: int, budget: int | None) -> tuple[BoxTable, int]:
+def _torsion_cells(I: MonomialIdeal, n: int) -> tuple[BoxTable, int]:
     """The table of I^(n+1) and, in its box, the cells of I^n in every
     I^(n+1) : x_i^inf (the (n+1)-st power of I with x_i set to 1) but not
     in I^(n+1): the maximal-ideal torsion of I^n/I^(n+1).  The box reaches
@@ -94,8 +90,8 @@ def _torsion_cells(I: MonomialIdeal, n: int, budget: int | None) -> tuple[BoxTab
     exponent passes those of I^(n+1) lies in I^(n+1)."""
     i_n, i_n1 = power(I, n), power(I, n + 1)
     box = tuple(map(max, max_exponents(i_n), max_exponents(i_n1)))
-    upper = BoxTable(i_n.generators, box, budget)
-    lower = BoxTable(i_n1.generators, box, budget, upper.masks)
+    upper = BoxTable(i_n.generators, box)
+    lower = BoxTable(i_n1.generators, box, upper.masks)
     cells = upper.bits & ~lower.bits
     for i in range(I.r):
         if cells:
@@ -103,21 +99,21 @@ def _torsion_cells(I: MonomialIdeal, n: int, budget: int | None) -> tuple[BoxTab
     return lower, cells
 
 
-def max_ideal_in_ass(I: MonomialIdeal, n: int, budget: int | None = None) -> bool:
+def max_ideal_in_ass(I: MonomialIdeal, n: int) -> bool:
     """Whether the full-support prime is associated to I^n/I^(n+1).
 
     Decided by the torsion criterion: I^n intersected with the (n+1)-st
     powers of all single-variable deletions must exceed I^(n+1), tested by
-    `_torsion_cells` on the tables of I^n and I^(n+1) alone.  In one
-    variable the answer is False by convention, and any unused variable
-    forces False (its deletion leaves I unchanged, collapsing the numerator).
+    `_torsion_cells` on the tables of I^n and I^(n+1) alone.  Any unused
+    variable forces False (its deletion leaves I unchanged, collapsing the
+    numerator).
     """
     require_proper_nonzero(I)
     if n < 0:
         raise InputError(f"power index must be >= 0, got {n}")
-    if I.r == 1 or len(used_variables(I)) < I.r:
+    if len(used_variables(I)) < I.r:
         return False
-    return bool(_torsion_cells(I, n, budget)[1])
+    return bool(_torsion_cells(I, n)[1])
 
 
 def _compress(I: MonomialIdeal, used: tuple[int, ...]) -> MonomialIdeal:
@@ -130,7 +126,6 @@ def _compress(I: MonomialIdeal, used: tuple[int, ...]) -> MonomialIdeal:
 def _ass_recursive(
     I: MonomialIdeal,
     n: int,
-    budget: int | None,
     memo: dict[tuple[MonomialIdeal, int], frozenset[VariablePrime]],
 ) -> frozenset[VariablePrime]:
     if I.is_zero() or I.is_unit():
@@ -144,7 +139,7 @@ def _ass_recursive(
         return result
     used = used_variables(I)
     if len(used) < I.r:
-        inner = _ass_recursive(_compress(I, used), n, budget, memo)
+        inner = _ass_recursive(_compress(I, used), n, memo)
         result = frozenset(
             tuple(used[i - 1] for i in prime) for prime in inner
         )
@@ -153,20 +148,15 @@ def _ass_recursive(
     # every variable occurs and I is not pure-power, so r >= 2 here
     primes: set[VariablePrime] = set()
     for i in range(1, I.r + 1):
-        primes |= _ass_recursive(delete_variable(I, i), n, budget, memo)
-    if max_ideal_in_ass(I, n, budget):
+        primes |= _ass_recursive(delete_variable(I, i), n, memo)
+    if max_ideal_in_ass(I, n):
         primes.add(full_support_prime(I.r))
     result = frozenset(primes)
     memo[key] = result
     return result
 
 
-def ass_power(
-    I: MonomialIdeal,
-    n: int,
-    method: str = "quotient",
-    budget: int | None = None,
-) -> frozenset[VariablePrime]:
+def ass_power(I: MonomialIdeal, n: int, method: str = "quotient") -> frozenset[VariablePrime]:
     """Associated primes of I^n/I^(n+1), n >= 0 (so n=0 covers R/I).
 
     The index convention: ass_power(I, n) is Ass(I^n/I^(n+1)), equal to the
@@ -179,11 +169,11 @@ def ass_power(
     if method not in METHODS:
         raise InputError(f"method must be one of {METHODS}, got {method!r}")
     if method == "quotient":
-        return ass_of_quotient(power(I, n + 1), budget)
+        return ass_of_quotient(power(I, n + 1))
     if method == "recursion":
-        return _ass_recursive(I, n, budget, {})
-    via_quotient = ass_of_quotient(power(I, n + 1), budget)
-    via_recursion = _ass_recursive(I, n, budget, {})
+        return _ass_recursive(I, n, {})
+    via_quotient = ass_of_quotient(power(I, n + 1))
+    via_recursion = _ass_recursive(I, n, {})
     if via_quotient != via_recursion:
         raise InconsistencyError(
             f"associated-prime methods disagree at n={n}",
@@ -215,8 +205,8 @@ class AssProfile:
 
 
 def _profile_entry(args: tuple) -> tuple[int, frozenset[VariablePrime]]:
-    I, n, method, budget = args
-    return n, ass_power(I, n, method, budget)
+    I, n, method = args
+    return n, ass_power(I, n, method)
 
 
 def ass_profile(
@@ -224,7 +214,6 @@ def ass_profile(
     n_max: int,
     method: str = "quotient",
     jobs: int = 1,
-    budget: int | None = None,
 ) -> AssProfile:
     """Profile of Ass(I^n/I^(n+1)) over n = 0..n_max."""
     require_proper_nonzero(I)
@@ -232,7 +221,7 @@ def ass_profile(
         raise InputError(f"scan bound must be >= 1, got {n_max}")
     if jobs < 1:
         raise InputError(f"parallelism degree must be >= 1, got {jobs}")
-    tasks = [(I, n, method, budget) for n in range(n_max + 1)]
+    tasks = [(I, n, method) for n in range(n_max + 1)]
     # a fork-started pool starts all its workers at the first submit, so no
     # more workers than tasks
     workers = min(jobs, len(tasks))

@@ -29,6 +29,7 @@ from .errors import (
     InconsistencyError,
     InputError,
     ParseError,
+    enumeration_budget,
 )
 
 if TYPE_CHECKING:
@@ -55,9 +56,7 @@ def _cmd_ass_profile(args: argparse.Namespace) -> dict:
     from .ioformats import load_ideal
 
     I = load_ideal(args.ideal)
-    profile = ass_profile(
-        I, args.n_max, method=args.method, jobs=args.jobs, budget=args.budget
-    )
+    profile = ass_profile(I, args.n_max, method=args.method, jobs=args.jobs)
     stable = profile.observed_stable_at
     return {
         "r": profile.ideal.r,
@@ -92,7 +91,7 @@ def _cmd_ass(args: argparse.Namespace) -> dict:
     from .ioformats import load_ideal
 
     I = load_ideal(args.ideal)
-    primes = ass_power(I, args.n, method=args.method, budget=args.budget)
+    primes = ass_power(I, args.n, method=args.method)
     return {
         "n": args.n,
         "shifted_n": args.n + 1,
@@ -201,7 +200,7 @@ def _cmd_cone(args: argparse.Namespace) -> dict:
     homogeneous = system.is_homogeneous()
     payload: dict = {"e": system.e, "homogeneous": homogeneous}
     if args.rays or not (args.hilbert or args.module or args.bound):
-        payload["rays"] = extreme_rays(system, budget=args.budget)
+        payload["rays"] = extreme_rays(system)
     if args.bound:
         a2 = None if homogeneous else bound_a2(system)
         a1 = bound_a1(system.homogenized())
@@ -211,10 +210,10 @@ def _cmd_cone(args: argparse.Namespace) -> dict:
     if args.hilbert:
         if args.cap is None:
             raise InputError("--hilbert requires --cap")
-        payload["hilbert"] = hilbert_generators(system, args.cap, budget=args.budget)
+        payload["hilbert"] = hilbert_generators(system, args.cap)
     if args.module:
         if args.cap is not None:
-            payload["module"] = module_generators(system, args.cap, budget=args.budget)
+            payload["module"] = module_generators(system, args.cap)
         elif homogeneous:
             payload["module"] = [(0,) * system.e]
         else:
@@ -292,7 +291,7 @@ def _cmd_feasible(args: argparse.Namespace) -> dict:
 
     system = load_system(args.system)
     fixed = _parse_fix(args.fix or [])
-    witness = solve_feasible(system, fixed, args.box, budget=args.budget)
+    witness = solve_feasible(system, fixed, args.box)
     labels = system.labels or tuple(f"v{i}" for i in range(system.e))
     return {
         "feasible": witness is not None,
@@ -318,11 +317,11 @@ def example_ideal(d: int) -> MonomialIdeal:
     return MonomialIdeal(3, tuple(sorted(gens, reverse=True)))
 
 
-def _check_example_family(d: int, jobs: int) -> tuple[bool, str]:
+def _check_example_family(d: int) -> tuple[bool, str]:
     from .assprimes import ass_profile
 
     I = example_ideal(d)
-    profile = ass_profile(I, d, method="both", jobs=jobs)
+    profile = ass_profile(I, d, method="both")
     small = frozenset({(1, 2), (1, 2, 3)})
     large = frozenset({(1, 2)})
     ok = profile.observed_stable_at == d - 3 and all(
@@ -357,7 +356,7 @@ def _check_bounds() -> tuple[bool, str]:
 def _cmd_paper_examples(args: argparse.Namespace) -> dict:
     checks: list[tuple[str, bool, str]] = []
     for d in (5,) if args.quick else (5, 6, 7):
-        ok, detail = _check_example_family(d, args.jobs)
+        ok, detail = _check_example_family(d)
         checks.append((f"family_d{d}_profile", ok, detail))
     for e in (2, 3):
         for d in (2, 3):
@@ -463,7 +462,6 @@ def _args_feasible(p: argparse.ArgumentParser) -> None:
 
 def _args_paper_examples(p: argparse.ArgumentParser) -> None:
     p.add_argument("--quick", action="store_true", help="smallest family member only")
-    p.add_argument("--jobs", type=int, default=1)
     p.set_defaults(func=_cmd_paper_examples, tsv=_tsv_paper_examples, format="tsv")
 
 
@@ -514,9 +512,11 @@ def _run(args: argparse.Namespace) -> int:
 
     Ints of any size print here (B2 passes Python's default limit of 4300
     digits for `bound --r 6 --s 35 --d 45`); parsing input keeps the limit.
-    A payload that counts failed checks exits 4.
+    A payload that counts failed checks exits 4.  The call's enumerations
+    share one budget (`--budget`, where the subcommand has it).
     """
-    payload = args.func(args)
+    with enumeration_budget(getattr(args, "budget", None)):
+        payload = args.func(args)
     limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(0)
     try:

@@ -75,7 +75,7 @@ def generator_power_ideal(I: MonomialIdeal, m: int) -> MonomialIdeal:
     return P.ideal(P.minimal(m * g for g in P.pack_ideal(I)))
 
 
-def h0_m_monomials(I: MonomialIdeal, n: int, budget: int | None = None) -> H0Report:
+def h0_m_monomials(I: MonomialIdeal, n: int) -> H0Report:
     """Witnesses of the maximal-ideal torsion of I^n/I^(n+1).
 
     The torsion is I^n intersected with the (n+1)-st powers of every
@@ -86,9 +86,7 @@ def h0_m_monomials(I: MonomialIdeal, n: int, budget: int | None = None) -> H0Rep
     require_proper_nonzero(I)
     if n < 0:
         raise InputError(f"degree must be >= 0, got {n}")
-    if I.r == 1:
-        return H0Report(n, (), False)
-    table, cells = _torsion_cells(I, n, budget)
+    table, cells = _torsion_cells(I, n)
     witnesses = tuple(table.points(cells))
     return H0Report(n, witnesses, bool(witnesses))
 

@@ -4,6 +4,9 @@ command line offers, kept here so that its parser loads no computing module."""
 from __future__ import annotations
 
 import os
+from collections.abc import Iterator
+from contextlib import contextmanager
+from contextvars import ContextVar
 
 DEFAULT_BUDGET = 50_000_000
 BUDGET_ENV_VAR = "BRODMANN_BUDGET"
@@ -39,31 +42,49 @@ class InconsistencyError(RuntimeError):
         super().__init__(message)
 
 
-def enumeration_budget(override: int | None = None) -> int:
-    """Lattice points allowed per enumeration: explicit override, else env, else default."""
-    if override is not None:
-        value = override
-    else:
-        raw = os.environ.get(BUDGET_ENV_VAR)
-        if raw is None:
-            return DEFAULT_BUDGET
+class BudgetMeter:
+    """One request's budget: the limit asked for (None: the environment
+    variable, else the default) and the units charged so far."""
+
+    __slots__ = ("limit", "used")
+
+    def __init__(self, limit: int | None = None):
+        self.limit, self.used = limit, 0
+
+
+_METER: ContextVar[BudgetMeter | None] = ContextVar("enumeration_budget", default=None)
+
+
+@contextmanager
+def enumeration_budget(limit: int | None = None) -> Iterator[BudgetMeter]:
+    """Meter every charge made inside the block against one budget.
+
+    Lattice points and ray subsystems add into one total.  The limit is
+    read at the first charge, so a block that charges nothing accepts any.
+    Outside every block, each charge is checked on its own.
+    """
+    meter = BudgetMeter(limit)
+    token = _METER.set(meter)
+    try:
+        yield meter
+    finally:
+        _METER.reset(token)
+
+
+def charge_budget(points: int, what: str = "enumeration", unit: str = "lattice points") -> None:
+    """Charge `points` units to the open meter; a BudgetError when the
+    request's total would pass its limit, with `unit` named in it."""
+    meter = _METER.get() or BudgetMeter()
+    limit = meter.limit
+    if limit is None:
+        raw = os.environ.get(BUDGET_ENV_VAR, DEFAULT_BUDGET)
         try:
-            value = int(raw)
+            limit = int(raw)
         except ValueError as exc:
             raise InputError(f"{BUDGET_ENV_VAR} must be an integer, got {raw!r}") from exc
-    if value < 1:
-        raise InputError(f"enumeration budget must be positive, got {value}")
-    return value
-
-
-def charge_budget(
-    points: int,
-    budget: int | None = None,
-    what: str = "enumeration",
-    unit: str = "lattice points",
-) -> None:
-    """Refuse with a BudgetError when an enumeration of `points` units
-    would pass the budget; `unit` names what is counted in the message."""
-    limit = enumeration_budget(budget)
-    if points > limit:
-        raise BudgetError(f"{what} needs {points} {unit}, budget is {limit}")
+    if limit < 1:
+        raise InputError(f"enumeration budget must be positive, got {limit}")
+    if meter.used + points > limit:
+        spent = f", {meter.used} already charged" if meter.used else ""
+        raise BudgetError(f"{what} needs {points} {unit}, budget is {limit}{spent}")
+    meter.used += points

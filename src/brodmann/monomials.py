@@ -420,12 +420,11 @@ class BoxTable:
         self,
         gens: Iterable[Monomial],
         bounds: tuple[int, ...],
-        budget: int | None = None,
         masks: _AxisMasks | None = None,
     ):
         dims = tuple(b + 1 for b in bounds)
         total = prod(dims)
-        charge_budget(total, budget, "membership box")
+        charge_budget(total, "membership box")
         e = len(dims)
         strides = [1] * e
         for i in range(e - 2, -1, -1):

@@ -4,7 +4,7 @@ A ConstraintSystem is A*x >= b together with implicit x >= 0.  The module
 computes extreme rays through signed cofactors of (e-1)-row subsystems,
 certified star-norm bounds for semigroup and module generators (kept exact
 as radicals, never floats), desk-scale Hilbert-basis and module-generator
-enumeration with an explicit lattice-point budget, the specific constraint
+enumeration charged to the enumeration budget, the specific constraint
 systems used for power membership and closure membership of a monomial
 ideal, and a bounded exhaustive feasibility search.
 
@@ -118,7 +118,7 @@ def _primitive(v: IntVector) -> IntVector:
     return tuple(c // g for c in v) if g else v
 
 
-def extreme_rays(sys: ConstraintSystem, budget: int | None = None) -> list[IntVector]:
+def extreme_rays(sys: ConstraintSystem) -> list[IntVector]:
     """Extreme rays of the homogeneous cone, as primitive integer vectors.
 
     Each ray spans the null space of some e-1 rows chosen among the
@@ -134,7 +134,7 @@ def extreme_rays(sys: ConstraintSystem, budget: int | None = None) -> list[IntVe
     for i in range(e):
         candidates.append(tuple(1 if j == i else 0 for j in range(e)))
     n = len(candidates)
-    charge_budget(comb(n, e - 1), budget, "ray subsystem enumeration", unit="subsystems")
+    charge_budget(comb(n, e - 1), "ray subsystem enumeration", unit="subsystems")
     rays: set[IntVector] = set()
     for combo in itertools.combinations(range(n), e - 1):
         chosen = [candidates[i] for i in combo]
@@ -269,10 +269,8 @@ def _box_solutions(
             i -= 1
 
 
-def _solutions_in_box(
-    sys: ConstraintSystem, box: int, budget: int | None, what: str
-) -> list[IntVector]:
-    charge_budget((box + 1) ** sys.e, budget, what)
+def _solutions_in_box(sys: ConstraintSystem, box: int, what: str) -> list[IntVector]:
+    charge_budget((box + 1) ** sys.e, what)
     return sorted(_box_solutions(sys, box), key=lambda v: (sum(v), v))
 
 
@@ -297,9 +295,7 @@ def _irreducible(sols: list[IntVector], cone: ConstraintSystem) -> list[IntVecto
     return kept
 
 
-def hilbert_generators(
-    sys: ConstraintSystem, cap: int, budget: int | None = None
-) -> list[IntVector]:
+def hilbert_generators(sys: ConstraintSystem, cap: int) -> list[IntVector]:
     """Irreducible nonzero solutions of a homogeneous system inside the box.
 
     The box is the smaller of cap and the certified bound ceiling.  A
@@ -311,13 +307,11 @@ def hilbert_generators(
     if cap < 1:
         raise InputError(f"cap must be >= 1, got {cap}")
     box = min(cap, bound_a1(sys).ceil())
-    sols = _solutions_in_box(sys, box, budget, "semigroup generator box")
+    sols = _solutions_in_box(sys, box, "semigroup generator box")
     return _irreducible([v for v in sols if any(v)], sys)
 
 
-def module_generators(
-    sys: ConstraintSystem, cap: int, budget: int | None = None
-) -> list[IntVector]:
+def module_generators(sys: ConstraintSystem, cap: int) -> list[IntVector]:
     """Boxed solutions not reachable as (solution) + (nonzero cone point).
 
     For b = 0 the zero vector alone generates.  Together with the
@@ -330,7 +324,7 @@ def module_generators(
     if sys.is_homogeneous():
         return [(0,) * sys.e]
     box = min(cap, bound_a2(sys).ceil())
-    sols = _solutions_in_box(sys, box, budget, "module generator box")
+    sols = _solutions_in_box(sys, box, "module generator box")
     return _irreducible(sols, sys.homogenized())
 
 
@@ -464,10 +458,7 @@ def build_system(I: MonomialIdeal, mode: str) -> ConstraintSystem:
 
 
 def solve_feasible(
-    sys: ConstraintSystem,
-    fixed: dict[str | int, int],
-    box: int,
-    budget: int | None = None,
+    sys: ConstraintSystem, fixed: dict[str | int, int], box: int
 ) -> IntVector | None:
     """First integer solution with the fixed coordinates, or None.
 
@@ -498,5 +489,5 @@ def solve_feasible(
         if idx in assignment and assignment[idx] != value:
             raise InputError(f"conflicting assignments for variable index {idx}")
         assignment[idx] = value
-    charge_budget((box + 1) ** (sys.e - len(assignment)), budget, "feasibility search")
+    charge_budget((box + 1) ** (sys.e - len(assignment)), "feasibility search")
     return next(_box_solutions(sys, box, assignment), None)

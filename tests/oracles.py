@@ -226,11 +226,9 @@ def _scan_torsion(I, n):
     single-variable deletion but not in I^(n+1), ascending lexicographically.
 
     The box spans every generator involved; a witness anywhere clamps into
-    it.  One variable gives none by convention.
+    it.
     """
     r, gens = I.r, I.generators
-    if r == 1:
-        return
     upper = power_gens(gens, n, r)
     lower = power_gens(gens, n + 1, r)
     deletions = [power_gens(_zeroed(gens, {j}), n + 1, r) for j in range(r)]

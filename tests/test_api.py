@@ -172,3 +172,17 @@ def test_every_private_helper_is_used():
         if not any(other is not node and node.name in _mentions(other) for other in statements)
     ]
     assert unused == []
+
+
+def test_no_function_takes_a_budget():
+    """The enumeration budget is one meter per request, opened with
+    `enumeration_budget`; no function or method takes a budget argument."""
+    taking = [
+        (path.name, node.name)
+        for path in sorted(Path(brodmann.__file__).parent.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda))
+        and "budget"
+        in [a.arg for a in (*node.args.posonlyargs, *node.args.args, *node.args.kwonlyargs)]
+    ]
+    assert taking == []

@@ -14,7 +14,15 @@ from brodmann.assprimes import (
 )
 from brodmann.cli import example_ideal
 from brodmann.cohomology import h0_m_monomials
-from brodmann.errors import BudgetError, InconsistencyError, InputError
+from brodmann.errors import (
+    BUDGET_ENV_VAR,
+    METHODS,
+    BudgetError,
+    InconsistencyError,
+    InputError,
+    charge_budget,
+    enumeration_budget,
+)
 from brodmann.monomials import (
     MonomialIdeal,
     delete_variable,
@@ -104,8 +112,8 @@ class TestAssOfQuotient:
 
     def test_budget_refusal(self):
         big = ideal(3, (9, 0, 0), (0, 9, 0), (0, 0, 9), (5, 5, 5))
-        with pytest.raises(BudgetError):
-            ass_of_quotient(power(big, 3), budget=50)
+        with enumeration_budget(50), pytest.raises(BudgetError):
+            ass_of_quotient(power(big, 3))
 
 
 class TestMaxIdealMembership:
@@ -116,8 +124,9 @@ class TestMaxIdealMembership:
         assert max_ideal_in_ass(I, 2) is False
         assert max_ideal_in_ass(I, 3) is False
 
-    def test_univariate_convention(self):
-        assert max_ideal_in_ass(ideal(1, (3,)), 2) is False
+    def test_univariate_maximal_ideal_is_associated(self):
+        # I^2/I^3 = (x^6)/(x^9) in K[x] is killed by x^3
+        assert max_ideal_in_ass(ideal(1, (3,)), 2) is True
 
     def test_unused_variable_shortcut(self):
         I = ideal(3, (2, 0, 0), (1, 1, 0))
@@ -372,3 +381,48 @@ class TestBitsetScansMatchCellScans:
         assert [k for _, _, d, k in first if k not in (1, d - 1)] == []
         call()
         assert built == first + first
+
+
+class TestRequestBudget:
+    """One budget covers every enumeration made inside its block."""
+
+    @ORACLE_SETTINGS
+    @given(
+        proper_ideals(max_r=3),
+        st.integers(0, 2),
+        st.sampled_from(METHODS),
+        st.integers(1, 3),
+        st.integers(-2, 2),
+    )
+    def test_call_returns_exactly_when_its_charges_fit(self, I, n, method, div, offset):
+        with enumeration_budget() as meter:
+            want = ass_power(I, n, method)
+        total = meter.used
+        limit = max(1, total // div + offset)
+        try:
+            with enumeration_budget(limit) as metered:
+                got = ass_power(I, n, method)
+        except BudgetError:
+            assert total > limit
+        else:
+            assert total <= limit
+            assert (got, metered.used) == (want, total)
+
+    def test_charges_add_up_only_inside_a_block(self, monkeypatch):
+        monkeypatch.setenv(BUDGET_ENV_VAR, "150")
+        for _ in range(3):
+            charge_budget(100, "box")
+        with enumeration_budget() as meter, pytest.raises(BudgetError) as info:
+            charge_budget(100, "box")
+            charge_budget(100, "box")
+        assert meter.used == 100
+        assert str(info.value) == "box needs 100 lattice points, budget is 150, 100 already charged"
+
+    def test_limit_is_read_at_the_first_charge(self, monkeypatch):
+        monkeypatch.setenv(BUDGET_ENV_VAR, "lots")
+        with enumeration_budget(), enumeration_budget(0):
+            pass
+        with enumeration_budget(0), pytest.raises(InputError, match="must be positive"):
+            charge_budget(1)
+        with enumeration_budget(), pytest.raises(InputError, match="must be an integer"):
+            charge_budget(1)

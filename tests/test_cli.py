@@ -470,6 +470,31 @@ class TestExitCodes:
         assert code == 3
         assert "budget exceeded" in err
 
+    def test_budget_covers_the_whole_call(self, capsys, family_file):
+        # 432 lattice points on the quotient route and 726 on the recursion
+        # route, though no table alone needs more than 242
+        argv = ["ass", "--ideal", family_file, "--n", "1", "--method", "both"]
+        code, out, err = run(capsys, *argv, "--budget", "500")
+        assert (code, out) == (3, "")
+        assert err == (
+            "budget exceeded: membership box needs 121 lattice points,"
+            " budget is 500, 432 already charged\n"
+        )
+        assert run(capsys, *argv, "--budget", "1157")[0] == 3
+        assert run(capsys, *argv, "--budget", "1158")[0] == 0
+        assert run(capsys, *argv, "--budget", "1200") == run(capsys, *argv)
+
+    def test_budget_does_not_carry_over_between_calls(self, capsys, family_file):
+        # each call charges 1158 points, more than half the limit
+        argv = ["ass", "--ideal", family_file, "--n", "1", "--method", "both", "--budget", "2000"]
+        assert [run(capsys, *argv)[0] for _ in range(2)] == [0, 0]
+
+    def test_malformed_env_var_is_read_only_by_a_charge(self, capsys, family_file, monkeypatch):
+        monkeypatch.setenv("BRODMANN_BUDGET", "lots")
+        code, _, err = run(capsys, "ass", "--ideal", family_file, "--n", "1")
+        assert (code, err) == (2, "input error: BRODMANN_BUDGET must be an integer, got 'lots'\n")
+        assert run(capsys, "bound", "--r", "2", "--s", "2", "--d", "2")[0] == 0
+
     def test_inconsistency_dumps_payload(self, capsys, family_file, monkeypatch):
         def broken(*args, **kwargs):
             raise InconsistencyError(

@@ -11,7 +11,7 @@ from brodmann.cohomology import (
     h0_m_monomials,
     ratliff_rush,
 )
-from brodmann.errors import BudgetError, InputError
+from brodmann.errors import BudgetError, InputError, enumeration_budget
 from brodmann.monomials import (
     add,
     colon_ideal,
@@ -66,9 +66,19 @@ class TestH0Monomials:
         assert not rep.nonzero
         assert rep.witnesses == ()
 
-    def test_univariate_is_empty(self):
+    def test_univariate_torsion_is_the_whole_quotient(self):
+        # I^2/I^3 = (x^6)/(x^9) in K[x]: all of it is torsion
         rep = h0_m_monomials(ideal(1, (3,)), 2)
-        assert not rep.nonzero
+        assert rep.nonzero
+        assert rep.witnesses == ((6,), (7,), (8,))
+
+    def test_univariate_agrees_with_ass(self):
+        for a in range(1, 5):
+            I = ideal(1, (a,))
+            for n in range(4):
+                prime_in_ass = (1,) in ass_power(I, n, "both")
+                assert max_ideal_in_ass(I, n) is prime_in_ass, (a, n)
+                assert h0_m_monomials(I, n).nonzero is prime_in_ass, (a, n)
 
     def test_agrees_with_table_route_and_ass(self):
         rng = random.Random(222)
@@ -89,8 +99,8 @@ class TestH0Monomials:
 
     def test_budget_refusal(self):
         I = ideal(3, (9, 0, 0), (0, 9, 0), (0, 0, 9), (4, 4, 4))
-        with pytest.raises(BudgetError):
-            h0_m_monomials(I, 3, budget=10)
+        with enumeration_budget(10), pytest.raises(BudgetError):
+            h0_m_monomials(I, 3)
 
 
 class TestRatliffRush:

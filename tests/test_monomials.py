@@ -6,7 +6,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import oracles as ref
 from brodmann.cohomology import generator_power_ideal
-from brodmann.errors import BudgetError, InputError
+from brodmann.errors import BudgetError, InputError, enumeration_budget
 from brodmann.monomials import (
     BoxTable,
     _zero_coords,
@@ -550,8 +550,8 @@ class TestBoxTable:
             assert cells == [m for m in iter_box((3, 2, 4)) if divides(m, caps)]
 
     def test_budget_refusal(self):
-        with pytest.raises(BudgetError):
-            BoxTable(((1, 1),), (1000, 1000), budget=100)
+        with enumeration_budget(100), pytest.raises(BudgetError):
+            BoxTable(((1, 1),), (1000, 1000))
 
     def test_iter_box_count(self):
         assert sum(1 for _ in iter_box((2, 3))) == 12

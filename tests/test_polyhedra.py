@@ -5,7 +5,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from brodmann.cli import example_ideal
-from brodmann.errors import BudgetError, InputError
+from brodmann.errors import BudgetError, InputError, enumeration_budget
 from brodmann.monomials import intersect_all, minimize, power
 from brodmann.polyhedra import (
     ConstraintSystem,
@@ -134,7 +134,8 @@ class TestExtremeRays:
         assert extreme_rays(ConstraintSystem(1, ((1,),), (0,))) == [(1,)]
         assert extreme_rays(ConstraintSystem(1, ((-1,),), (0,))) == []
         # the one empty subsystem, charged as one against the budget
-        assert extreme_rays(orthant(1), budget=1) == [(1,)]
+        with enumeration_budget(1):
+            assert extreme_rays(orthant(1)) == [(1,)]
 
     def test_requires_homogeneous(self):
         with pytest.raises(InputError):
@@ -175,8 +176,8 @@ class TestExtremeRays:
             tuple((i * 7 + j * 3) % 5 - 2 for j in range(8)) for i in range(20)
         )
         sys_ = ConstraintSystem(8, rows, (0,) * 20)
-        with pytest.raises(BudgetError) as info:
-            extreme_rays(sys_, budget=10)
+        with enumeration_budget(10), pytest.raises(BudgetError) as info:
+            extreme_rays(sys_)
         # 7 of the 20 rows and 8 coordinate hyperplanes: C(28, 7) subsystems
         assert str(info.value) == "ray subsystem enumeration needs 1184040 subsystems, budget is 10"
 
@@ -601,8 +602,8 @@ class TestSolveFeasible:
 
     def test_budget_refusal(self):
         sys_ = orthant(8)
-        with pytest.raises(BudgetError):
-            solve_feasible(sys_, {}, box=30, budget=100)
+        with enumeration_budget(100), pytest.raises(BudgetError):
+            solve_feasible(sys_, {}, box=30)
 
 
 class TestStaircase:

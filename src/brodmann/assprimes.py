@@ -3,14 +3,17 @@
 Every associated prime of a monomial ideal is generated by a subset of the
 variables, so primes are plain tuples of 1-based variable indices.  The
 quotient route finds each prime of R/J as an explicit colon witness inside
-a finite exponent box.  The recursion route peels off one variable at a
-time, testing separately whether the full-support prime occurs; the two
-must agree, and the profile driver can cross-check them against each other.
+a finite exponent box.  The recursion route (a name kept for the CLI's
+`--method recursion`) localizes at each support S of the variables, setting
+the variables off S to 1, and tests whether the maximal ideal is associated
+there; the two must agree, and `ass_profile` can cross-check them against
+each other.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 
 from .errors import METHODS, InconsistencyError, InputError
 from .monomials import (
@@ -19,7 +22,6 @@ from .monomials import (
     Monomial,
     Packing,
     _top,
-    delete_variable,
     is_pure_power,
     max_exponents,
     power,
@@ -28,10 +30,6 @@ from .monomials import (
 )
 
 VariablePrime = tuple[int, ...]
-
-
-def full_support_prime(r: int) -> VariablePrime:
-    return tuple(range(1, r + 1))
 
 
 def ass_witnesses(J: MonomialIdeal) -> dict[VariablePrime, Monomial]:
@@ -116,44 +114,31 @@ def max_ideal_in_ass(I: MonomialIdeal, n: int) -> bool:
     return bool(_torsion_cells(I, n)[1])
 
 
-def _compress(I: MonomialIdeal, used: tuple[int, ...]) -> MonomialIdeal:
-    """Rewrite I in the subring on its used variables (1-based index list)."""
-    cols = [u - 1 for u in used]
+def _localize(I: MonomialIdeal, support: tuple[int, ...]) -> MonomialIdeal:
+    """I_S, the localization of I at the prime on S (a 1-based index list):
+    I with every variable off S set to 1, written in the subring on S."""
+    cols = [u - 1 for u in support]
     P = Packing(len(cols), _top(I))
     return P.ideal(P.minimal(P.pack(g[c] for c in cols) for g in I.generators))
 
 
-def _ass_recursive(
-    I: MonomialIdeal,
-    n: int,
-    memo: dict[tuple[MonomialIdeal, int], frozenset[VariablePrime]],
-) -> frozenset[VariablePrime]:
-    if I.is_zero() or I.is_unit():
-        return frozenset()
-    key = (I, n)
-    if key in memo:
-        return memo[key]
-    if is_pure_power(I):
-        result = frozenset({tuple(sorted(set(used_variables(I))))})
-        memo[key] = result
-        return result
+def _ass_by_localization(I: MonomialIdeal, n: int) -> frozenset[VariablePrime]:
+    """Ass(I^n/I^(n+1)) one support at a time.  The prime on S is associated
+    exactly when the maximal ideal is associated to the same quotient of
+    I_S (Herzog-Hibi, Monomial Ideals, ch. 1).  That needs I_S proper and
+    using every variable of S, and holds outright when I_S is generated by
+    powers of the variables, so primary to the maximal ideal."""
     used = used_variables(I)
-    if len(used) < I.r:
-        inner = _ass_recursive(_compress(I, used), n, memo)
-        result = frozenset(
-            tuple(used[i - 1] for i in prime) for prime in inner
-        )
-        memo[key] = result
-        return result
-    # every variable occurs and I is not pure-power, so r >= 2 here
-    primes: set[VariablePrime] = set()
-    for i in range(1, I.r + 1):
-        primes |= _ass_recursive(delete_variable(I, i), n, memo)
-    if max_ideal_in_ass(I, n):
-        primes.add(full_support_prime(I.r))
-    result = frozenset(primes)
-    memo[key] = result
-    return result
+    primes = []
+    for k in range(1, len(used) + 1):
+        for support in combinations(used, k):
+            # a generator with no variable in S localizes I to the unit ideal
+            if not all(any(g[u - 1] for u in support) for g in I.generators):
+                continue
+            J = _localize(I, support)
+            if len(used_variables(J)) == k and (is_pure_power(J) or max_ideal_in_ass(J, n)):
+                primes.append(support)
+    return frozenset(primes)
 
 
 def ass_power(I: MonomialIdeal, n: int, method: str = "quotient") -> frozenset[VariablePrime]:
@@ -171,9 +156,9 @@ def ass_power(I: MonomialIdeal, n: int, method: str = "quotient") -> frozenset[V
     if method == "quotient":
         return ass_of_quotient(power(I, n + 1))
     if method == "recursion":
-        return _ass_recursive(I, n, {})
+        return _ass_by_localization(I, n)
     via_quotient = ass_of_quotient(power(I, n + 1))
-    via_recursion = _ass_recursive(I, n, {})
+    via_recursion = _ass_by_localization(I, n)
     if via_quotient != via_recursion:
         raise InconsistencyError(
             f"associated-prime methods disagree at n={n}",

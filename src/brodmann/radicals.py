@@ -256,7 +256,18 @@ class RadicalSum:
         if self.is_rational():
             q = self.terms[0][1] if self.terms else Fraction(0)
             return q.numerator // q.denominator
-        # irrational value: enclosure eventually excludes every integer
+        c = self.terms[0][1] if self.terms[0][0] == 1 else Fraction(0)
+        if len(self.terms) == 1 + bool(c):
+            # c + q*sqrt(m) = (a + t*sqrt(m))/b with c = a/b and t = b*q, and
+            # floor(t*sqrt(m)) is one isqrt: sqrt(m) is irrational, so for
+            # t < 0 it is -floor(|t|*sqrt(m)) - 1
+            m, q = self.terms[-1]
+            t = q * c.denominator
+            f = isqrt(t.numerator * t.numerator * m) // t.denominator
+            if t < 0:
+                f = -f - 1
+            return (f + c.numerator) // c.denominator
+        # two or more radicals: the enclosure eventually excludes every integer
         k = 8
         while True:
             lo, hi = self.bounds(k)

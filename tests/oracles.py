@@ -68,6 +68,11 @@ def colon_by_monomial(gens, m):
     return keep
 
 
+def full_support_prime(r):
+    """The prime generated by all r variables, as a tuple of 1-based indices."""
+    return tuple(range(1, r + 1))
+
+
 def brute_ass(J):
     """Associated primes of R/J by the definition P = (J : m).
 

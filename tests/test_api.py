@@ -3,10 +3,13 @@ unused import from within the package."""
 
 import ast
 import importlib
+import inspect
 import pkgutil
+from math import prod
 from pathlib import Path
 
 import brodmann
+from brodmann import cli, errors, monomials, polyhedra
 from brodmann.monomials import BoxTable
 from brodmann.radicals import ExactRadical
 
@@ -186,3 +189,52 @@ def test_no_function_takes_a_budget():
         in [a.arg for a in (*node.args.posonlyargs, *node.args.args, *node.args.kwonlyargs)]
     ]
     assert taking == []
+
+
+# What the benchmark's tracer (bench/spans.py) and runner (bench/run.py) read
+# from the library.  These pins change together with the benchmark, in the
+# change that refreshes it (ROADMAP item 1); until then a library change that
+# breaks `bench/run.py --trace 1` fails here.
+
+
+def _calls(name):
+    """Every call of `name` in the package sources."""
+    return [
+        node
+        for path in sorted(Path(brodmann.__file__).parent.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == name
+    ]
+
+
+def test_bench_clears_and_reads_the_lru_caches():
+    for fn in (monomials.power, monomials.delete_variable):
+        assert callable(fn.cache_clear) and callable(fn.cache_info)
+
+
+def test_bench_counts_box_cells_from_the_byte_table():
+    table = BoxTable(((2, 0, 1), (0, 3, 0)), (3, 4, 2))
+    assert len(table.table) == prod(table.dims) == 4 * 5 * 3
+
+
+def test_bench_parser_takes_ass_profile_jobs():
+    args = cli.build_parser().parse_args(
+        ["ass-profile", "--ideal", "f", "--n-max", "2", "--jobs", "2"]
+    )
+    assert (args.ideal, args.n_max, args.jobs) == ("f", 2, 2)
+
+
+def test_bench_reads_the_points_of_charge_budget_positionally():
+    first = next(iter(inspect.signature(errors.charge_budget).parameters.values()))
+    assert first.name == "points" and first.kind is first.POSITIONAL_OR_KEYWORD
+    calls = _calls("charge_budget")
+    assert calls and all(call.args for call in calls)
+
+
+def test_bench_reads_solve_feasible_arguments_positionally():
+    params = list(inspect.signature(polyhedra.solve_feasible).parameters.values())
+    assert [(p.name, p.kind) for p in params] == [
+        (name, inspect.Parameter.POSITIONAL_OR_KEYWORD) for name in ("sys", "fixed", "box")
+    ]
+    calls = _calls("solve_feasible")
+    assert calls and all(len(call.args) == 3 and not call.keywords for call in calls)

@@ -9,7 +9,6 @@ from brodmann.assprimes import (
     ass_power,
     ass_profile,
     ass_witnesses,
-    full_support_prime,
     max_ideal_in_ass,
 )
 from brodmann.cli import example_ideal
@@ -38,6 +37,7 @@ from oracles import (
     brute_ass,
     colon_by_monomial,
     divides,
+    full_support_prime,
     monomial_in,
     scan_ass_witnesses,
     scan_h0_witnesses,
@@ -163,8 +163,8 @@ class TestMethodAgreement:
             assert ass_power(I, n, method="both") == q
 
     def test_recursion_handles_unused_variables(self):
-        # deleting an unused variable leaves the ideal unchanged, so the
-        # union must be computed in the subring spanned by used variables
+        # no generator uses x3, so no prime holds it: only the supports of
+        # the used variables are localized
         I = ideal(3, (2, 0, 0), (1, 1, 0))
         for n in range(3):
             assert ass_power(I, n, method="recursion") == ass_power(
@@ -381,6 +381,65 @@ class TestBitsetScansMatchCellScans:
         assert [k for _, _, d, k in first if k not in (1, d - 1)] == []
         call()
         assert built == first + first
+
+
+class TestLocalizationLoop:
+    """The recursion route localizes at each support S of the used variables
+    and asks whether the maximal ideal is associated there."""
+
+    @ORACLE_SETTINGS
+    @given(proper_ideals())
+    def test_matches_quotient_route_and_definition(self, I):
+        for n in range(3):
+            assert ass_power(I, n, "recursion") == ass_of_quotient(power(I, n + 1)), (I, n)
+        assert ass_power(I, 0, "recursion") == brute_ass(I)
+
+    @staticmethod
+    def localized(monkeypatch, I):
+        """ass_power(I, n, "recursion") for n = 0..2, checked against both
+        oracles, and every (support, I_S) the loop formed."""
+        seen = {}
+        original = assprimes._localize
+
+        def spy(J, support):
+            seen[support] = original(J, support)
+            return seen[support]
+
+        monkeypatch.setattr(assprimes, "_localize", spy)
+        for n in range(3):
+            got = ass_power(I, n, "recursion")
+            assert got == ass_of_quotient(power(I, n + 1)), (I, n)
+        assert ass_power(I, 0, "recursion") == brute_ass(I)
+        return seen
+
+    def test_support_localizing_to_the_unit_ideal_is_skipped(self, monkeypatch):
+        # x3*x4 has no variable in {1, 2}: there I_S is the unit ideal
+        I = ideal(4, (2, 0, 0, 0), (1, 1, 0, 0), (0, 0, 1, 1))
+        assert assprimes._localize(I, (1, 2)).is_unit()
+        seen = self.localized(monkeypatch, I)
+        assert (1, 2) not in seen and (1, 2, 3) in seen
+        assert ass_power(I, 0, "recursion") == {(1, 3), (1, 4), (1, 2, 3), (1, 2, 4)}
+
+    def test_pure_power_localization_adds_its_support(self, monkeypatch):
+        # at {1, 2}, x1*x3*x4 becomes x1: I_S = (x1, x2^3)
+        I = ideal(4, (2, 0, 0, 0), (0, 3, 0, 0), (1, 0, 1, 1))
+        tested = []
+        monkeypatch.setattr(
+            assprimes, "max_ideal_in_ass",
+            lambda J, n: tested.append(J) or max_ideal_in_ass(J, n),
+        )  # fmt: skip
+        seen = self.localized(monkeypatch, I)
+        assert seen[(1, 2)] == ideal(2, (1, 0), (0, 3))
+        assert seen[(1, 2)] not in tested
+        assert ass_power(I, 0, "recursion") == {(1, 2), (1, 2, 3), (1, 2, 4)}
+
+    def test_support_with_an_unused_variable_is_not_associated(self, monkeypatch):
+        # at {1, 2, 3}, x1*x4 becomes x1, which swallows x1*x2: x2 drops out
+        I = ideal(4, (1, 0, 0, 1), (1, 1, 0, 0), (0, 0, 2, 0))
+        seen = self.localized(monkeypatch, I)
+        assert seen[(1, 2, 3)] == ideal(3, (1, 0, 0), (0, 0, 2))
+        for n in range(3):
+            assert (1, 2, 3) not in ass_power(I, n, "recursion")
 
 
 class TestRequestBudget:

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from brodmann.assprimes import ass_power, full_support_prime, max_ideal_in_ass
+from brodmann.assprimes import ass_power, max_ideal_in_ass
 from brodmann.cli import example_ideal
 from brodmann.cohomology import (
     DEFAULT_M_CAP,
@@ -24,6 +24,7 @@ from brodmann.monomials import (
 )
 
 from conftest import random_ideal
+from oracles import full_support_prime
 
 
 def ideal(r, *gens):

@@ -237,6 +237,17 @@ def _sum(terms, factored: bool) -> RadicalSum:
     return total
 
 
+def _enclosure_floor(total: RadicalSum) -> int:
+    """The floor of an irrational sum by refining its enclosure until both
+    ends share one."""
+    k = 8
+    while True:
+        lo, hi = total.bounds(k)
+        if lo.numerator // lo.denominator == hi.numerator // hi.denominator:
+            return lo.numerator // lo.denominator
+        k *= 2
+
+
 def _mp_value(terms) -> mpmath.mpf:
     return mpmath.fsum(q.numerator * k * mpmath.sqrt(m) / q.denominator for q, (k, m) in terms)
 
@@ -263,6 +274,31 @@ class TestRadicalProperties:
             assert total.sign() == (1 if approx > 0 else -1), str(total)
             assert total.floor() == int(mpmath.floor(approx)), str(total)
             assert total.ceil() == int(mpmath.ceil(approx)), str(total)
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(
+        st.builds(Fraction, st.integers(-10**6, 10**6), st.integers(1, 12)),
+        st.builds(Fraction, st.integers(-10**6, 10**6).filter(bool), st.integers(1, 12)),
+        SQUARED.filter(lambda km: isqrt(km[1]) ** 2 != km[1]),
+    )
+    def test_one_radical_floor_ceil_are_exact(self, c, q, km):
+        """c + q*sqrt(k^2 m) with m not a square: floor and ceil agree with
+        mpmath and with the enclosure loop, which they no longer call."""
+        k, m = km
+        term = ExactRadical.sqrt_of(k * k * m) * abs(q)
+        total = RadicalSum.of(c) + term if q > 0 else RadicalSum.of(c) - term
+        assert len(total.terms) == 1 + bool(c)
+        refined = _enclosure_floor(total)
+        with mpmath.workprec(512):
+            approx = mpmath.mpf(c.numerator) / c.denominator + mpmath.mpf(
+                q.numerator
+            ) * k / q.denominator * mpmath.sqrt(m)
+            assert abs(approx - mpmath.nint(approx)) > mpmath.mpf(2) ** -300
+            expected = int(mpmath.floor(approx))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.delattr(RadicalSum, "bounds")  # the exact route refines no enclosure
+            assert total.floor() == refined == expected, str(total)
+            assert total.ceil() == expected + 1, str(total)
 
     @RADICAL_SETTINGS
     @given(TERMS)

@@ -7,7 +7,9 @@ a finite exponent box.  The recursion route (a name kept for the CLI's
 `--method recursion`) localizes at each support S of the variables, setting
 the variables off S to 1, and tests whether the maximal ideal is associated
 there; the two must agree, and `ass_profile` can cross-check them against
-each other.
+each other.  The supports and their localizations do not depend on n, so
+they are formed once per request: once per `ass_power` call, and once for
+all the entries of an `ass_profile`.
 """
 
 from __future__ import annotations
@@ -122,23 +124,64 @@ def _localize(I: MonomialIdeal, support: tuple[int, ...]) -> MonomialIdeal:
     return P.ideal(P.minimal(P.pack(g[c] for c in cols) for g in I.generators))
 
 
-def _ass_by_localization(I: MonomialIdeal, n: int) -> frozenset[VariablePrime]:
-    """Ass(I^n/I^(n+1)) one support at a time.  The prime on S is associated
-    exactly when the maximal ideal is associated to the same quotient of
-    I_S (Herzog-Hibi, Monomial Ideals, ch. 1).  That needs I_S proper and
-    using every variable of S, and holds outright when I_S is generated by
-    powers of the variables, so primary to the maximal ideal."""
+LocalIdeal = tuple[VariablePrime, MonomialIdeal | None]
+
+
+def _local_ideals(I: MonomialIdeal) -> list[LocalIdeal]:
+    """The supports S whose prime can be associated to some I^n/I^(n+1),
+    each with I_S, or None when its prime is associated at every n.  The
+    prime on S is associated exactly when the maximal ideal is associated
+    to the same quotient of I_S (Herzog-Hibi, Monomial Ideals, ch. 1).  That
+    needs I_S proper and using every variable of S, and holds outright when
+    I_S is generated by powers of the variables, so primary to the maximal
+    ideal.  None of this depends on n."""
     used = used_variables(I)
-    primes = []
+    local: list[LocalIdeal] = []
     for k in range(1, len(used) + 1):
         for support in combinations(used, k):
             # a generator with no variable in S localizes I to the unit ideal
             if not all(any(g[u - 1] for u in support) for g in I.generators):
                 continue
             J = _localize(I, support)
-            if len(used_variables(J)) == k and (is_pure_power(J) or max_ideal_in_ass(J, n)):
-                primes.append(support)
-    return frozenset(primes)
+            if len(used_variables(J)) == k:
+                local.append((support, None if is_pure_power(J) else J))
+    return local
+
+
+def _ass_by_localization(local: list[LocalIdeal], n: int) -> frozenset[VariablePrime]:
+    """Ass(I^n/I^(n+1)) one support at a time, from the supports and
+    localizations `_local_ideals` formed once for the request: the prime
+    on S is associated when I_S is a pure power ideal or the maximal ideal
+    is associated to I_S^n/I_S^(n+1)."""
+    return frozenset(S for S, J in local if J is None or max_ideal_in_ass(J, n))
+
+
+def _require_method(method: str) -> None:
+    if method not in METHODS:
+        raise InputError(f"method must be one of {METHODS}, got {method!r}")
+
+
+def _ass_entry(
+    I: MonomialIdeal, n: int, method: str, local: list[LocalIdeal] | None
+) -> frozenset[VariablePrime]:
+    """Ass(I^n/I^(n+1)) by `method`, given `_local_ideals(I)` unless the
+    method is "quotient"."""
+    if method == "recursion":
+        return _ass_by_localization(local, n)
+    via_quotient = ass_of_quotient(power(I, n + 1))
+    if method == "quotient":
+        return via_quotient
+    via_recursion = _ass_by_localization(local, n)
+    if via_quotient != via_recursion:
+        raise InconsistencyError(
+            f"associated-prime methods disagree at n={n}",
+            payload={
+                "n": n,
+                "quotient": sorted(via_quotient),
+                "recursion": sorted(via_recursion),
+            },
+        )
+    return via_quotient
 
 
 def ass_power(I: MonomialIdeal, n: int, method: str = "quotient") -> frozenset[VariablePrime]:
@@ -151,24 +194,9 @@ def ass_power(I: MonomialIdeal, n: int, method: str = "quotient") -> frozenset[V
     require_proper_nonzero(I)
     if n < 0:
         raise InputError(f"power index must be >= 0, got {n}")
-    if method not in METHODS:
-        raise InputError(f"method must be one of {METHODS}, got {method!r}")
-    if method == "quotient":
-        return ass_of_quotient(power(I, n + 1))
-    if method == "recursion":
-        return _ass_by_localization(I, n)
-    via_quotient = ass_of_quotient(power(I, n + 1))
-    via_recursion = _ass_by_localization(I, n)
-    if via_quotient != via_recursion:
-        raise InconsistencyError(
-            f"associated-prime methods disagree at n={n}",
-            payload={
-                "n": n,
-                "quotient": sorted(via_quotient),
-                "recursion": sorted(via_recursion),
-            },
-        )
-    return via_quotient
+    _require_method(method)
+    local = None if method == "quotient" else _local_ideals(I)
+    return _ass_entry(I, n, method, local)
 
 
 @dataclass(frozen=True)
@@ -190,8 +218,8 @@ class AssProfile:
 
 
 def _profile_entry(args: tuple) -> tuple[int, frozenset[VariablePrime]]:
-    I, n, method = args
-    return n, ass_power(I, n, method)
+    I, n, method, local = args
+    return n, _ass_entry(I, n, method, local)
 
 
 def ass_profile(
@@ -206,7 +234,9 @@ def ass_profile(
         raise InputError(f"scan bound must be >= 1, got {n_max}")
     if jobs < 1:
         raise InputError(f"parallelism degree must be >= 1, got {jobs}")
-    tasks = [(I, n, method) for n in range(n_max + 1)]
+    _require_method(method)
+    local = None if method == "quotient" else _local_ideals(I)
+    tasks = [(I, n, method, local) for n in range(n_max + 1)]
     # a fork-started pool starts all its workers at the first submit, so no
     # more workers than tasks
     workers = min(jobs, len(tasks))

@@ -79,8 +79,10 @@ def _decimal_digits(n: int) -> int:
     """Decimal digits of n >= 0, like len(str(n)) but by integer arithmetic,
     since str() refuses ints past Python's int-to-str limit (4300 digits)."""
     digits = max(1, (n.bit_length() - 1) * 30102 // 100000 + 1)  # a lower bound
-    while n >= 10**digits:
+    past = 10**digits
+    while n >= past:
         digits += 1
+        past *= 10
     return digits
 
 

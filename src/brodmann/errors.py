@@ -84,6 +84,7 @@ def charge_budget(points: int, what: str = "enumeration", unit: str = "lattice p
             raise InputError(f"{BUDGET_ENV_VAR} must be an integer, got {raw!r}") from exc
     if limit < 1:
         raise InputError(f"enumeration budget must be positive, got {limit}")
+    meter.limit = limit
     if meter.used + points > limit:
         spent = f", {meter.used} already charged" if meter.used else ""
         raise BudgetError(f"{what} needs {points} {unit}, budget is {limit}{spent}")

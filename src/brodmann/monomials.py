@@ -12,6 +12,7 @@ import itertools
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 from math import prod
+from operator import gt, le, mul
 from typing import Iterable, Iterator
 
 from .errors import InputError, charge_budget
@@ -34,8 +35,16 @@ class MonomialIdeal:
     def __post_init__(self):
         if self.r < 1:
             raise InputError(f"ambient variable count must be >= 1, got {self.r}")
+        gens = self.generators
+        # every check at once; only a failure walks the generators to name one
+        if (
+            set(map(len, gens)) == {self.r}
+            and min(map(min, gens)) >= 0
+            and all(map(gt, gens, gens[1:]))
+        ):
+            return
         prev: Monomial | None = None
-        for g in self.generators:
+        for g in gens:
             if len(g) != self.r:
                 raise InputError(f"generator {g} does not have {self.r} exponents")
             if any(e < 0 for e in g):
@@ -370,12 +379,9 @@ def is_pure_power(I: MonomialIdeal) -> bool:
 
 def max_exponents(I: MonomialIdeal) -> tuple[int, ...]:
     """Componentwise maximum over the generators (all zeros for the zero ideal)."""
-    out = [0] * I.r
-    for g in I.generators:
-        for i, e in enumerate(g):
-            if e > out[i]:
-                out[i] = e
-    return tuple(out)
+    if I.is_zero():
+        return (0,) * I.r
+    return tuple(map(max, zip(*I.generators)))
 
 
 def _axis_mask(total: int, stride: int, dim: int, k: int) -> int:
@@ -431,8 +437,8 @@ class BoxTable:
             strides[i] = strides[i + 1] * dims[i + 1]
         cells = bytearray((total + 7) // 8)
         for g in gens:
-            if all(x <= b for x, b in zip(g, bounds)):
-                idx = sum(x * s for x, s in zip(g, strides))
+            if all(map(le, g, bounds)):
+                idx = sum(map(mul, g, strides))
                 cells[idx >> 3] |= 1 << (idx & 7)
         self.dims = dims
         self.strides = tuple(strides)

@@ -54,6 +54,22 @@ def validate_minimal(gens):
                 raise ValueError(f"generator {a} divides generator {b}")
 
 
+def ideal_check_message(r, gens):
+    """The message MonomialIdeal(r, gens) raises for r >= 1, or None when
+    it accepts: the generators checked one at a time, in order, for their
+    length, their signs and their place in strictly descending order."""
+    prev = None
+    for g in gens:
+        if len(g) != r:
+            return f"generator {g} does not have {r} exponents"
+        if any(e < 0 for e in g):
+            return f"negative exponent in generator {g}"
+        if prev is not None and not g < prev:
+            return "generators not in canonical descending order"
+        prev = g
+    return None
+
+
 def star_norm(v):
     return max((abs(c) for c in v), default=0)
 

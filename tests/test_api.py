@@ -177,6 +177,32 @@ def test_every_private_helper_is_used():
     assert unused == []
 
 
+CACHES = {"lru_cache", "cache"}
+
+
+def _cache_name(node):
+    """The name a decorator or called expression gives, if it is a cache."""
+    node = node.func if isinstance(node, ast.Call) else node
+    name = getattr(node, "id", None) or getattr(node, "attr", None)
+    return name if name in CACHES else None
+
+
+def test_only_the_cleared_caches_exist():
+    """Only `power` and `delete_variable` are cached, the two caches the
+    benchmark clears between ops.  Any other process-wide cache would carry
+    answers from one request to the next: a speedup no CLI call sees."""
+    decorated, mentions = [], 0
+    for path in sorted(Path(brodmann.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                decorated += [(path.stem, node.name) for d in node.decorator_list if _cache_name(d)]
+            elif isinstance(node, (ast.Name, ast.Attribute)) and _cache_name(node):
+                mentions += 1
+    assert sorted(decorated) == [("monomials", "delete_variable"), ("monomials", "power")]
+    # no cache applied other than as a decorator, as in lru_cache()(f)
+    assert mentions == len(decorated)
+
+
 def test_no_function_takes_a_budget():
     """The enumeration budget is one meter per request, opened with
     `enumeration_budget`; no function or method takes a budget argument."""

@@ -441,6 +441,30 @@ class TestLocalizationLoop:
         for n in range(3):
             assert (1, 2, 3) not in ass_power(I, n, "recursion")
 
+    def test_localizes_once_per_profile(self, monkeypatch):
+        """The supports and their localizations do not depend on n: a
+        longer profile forms them no more often."""
+        calls = []
+        original = assprimes._localize
+
+        def spy(J, support):
+            calls.append(support)
+            return original(J, support)
+
+        monkeypatch.setattr(assprimes, "_localize", spy)
+        counts = []
+        for n_max in (1, 6):
+            calls.clear()
+            ass_profile(example_ideal(5), n_max, "recursion")
+            counts.append(len(calls))
+        assert counts[0] > 0 and counts[0] == counts[1]
+
+    @ORACLE_SETTINGS
+    @given(proper_ideals(max_r=3), st.integers(1, 3), st.sampled_from(METHODS))
+    def test_entries_equal_ass_power(self, I, n_max, method):
+        entries = ass_profile(I, n_max, method).entries
+        assert entries == tuple(ass_power(I, n, method) for n in range(n_max + 1))
+
 
 class TestRequestBudget:
     """One budget covers every enumeration made inside its block."""
@@ -476,6 +500,17 @@ class TestRequestBudget:
             charge_budget(100, "box")
         assert meter.used == 100
         assert str(info.value) == "box needs 100 lattice points, budget is 150, 100 already charged"
+
+    def test_limit_stays_what_the_first_charge_read(self, monkeypatch):
+        monkeypatch.setenv(BUDGET_ENV_VAR, "150")
+        with enumeration_budget() as meter:
+            charge_budget(100, "box")
+            monkeypatch.setenv(BUDGET_ENV_VAR, "1000")
+            with pytest.raises(BudgetError, match="budget is 150, 100 already charged"):
+                charge_budget(100, "box")
+            monkeypatch.setenv(BUDGET_ENV_VAR, "lots")
+            charge_budget(50, "box")
+        assert (meter.limit, meter.used) == (150, 150)
 
     def test_limit_is_read_at_the_first_charge(self, monkeypatch):
         monkeypatch.setenv(BUDGET_ENV_VAR, "lots")

@@ -1,3 +1,4 @@
+import random
 import sys
 from fractions import Fraction
 
@@ -91,9 +92,19 @@ class TestBoundReport:
         assert (rep.digits_b1, rep.digits_b2, rep.digits_b) == lengths
 
     def test_decimal_digits_at_powers_of_ten(self):
-        values = [0, 1, 9] + [10**k + o for k in range(1, 400, 3) for o in (-1, 0, 1)]
-        for v in values:
-            assert _decimal_digits(v) == len(str(v)), v
+        """At 10^k - 1, 10^k and 10^k + 1 for k up to 20,000, and on random
+        ints of up to 66,000 bits (about 19,900 digits)."""
+        ks = [*range(1, 400, 3), *range(400, 20000, 401), 20000]
+        rng = random.Random(20000)
+        values = [0, 1, 9] + [10**k + o for k in ks for o in (-1, 0, 1)]
+        values += [rng.getrandbits(rng.randint(1, 66000)) for _ in range(200)]
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            for v in values:
+                assert _decimal_digits(v) == len(str(v)), v.bit_length()
+        finally:
+            sys.set_int_max_str_digits(limit)
 
     def test_ceiling_dominates_exact(self):
         for r, s, d in ((1, 1, 1), (2, 3, 3), (3, 4, 2)):

@@ -274,6 +274,39 @@ def ideal_pairs():
     return RANKS.flatmap(lambda r: st.tuples(ideals(r), ideals(r)))
 
 
+@st.composite
+def generator_tuples(draw):
+    """(r, generators) for r = 1..5: up to 6 generators, some of the wrong
+    length or with a negative exponent, in drawn order or sorted strictly
+    descending, so that every check passes on some and fails on others."""
+    r = draw(RANKS)
+    lengths = st.integers(r - 1, r + 1) if draw(st.booleans()) else st.just(r)
+    low = draw(st.sampled_from((-1, 0)))
+    vector = lengths.flatmap(lambda k: st.tuples(*[st.integers(low, 3)] * k))
+    gens = draw(st.lists(vector, max_size=6))
+    if draw(st.booleans()):
+        gens = sorted(set(gens), reverse=True)
+    return r, tuple(gens)
+
+
+class TestConstructorChecks:
+    @KERNEL_SETTINGS
+    @given(generator_tuples())
+    @example((2, ()))
+    @example((2, ((1, -1), (3,))))
+    @example((2, ((0, 2), (1, 0))))
+    @example((3, ((2, 0, 1), (0, 1, 0))))
+    def test_accepts_and_names_the_offender_like_the_loop(self, case):
+        r, gens = case
+        message = ref.ideal_check_message(r, gens)
+        if message is None:
+            assert MonomialIdeal(r, gens).generators == gens
+        else:
+            with pytest.raises(InputError) as exc:
+                MonomialIdeal(r, gens)
+            assert str(exc.value) == message
+
+
 class TestPackedKernelMatchesTupleReferences:
     """The packed-int kernel against `oracles`, which minimizes by pairwise
     divisibility on tuples: the same generators in the same order."""

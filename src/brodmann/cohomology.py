@@ -5,6 +5,11 @@ explicit finite witness list; Ratliff-Rush closures computed through the
 colon chain by generator powers, with an honest stabilization certificate;
 and the scanner for the top degree where the Rees-irrelevant torsion of the
 graded ring is nonzero (reported as None when every scanned degree vanishes).
+
+The colon chain runs packed from start to end: each power I^(n+m) is the
+previous one times the generators of I, and each colon is formed above
+I^n, which lies in every step of the chain, so only the generators outside
+I^n are met, compared and collected.
 """
 
 from __future__ import annotations
@@ -17,10 +22,8 @@ from .monomials import (
     Monomial,
     MonomialIdeal,
     Packing,
+    _colon_above,
     _top,
-    add,
-    colon_ideal,
-    contains_ideal,
     intersect,
     power,
     require_proper_nonzero,
@@ -66,15 +69,6 @@ class A0Result:
     warnings: tuple[str, ...]
 
 
-def generator_power_ideal(I: MonomialIdeal, m: int) -> MonomialIdeal:
-    """The ideal generated by the m-th powers of I's minimal generators."""
-    if m < 0:
-        raise InputError(f"power must be >= 0, got {m}")
-    # the fields hold the generators themselves as well as their m-th powers
-    P = Packing(I.r, max(m, 1) * _top(I))
-    return P.ideal(P.minimal(m * g for g in P.pack_ideal(I)))
-
-
 def h0_m_monomials(I: MonomialIdeal, n: int) -> H0Report:
     """Witnesses of the maximal-ideal torsion of I^n/I^(n+1).
 
@@ -100,24 +94,51 @@ def ratliff_rush(
     scan stops at the first m with C_m = C_(m+1) = C_(m+2) (a width-2 plateau)
     and reports certified=True, or returns the partial union with
     certified=False once m_cap is exhausted.
+
+    Every C_m contains I^n, since g_i^m I^n lies in I^(n+m), and C_0 is I^n.
+    The chain therefore runs on the generators of each C_m outside I^n, the
+    colons of `_colon_above` with I^n as floor, which stop at the first
+    part or meet that lies in I^n.  Each I^(n+m) is I^(n+m-1)
+    times the generators of I, and only the current power is kept.  One
+    packing, widened whenever a new power needs wider fields, carries the
+    whole chain; only the closure is unpacked.
     """
     require_proper_nonzero(I)
     if n < 1:
         raise InputError(f"power index must be >= 1, got {n}")
     if m_cap < 2:
         raise InputError(f"chain cap must be >= 2, got {m_cap}")
-    chain: list[MonomialIdeal] = []
-    union = power(I, n)
+    base = power(I, n)
+    top = _top(I)
+    P = Packing(I.r, (n + 1) * top)
+    gens, floor = P.pack_ideal(I), P.pack_ideal(base)
+    # on entry to step m: I^(n+m-1), then C_(m-2), C_(m-1) and the union of
+    # the chain so far, each C as its generators outside I^n (C_0 has none)
+    high, before, last, union = floor, [], [], []
     monotone = True
-    for m in range(m_cap + 1):
-        c_m = colon_ideal(power(I, n + m), generator_power_ideal(I, m))
-        if chain and not contains_ideal(c_m, chain[-1]):
+
+    def closure() -> MonomialIdeal:
+        return P.ideal(P.minimal(floor + union)) if union else base
+
+    for m in range(1, m_cap + 1):
+        if ((n + m) * top).bit_length() >= P.width:
+            # I^(n+m) needs wider fields: the same monomials, packed anew
+            Q = Packing(I.r, (n + m) * top)
+            gens, floor, high, before, last, union = [
+                [Q.pack(P.unpack(x)) for x in xs]
+                for xs in (gens, floor, high, before, last, union)
+            ]
+            P = Q
+        high = P.minimal(a + g for a in high for g in gens)
+        c_m = _colon_above(P, high, [m * g for g in gens], floor)
+        if not P.covers(c_m, last):
             monotone = False
-        chain.append(c_m)
-        union = add(union, c_m)
-        if m >= 2 and chain[m - 2] == chain[m - 1] == chain[m]:
-            return RRResult(union, n, m - 2, True, monotone)
-    return RRResult(union, n, m_cap, False, monotone)
+        if not P.covers(union, c_m):
+            union = P.minimal(union + c_m)
+        if m >= 2 and before == last == c_m:
+            return RRResult(closure(), n, m - 2, True, monotone)
+        before, last = last, c_m
+    return RRResult(closure(), n, m_cap, False, monotone)
 
 
 def a0_observed(

@@ -325,9 +325,38 @@ def colon_ideal(I: MonomialIdeal, J: MonomialIdeal) -> MonomialIdeal:
         # everything multiplies the zero ideal into I
         return unit_ideal(I.r)
     P = Packing(I.r, _top(I, J))
-    gens = P.pack_ideal(I)
-    parts = (P.minimal(P.colon(g, q) for g in gens) for q in P.pack_ideal(J))
-    return P.ideal(reduce(P.meet, parts))
+    return P.ideal(reduce(P.meet, _colon_parts(P, P.pack_ideal(I), P.pack_ideal(J))))
+
+
+def _colon_parts(P: Packing, gens: list[int], qs: Iterable[int]) -> Iterator[list[int]]:
+    """The parts (gens) : q, one per packed q, each as ascending packed
+    minimal generators and formed only when the next one is asked for."""
+    for q in qs:
+        yield P.minimal(P.colon(g, q) for g in gens)
+
+
+def _colon_above(
+    P: Packing, gens: list[int], qs: Iterable[int], floor: list[int]
+) -> list[int]:
+    """The generators of (gens) : (qs) outside (floor), where floor holds
+    the packed generators of an ideal F that lies in every part (gens) : q.
+
+    Each part is then F + (E_q), with E_q its generators outside F, and for
+    monomial ideals the intersection of the F + (E_q) is F + the
+    intersection of the (E_q).  So only the E_q are met, and what a meet
+    puts back into F is dropped.  The empty list, for a colon equal to F,
+    comes back as soon as one E_q or running meet is empty.  qs must not
+    be empty.
+    """
+    met = None
+    for part in _colon_parts(P, gens, qs):
+        part = P.split(floor, part)[1]
+        if part and met is not None:
+            part = P.split(floor, P.meet(met, part))[1]
+        if not part:
+            return part
+        met = part
+    return met
 
 
 def saturate(I: MonomialIdeal, J: MonomialIdeal) -> MonomialIdeal:

@@ -8,8 +8,9 @@ enumerates generator multiplicities, ideal arithmetic minimizes by pairwise
 divisibility, boxed constraint solutions are tested at every box point,
 semigroup and module generators are the boxed solutions that no two boxed
 parts add up to, cone membership does exact Gaussian elimination over
-Fractions, and the cone bounds come from their closed forms by isqrt and
-mpmath.
+Fractions, the cone bounds come from their closed forms by isqrt and
+mpmath, and the Ratliff-Rush chain takes the whole colon of a fresh power
+at every step.
 """
 
 from fractions import Fraction
@@ -283,14 +284,15 @@ def scan_h0_witnesses(I, n):
 
 
 def minimal(gens):
-    """The minimal generators of the ideal generated by gens, canonical order."""
-    distinct = set(map(tuple, gens))
-    return tuple(
-        sorted(
-            (v for v in distinct if not any(w != v and divides(w, v) for w in distinct)),
-            reverse=True,
-        )
-    )
+    """The minimal generators of the ideal generated by gens, canonical order.
+
+    A proper divisor has a smaller total degree, so in order of degree each
+    distinct vector is kept unless a vector kept before it divides it."""
+    kept = []
+    for v in sorted(set(map(tuple, gens)), key=sum):
+        if not any(divides(w, v) for w in kept):
+            kept.append(v)
+    return tuple(sorted(kept, reverse=True))
 
 
 def unit(r):
@@ -334,7 +336,45 @@ def delete_variable_ref(A, j):
 
 
 def generator_power_ref(A, m):
+    """The ideal generated by the m-th powers of the generators of A."""
+    if m < 0:
+        raise ValueError(f"power must be >= 0, got {m}")
     return minimal(tuple(m * e for e in g) for g in A)
+
+
+def ratliff_rush_ref(A, n, m_cap, r):
+    """The Ratliff-Rush chain of I^n, one full colon per step:
+    C_m = I^(n+m) : (g_1^m, ..., g_s^m) for m = 0, 1, ..., stopping at the
+    first m with C_m = C_(m+1) = C_(m+2).  Returns the union of the chain
+    with I^n, the plateau's first index (m_cap without one), whether a
+    plateau was found and whether each step was an inclusion."""
+    chain = []
+    union = power_ref(A, n, r)
+    monotone = True
+    for m in range(m_cap + 1):
+        c_m = colon_ideal_ref(power_ref(A, n + m, r), generator_power_ref(A, m), r)
+        if chain and not contains_ideal_ref(c_m, chain[-1]):
+            monotone = False
+        chain.append(c_m)
+        union = minimal(union + c_m)
+        if m >= 2 and chain[m - 2] == chain[m - 1] == chain[m]:
+            return union, m - 2, True, monotone
+    return union, m_cap, False, monotone
+
+
+def a0_ref(A, n_max, m_cap, r):
+    """(value, flags, uncertified) of the a0 scan on the chain of
+    `ratliff_rush_ref`: degree k is flagged when the closure of I^(k+1)
+    meets I^k outside I^(k+1), and uncertified lists the n whose chain
+    found no plateau."""
+    flags, uncertified = [], []
+    for n in range(1, n_max + 1):
+        closure, _, certified, _ = ratliff_rush_ref(A, n, m_cap, r)
+        if not certified:
+            uncertified.append(n)
+        flags.append(intersect_ref(closure, power_ref(A, n - 1, r)) != power_ref(A, n, r))
+    value = max((k for k, flag in enumerate(flags) if flag), default=None)
+    return value, tuple(flags), uncertified
 
 
 def cone_bound_ceils(rows, rhs):

@@ -23,7 +23,6 @@ from brodmann.bounds import (
 from brodmann.cli import example_ideal
 from brodmann.cohomology import (
     a0_observed,
-    generator_power_ideal,
     h0_m_monomials,
     ratliff_rush,
 )
@@ -49,7 +48,7 @@ from brodmann.polyhedra import (
 )
 from brodmann.radicals import RadicalSum
 
-from oracles import star_norm
+from oracles import generator_power_ref, star_norm
 
 
 def full_prime(I: MonomialIdeal):
@@ -111,7 +110,9 @@ def test_criterion_3_ratliff_rush_unions_and_known_closure(corpus):
             by_powers = add(by_powers, colon_ideal(power(I, n + m), power(I, m)))
             by_generator_powers = add(
                 by_generator_powers,
-                colon_ideal(power(I, n + m), generator_power_ideal(I, m)),
+                colon_ideal(
+                    power(I, n + m), MonomialIdeal(I.r, generator_power_ref(I.generators, m))
+                ),
             )
         assert by_powers == by_generator_powers, I
     I = minimize([(4, 0), (3, 1), (1, 3), (0, 4)], 2)

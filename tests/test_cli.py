@@ -127,6 +127,14 @@ class TestRatliffRush:
         assert "# certified: True" in out
         assert "x1^2 x2^2" in out
 
+    def test_huge_cap_answers_like_a_small_one(self, capsys, family_file):
+        huge = "1" + "0" * 4000
+        code, out, err = run(capsys, "rr", "--ideal", family_file, "--n", "3", "--m-cap", huge)
+        assert (code, err) == (0, "")
+        assert (code, out, err) == run(
+            capsys, "rr", "--ideal", family_file, "--n", "3", "--m-cap", "6"
+        )
+
 
 class TestA0:
     def test_json_keys(self, capsys, rr_file):

@@ -1,18 +1,22 @@
 import random
+from itertools import combinations_with_replacement
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from brodmann.assprimes import ass_power, max_ideal_in_ass
 from brodmann.cli import example_ideal
 from brodmann.cohomology import (
     DEFAULT_M_CAP,
     a0_observed,
-    generator_power_ideal,
     h0_m_monomials,
     ratliff_rush,
 )
 from brodmann.errors import BudgetError, InputError, enumeration_budget
 from brodmann.monomials import (
+    MonomialIdeal,
+    Packing,
+    _top,
     add,
     colon_ideal,
     contains_ideal,
@@ -24,7 +28,7 @@ from brodmann.monomials import (
 )
 
 from conftest import random_ideal
-from oracles import full_support_prime
+from oracles import a0_ref, full_support_prime, generator_power_ref, ratliff_rush_ref
 
 
 def ideal(r, *gens):
@@ -35,20 +39,25 @@ def rr_example():
     return ideal(2, (4, 0), (3, 1), (1, 3), (0, 4))
 
 
+def generator_powers(I, m):
+    """The ideal of the m-th powers of I's generators, from the oracle."""
+    return MonomialIdeal(I.r, generator_power_ref(I.generators, m))
+
+
 class TestGeneratorPowerIdeal:
     def test_zero_exponent_is_unit(self):
-        assert generator_power_ideal(ideal(2, (2, 0), (1, 1)), 0) == unit_ideal(2)
+        assert generator_powers(ideal(2, (2, 0), (1, 1)), 0) == unit_ideal(2)
 
     def test_generator_powers(self):
         I = ideal(2, (2, 0), (1, 1))
-        assert generator_power_ideal(I, 2) == ideal(2, (4, 0), (2, 2))
+        assert generator_powers(I, 2) == ideal(2, (4, 0), (2, 2))
 
     def test_contained_in_power(self):
         rng = random.Random(111)
         for _ in range(20):
             I = random_ideal(rng)
             for m in range(1, 4):
-                assert contains_ideal(power(I, m), generator_power_ideal(I, m))
+                assert contains_ideal(power(I, m), generator_powers(I, m))
 
 
 class TestH0Monomials:
@@ -163,7 +172,7 @@ class TestRatliffRush:
             for m in range(1, 5):
                 high = power(I, 1 + m)
                 by_full = add(by_full, colon_ideal(high, power(I, m)))
-                by_gens = add(by_gens, colon_ideal(high, generator_power_ideal(I, m)))
+                by_gens = add(by_gens, colon_ideal(high, generator_powers(I, m)))
             assert by_full == by_gens, I
 
     def test_per_step_colon_antitonicity(self):
@@ -175,8 +184,26 @@ class TestRatliffRush:
             for m in range(1, 4):
                 high = power(I, 1 + m)
                 full_colon = colon_ideal(high, power(I, m))
-                gens_colon = colon_ideal(high, generator_power_ideal(I, m))
+                gens_colon = colon_ideal(high, generator_powers(I, m))
                 assert contains_ideal(gens_colon, full_colon), (I, m)
+
+    def test_packing_follows_the_powers_formed(self, monkeypatch):
+        """A huge cap changes neither the answer nor the packing, which
+        never holds more than the powers the chain reaches."""
+        I, n = example_ideal(5), 3
+        tops = []
+        init = Packing.__init__
+
+        def spy(self, r, top):
+            tops.append(top)
+            init(self, r, top)
+
+        monkeypatch.setattr(Packing, "__init__", spy)
+        res = ratliff_rush(I, n, 10**4000)
+        m_reached = res.stabilized_at_m + 2
+        assert res.certified and tops
+        assert max(tops) <= (n + m_reached + 1) * _top(I)
+        assert res == ratliff_rush(I, n, 6)
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(InputError):
@@ -209,3 +236,65 @@ class TestA0Observed:
     def test_flag_count_matches_scan(self):
         res = a0_observed(rr_example(), 4)
         assert len(res.flags) == 4
+
+
+CHAIN_SETTINGS = settings(max_examples=120, deadline=None, derandomize=True, database=None)
+
+
+def gapped_ideal(r, d):
+    """Every x_i^d with x_i^(d-1) x_j and x_i x_j^(d-1) for each pair of
+    neighbours on a cycle of the variables (one pair when r = 2): the gaps
+    left at degree d make the colon chain climb for some steps, d - 3 of
+    them at n = 1 when r = 2."""
+    gens = []
+    for i in range(r):
+        j = (i + 1) % r
+        for a, b in ((d, 0), (d - 1, 1), (1, d - 1)):
+            gens.append(tuple(a * (k == i) + b * (k == j) for k in range(r)))
+    return ideal(r, *gens)
+
+
+@st.composite
+def chain_cases(draw):
+    """(I, n, m_cap) with r = 1..4, n = 1..4 and m_cap = 2..6.  I either
+    has up to four random generators with exponents up to 4, whose chains
+    mostly settle at once, or is a gapped ideal in two or three variables,
+    whose chain climbs, so that a small cap leaves it uncertified.  The
+    gapped ideals in three variables stop at degree 3 and n = 3, where the
+    reference chain still takes well under a second."""
+    r = draw(st.integers(1, 4))
+    if r in (2, 3) and draw(st.booleans()):
+        d = draw(st.integers(4, 6)) if r == 2 else 3
+        I, n = gapped_ideal(r, d), draw(st.integers(1, 4 if r == 2 else 3))
+    else:
+        vector = st.tuples(*[st.integers(0, 4)] * r).filter(any)
+        I = ideal(r, *draw(st.lists(vector, min_size=1, max_size=4)))
+        n = draw(st.integers(1, 4))
+    return I, n, draw(st.integers(2, 6))
+
+
+class TestChainMatchesReference:
+    @CHAIN_SETTINGS
+    @given(chain_cases())
+    @example((rr_example(), 1, 2))
+    @example((gapped_ideal(2, 6), 1, 4))
+    @example((gapped_ideal(3, 3), 1, 2))
+    def test_ratliff_rush(self, case):
+        I, n, m_cap = case
+        res = ratliff_rush(I, n, m_cap)
+        closure, stabilized_at_m, certified, monotone = ratliff_rush_ref(
+            I.generators, n, m_cap, I.r
+        )
+        assert res.closure.generators == closure
+        assert (res.n, res.stabilized_at_m) == (n, stabilized_at_m)
+        assert (res.certified, res.chain_monotone) == (certified, monotone)
+
+    @CHAIN_SETTINGS
+    @given(chain_cases())
+    @example((rr_example(), 2, 2))
+    def test_a0_observed(self, case):
+        I, n_max, m_cap = case
+        res = a0_observed(I, n_max, m_cap)
+        value, flags, uncertified = a0_ref(I.generators, n_max, m_cap, I.r)
+        assert (res.value, res.flags) == (value, flags)
+        assert (res.certified, len(res.warnings)) == (not uncertified, len(uncertified))

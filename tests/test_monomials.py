@@ -5,7 +5,6 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import oracles as ref
-from brodmann.cohomology import generator_power_ideal
 from brodmann.errors import BudgetError, InputError, enumeration_budget
 from brodmann.monomials import (
     BoxTable,
@@ -365,12 +364,6 @@ class TestPackedKernelMatchesTupleReferences:
     def test_delete_variable(self, case):
         I, j = case
         assert delete_variable(I, j).generators == ref.delete_variable_ref(I.generators, j)
-
-    @KERNEL_SETTINGS
-    @given(RANKS.flatmap(ideals), st.integers(0, 3))
-    def test_generator_power_ideal(self, I, m):
-        expected = ref.generator_power_ref(I.generators, m)
-        assert generator_power_ideal(I, m).generators == expected
 
     def test_many_variables(self):
         # fields of 1 and 11 bytes, packed ints of several thousand bits

@@ -9,15 +9,20 @@ the variables off S to 1, and tests whether the maximal ideal is associated
 there; the two must agree, and `ass_profile` can cross-check them against
 each other.  The supports and their localizations do not depend on n, so
 they are formed once per request: once per `ass_power` call, and once for
-all the entries of an `ass_profile`.
+all the entries of an `ass_profile`.  The recursion route walks the powers
+of each localization up as bitsets (`_power_walk`), one walk for every n,
+so it never calls `power` and shares no table with the quotient route.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, islice, repeat
+from math import prod
+from operator import mul
 
-from .errors import METHODS, InconsistencyError, InputError
+from .errors import METHODS, InconsistencyError, InputError, charge_budget
 from .monomials import (
     BoxTable,
     MonomialIdeal,
@@ -81,22 +86,63 @@ def ass_of_quotient(J: MonomialIdeal) -> frozenset[VariablePrime]:
     return frozenset(ass_witnesses(J))
 
 
+def _torsion(table: BoxTable, upper: int, lower: int) -> int:
+    """The cells of `upper`, the table of I^n, outside `lower`, that of
+    I^(n+1), and in every I^(n+1) : x_i^inf: the maximal-ideal torsion of
+    I^n/I^(n+1).  Exact on a box that reaches the exponents of I^n and
+    I^(n+1), where `saturate` is exact and which holds the whole torsion:
+    a monomial of I^(n+1) : x_i^inf whose x_i exponent passes those of
+    I^(n+1) lies in I^(n+1)."""
+    cells = upper & ~lower
+    for i in range(len(table.dims)):
+        if cells:
+            cells &= table.saturate(lower, i)
+    return cells
+
+
 def _torsion_cells(I: MonomialIdeal, n: int) -> tuple[BoxTable, int]:
-    """The table of I^(n+1) and, in its box, the cells of I^n in every
-    I^(n+1) : x_i^inf (the (n+1)-st power of I with x_i set to 1) but not
-    in I^(n+1): the maximal-ideal torsion of I^n/I^(n+1).  The box reaches
-    the exponents of I^n and I^(n+1), so `saturate` is exact on it, and it
-    holds the whole torsion: a monomial of I^(n+1) : x_i^inf whose x_i
-    exponent passes those of I^(n+1) lies in I^(n+1)."""
+    """The table of I^(n+1) and the `_torsion` cells of I^n/I^(n+1), on the
+    box of the exponents of I^n and I^(n+1)."""
     i_n, i_n1 = power(I, n), power(I, n + 1)
     box = tuple(map(max, max_exponents(i_n), max_exponents(i_n1)))
     upper = BoxTable(i_n.generators, box)
     lower = BoxTable(i_n1.generators, box, upper.masks)
-    cells = upper.bits & ~lower.bits
-    for i in range(I.r):
-        if cells:
-            cells &= lower.saturate(lower.bits, i)
-    return lower, cells
+    return lower, _torsion(lower, upper.bits, lower.bits)
+
+
+def _power_walk(J: MonomialIdeal) -> Iterator[tuple[BoxTable, int, int]]:
+    """(table, J^n, J^(n+1)) for n = 0, 1, ...: the bitsets of two
+    consecutive powers on the box of `table`, walked up without forming a
+    product of generators.
+
+    The cells of J^(k+1) are those v with v - g in J^k for a generator g,
+    so its bitset is the OR over g of J^k's shifted by g's cell offset and
+    masked to the cells >= g: when v + g passes the box, the first axis to
+    carry, counting from the last, ends below g's coordinate there, so the
+    mask drops exactly the cells that wrapped into another row.  A box
+    stays exact for every power, but must reach the exponents of J^(n+1)
+    for `_torsion`, and those of J^(k+1) are at most those of J^k plus
+    those of J.  So every two steps the walk moves to a box reaching the
+    exponents of J^k plus twice those of J, seeded from the minimal
+    generators of J^k (its cells with no cell one step below on any
+    axis).  Each box charges one table when seeded and one per step.
+    """
+    caps = max_exponents(J)
+    gens: list[Monomial] = [(0,) * J.r]
+    while True:
+        table = BoxTable(gens, tuple(e + 2 * c for e, c in zip(map(max, zip(*gens)), caps)))
+        total = prod(table.dims)
+        offsets = (sum(map(mul, g, table.strides)) for g in J.generators)
+        shifts = list(zip(offsets, table.above(J.generators)))
+        bits = table.bits
+        for _ in range(2):
+            charge_budget(total, "membership box")
+            step = 0
+            for offset, above in shifts:
+                step |= (bits << offset) & above
+            yield table, bits, step
+            bits = step
+        gens = list(table.points(table.minimal(bits)))
 
 
 def max_ideal_in_ass(I: MonomialIdeal, n: int) -> bool:
@@ -104,16 +150,14 @@ def max_ideal_in_ass(I: MonomialIdeal, n: int) -> bool:
 
     Decided by the torsion criterion: I^n intersected with the (n+1)-st
     powers of all single-variable deletions must exceed I^(n+1), tested by
-    `_torsion_cells` on the tables of I^n and I^(n+1) alone.  Any unused
-    variable forces False (its deletion leaves I unchanged, collapsing the
-    numerator).
+    `_torsion` on the tables of I^n and I^(n+1) that `_power_walk` reaches.
+    An unused variable x_i leaves I^(n+1) : x_i^inf equal to I^(n+1), so
+    the answer is then False.
     """
     require_proper_nonzero(I)
     if n < 0:
         raise InputError(f"power index must be >= 0, got {n}")
-    if len(used_variables(I)) < I.r:
-        return False
-    return bool(_torsion_cells(I, n)[1])
+    return bool(_torsion(*next(islice(_power_walk(I), n, None))))
 
 
 def _localize(I: MonomialIdeal, support: tuple[int, ...]) -> MonomialIdeal:
@@ -148,12 +192,16 @@ def _local_ideals(I: MonomialIdeal) -> list[LocalIdeal]:
     return local
 
 
-def _ass_by_localization(local: list[LocalIdeal], n: int) -> frozenset[VariablePrime]:
-    """Ass(I^n/I^(n+1)) one support at a time, from the supports and
-    localizations `_local_ideals` formed once for the request: the prime
-    on S is associated when I_S is a pure power ideal or the maximal ideal
-    is associated to I_S^n/I_S^(n+1)."""
-    return frozenset(S for S, J in local if J is None or max_ideal_in_ass(J, n))
+def _ass_by_localization(I: MonomialIdeal, n_max: int) -> list[frozenset[VariablePrime]]:
+    """Ass(I^n/I^(n+1)) for n = 0..n_max, from the supports and
+    localizations of `_local_ideals`, formed once: the prime on S is
+    associated at n when I_S is a pure power ideal or the maximal ideal is
+    associated to I_S^n/I_S^(n+1), read off one `_power_walk` of I_S."""
+    flags = [
+        (S, None if J is None else [bool(_torsion(*t)) for t in islice(_power_walk(J), n_max + 1)])
+        for S, J in _local_ideals(I)
+    ]
+    return [frozenset(S for S, f in flags if f is None or f[n]) for n in range(n_max + 1)]
 
 
 def _require_method(method: str) -> None:
@@ -161,18 +209,20 @@ def _require_method(method: str) -> None:
         raise InputError(f"method must be one of {METHODS}, got {method!r}")
 
 
-def _ass_entry(
-    I: MonomialIdeal, n: int, method: str, local: list[LocalIdeal] | None
+def _quotient_entry(I: MonomialIdeal, n: int) -> frozenset[VariablePrime]:
+    return ass_of_quotient(power(I, n + 1))
+
+
+def _agreed(
+    n: int,
+    via_quotient: frozenset[VariablePrime] | None,
+    via_recursion: frozenset[VariablePrime] | None,
 ) -> frozenset[VariablePrime]:
-    """Ass(I^n/I^(n+1)) by `method`, given `_local_ideals(I)` unless the
-    method is "quotient"."""
-    if method == "recursion":
-        return _ass_by_localization(local, n)
-    via_quotient = ass_of_quotient(power(I, n + 1))
-    if method == "quotient":
-        return via_quotient
-    via_recursion = _ass_by_localization(local, n)
-    if via_quotient != via_recursion:
+    """The entry at n from the routes that ran (None: not run); an
+    inconsistency error when both ran and disagree."""
+    if via_quotient is None:
+        return via_recursion
+    if via_recursion is not None and via_quotient != via_recursion:
         raise InconsistencyError(
             f"associated-prime methods disagree at n={n}",
             payload={
@@ -195,8 +245,9 @@ def ass_power(I: MonomialIdeal, n: int, method: str = "quotient") -> frozenset[V
     if n < 0:
         raise InputError(f"power index must be >= 0, got {n}")
     _require_method(method)
-    local = None if method == "quotient" else _local_ideals(I)
-    return _ass_entry(I, n, method, local)
+    via_quotient = None if method == "recursion" else _quotient_entry(I, n)
+    via_recursion = None if method == "quotient" else _ass_by_localization(I, n)[n]
+    return _agreed(n, via_quotient, via_recursion)
 
 
 @dataclass(frozen=True)
@@ -217,38 +268,37 @@ class AssProfile:
     method: str
 
 
-def _profile_entry(args: tuple) -> tuple[int, frozenset[VariablePrime]]:
-    I, n, method, local = args
-    return n, _ass_entry(I, n, method, local)
-
-
 def ass_profile(
     I: MonomialIdeal,
     n_max: int,
     method: str = "quotient",
     jobs: int = 1,
 ) -> AssProfile:
-    """Profile of Ass(I^n/I^(n+1)) over n = 0..n_max."""
+    """Profile of Ass(I^n/I^(n+1)) over n = 0..n_max.  The recursion route
+    runs here, once for every n; `jobs` worker processes share the
+    quotient route's entries."""
     require_proper_nonzero(I)
     if n_max < 1:
         raise InputError(f"scan bound must be >= 1, got {n_max}")
     if jobs < 1:
         raise InputError(f"parallelism degree must be >= 1, got {jobs}")
     _require_method(method)
-    local = None if method == "quotient" else _local_ideals(I)
-    tasks = [(I, n, method, local) for n in range(n_max + 1)]
+    ns = range(n_max + 1)
+    recursion = [None] * len(ns) if method == "quotient" else _ass_by_localization(I, n_max)
     # a fork-started pool starts all its workers at the first submit, so no
     # more workers than tasks
-    workers = min(jobs, len(tasks))
-    if workers == 1:
-        results = [_profile_entry(t) for t in tasks]
+    workers = min(jobs, len(ns))
+    if method == "recursion":
+        quotient = [None] * len(ns)
+    elif workers == 1:
+        quotient = list(map(_quotient_entry, repeat(I), ns))
     else:
         # imported here: multiprocessing is slow to load and rarely needed
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_profile_entry, tasks))
-    entries = tuple(e for _, e in sorted(results))
+            quotient = list(pool.map(_quotient_entry, repeat(I), ns))
+    entries = tuple(map(_agreed, ns, quotient, recursion))
     stable_at: int | None = n_max
     while stable_at > 0 and entries[stable_at - 1] == entries[n_max]:
         stable_at -= 1

@@ -501,6 +501,33 @@ class BoxTable:
         top = bits & self.masks[prod(self.dims), s, d, d - 1]
         return self.close(top >> (d - 1) * s, i)
 
+    def minimal(self, bits: int) -> int:
+        """The cells of bits with no cell of bits one step below on any
+        axis: for the table of an ideal, the cells of its minimal
+        generators."""
+        total = prod(self.dims)
+        below = 0
+        for s, d in zip(self.strides, self.dims):
+            below |= (bits << s) & self.masks[total, s, d, 1]
+        return bits & ~below
+
+    def above(self, cells: tuple[Monomial, ...]) -> list[int]:
+        """For each cell g, the bitset of the cells >= g.  Along an axis, the
+        cells with coordinate >= c + 1 are those >= c whose cell one step
+        down is >= c too, so each is one shift and AND from the last,
+        starting from the shared mask of `close`."""
+        total = prod(self.dims)
+        box = (1 << total) - 1
+        out = [box] * len(cells)
+        for i, (s, d) in enumerate(zip(self.strides, self.dims)):
+            top = max(g[i] for g in cells)
+            if top:
+                ge = [box, self.masks[total, s, d, 1]]
+                while len(ge) <= top:
+                    ge.append(ge[-1] & (ge[-1] << s))
+                out = [m & ge[g[i]] for m, g in zip(out, cells)]
+        return out
+
     @property
     def table(self) -> bytearray:
         """One byte per cell, 1 for the cells in the ideal."""

@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from brodmann import assprimes, monomials
 from brodmann.assprimes import (
@@ -15,6 +15,7 @@ from brodmann.cli import example_ideal
 from brodmann.cohomology import h0_m_monomials
 from brodmann.errors import (
     BUDGET_ENV_VAR,
+    DEFAULT_BUDGET,
     METHODS,
     BudgetError,
     InconsistencyError,
@@ -39,6 +40,7 @@ from oracles import (
     divides,
     full_support_prime,
     monomial_in,
+    power_ref,
     scan_ass_witnesses,
     scan_h0_witnesses,
     scan_max_ideal_in_ass,
@@ -264,9 +266,8 @@ class TestProfile:
 
     def test_parallel_equals_serial(self):
         I = example_ideal(5)
-        a = ass_profile(I, 4, jobs=1)
-        b = ass_profile(I, 4, jobs=2)
-        assert a == b
+        for method in METHODS:
+            assert ass_profile(I, 4, method, jobs=2) == ass_profile(I, 4, method, jobs=1)
 
     def test_pool_has_no_more_workers_than_powers(self, monkeypatch):
         import concurrent.futures
@@ -337,9 +338,10 @@ class TestBitsetScansMatchCellScans:
         assert h0_m_monomials(I, n).witnesses == scan_h0_witnesses(I, n)
 
     def test_table_count_on_worked_family(self, monkeypatch):
-        """One table per Ass(R/J) call and two per torsion test, the others
-        coming from saturations: 35 tables of 37336 cells in all for d = 6,
-        n = 0..6, both methods."""
+        """One table per Ass(R/J) call and one per box of a power walk, the
+        others coming from saturations and the walk's steps: 15 tables of
+        31842 cells in all for d = 6, n = 0..6, both methods (7 for the
+        quotient route, 4 boxes for each of the two walks)."""
         built = []
         original = assprimes.BoxTable
 
@@ -350,7 +352,7 @@ class TestBitsetScansMatchCellScans:
 
         monkeypatch.setattr(assprimes, "BoxTable", counting)
         ass_profile(example_ideal(6), 6, method="both")
-        assert (len(built), sum(built)) == (35, 37336)
+        assert (len(built), sum(built)) == (15, 31842)
 
     @pytest.mark.parametrize(
         "call",
@@ -362,11 +364,12 @@ class TestBitsetScansMatchCellScans:
         ids=["ass_witnesses", "max_ideal_in_ass", "h0_m_monomials"],
     )
     def test_axis_masks_built_once_per_box(self, monkeypatch, call):
-        """The tables of one call share one box and build each of its axis
-        masks once; a second call builds them again (no cache outlives a
-        call).  Per axis only two masks are kept: the first doubling mask
-        of `close`, which derives the others, and the top one of `saturate`
-        and `sub_box`."""
+        """The tables on one box (one per call, or one per two powers of a
+        power walk) build each of its axis masks once; a second call builds
+        them again (no cache outlives a call).  Per axis only two masks are
+        kept: the first doubling mask of `close`, which derives the others
+        and the walk's masks of `BoxTable.above`, and the top one of
+        `saturate` and `sub_box`."""
         built = []
         original = monomials._axis_mask
 
@@ -424,13 +427,11 @@ class TestLocalizationLoop:
         # at {1, 2}, x1*x3*x4 becomes x1: I_S = (x1, x2^3)
         I = ideal(4, (2, 0, 0, 0), (0, 3, 0, 0), (1, 0, 1, 1))
         tested = []
-        monkeypatch.setattr(
-            assprimes, "max_ideal_in_ass",
-            lambda J, n: tested.append(J) or max_ideal_in_ass(J, n),
-        )  # fmt: skip
+        walk = assprimes._power_walk
+        monkeypatch.setattr(assprimes, "_power_walk", lambda J: tested.append(J) or walk(J))
         seen = self.localized(monkeypatch, I)
         assert seen[(1, 2)] == ideal(2, (1, 0), (0, 3))
-        assert seen[(1, 2)] not in tested
+        assert tested and seen[(1, 2)] not in tested
         assert ass_power(I, 0, "recursion") == {(1, 2), (1, 2, 3), (1, 2, 4)}
 
     def test_support_with_an_unused_variable_is_not_associated(self, monkeypatch):
@@ -464,6 +465,93 @@ class TestLocalizationLoop:
     def test_entries_equal_ass_power(self, I, n_max, method):
         entries = ass_profile(I, n_max, method).entries
         assert entries == tuple(ass_power(I, n, method) for n in range(n_max + 1))
+
+
+@st.composite
+def walk_ideals(draw):
+    """Ideals in 1..4 variables, up to 3 generators, with exponents small
+    enough for the cell scan to reach n = 7 (up to 4, 3, 2, 1 in 1..4
+    variables); single generators among them."""
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    r = rng.choice((1, 2, 3, 3, 4, 4))
+    gens = [[rng.randint(0, 5 - r) for _ in range(r)] for _ in range(rng.choice((1, 2, 3, 3, 3)))]
+    return minimize([g for g in gens if any(g)] or [[1] * r], r)
+
+
+WALK_SETTINGS = settings(max_examples=80, deadline=None, derandomize=True, database=None)
+
+# the worked family for d = 4 with its z on axis 2, 0 and 1: z stays at
+# exponent <= 1 in every power, so the boxes outgrow the powers on that axis
+FAMILY_ROTATIONS = [
+    minimize([g[k:] + g[:k] for g in example_ideal(4).generators], 3) for k in range(3)
+]
+
+
+class TestPowerWalk:
+    """The recursion route walks each I_S up its powers on bitsets,
+    re-laying the walk on a larger box every two steps."""
+
+    @WALK_SETTINGS
+    @given(walk_ideals())
+    @example(FAMILY_ROTATIONS[0])
+    def test_flags_match_torsion_scans(self, J):
+        walk = assprimes._power_walk(J)
+        for n in range(8):
+            flag = bool(assprimes._torsion(*next(walk)))
+            assert flag == scan_max_ideal_in_ass(J, n), (J, n)
+            assert flag == bool(assprimes._torsion_cells(J, n)[1]) == max_ideal_in_ass(J, n)
+
+    @WALK_SETTINGS
+    @given(walk_ideals())
+    @example(FAMILY_ROTATIONS[0])
+    @example(FAMILY_ROTATIONS[1])
+    @example(FAMILY_ROTATIONS[2])
+    def test_tables_are_the_powers_on_the_reseeded_box(self, J):
+        """Each box reaches the exponents of J^n0 plus twice those of J, n0
+        the even power it starts at, and holds the tables of J^n0..J^(n0+2)."""
+        caps = max_exponents(J)
+        for n, (table, upper, lower) in zip(range(8), assprimes._power_walk(J)):
+            n0 = n - n % 2
+            start = max_exponents(MonomialIdeal(J.r, power_ref(J.generators, n0, J.r)))
+            bounds = tuple(e + 2 * c for e, c in zip(start, caps))
+            assert table.dims == tuple(b + 1 for b in bounds), (J, n)
+            for k, bits in ((n, upper), (n + 1, lower)):
+                want = monomials.BoxTable(power_ref(J.generators, k, J.r), bounds).bits
+                assert bits == want, (J, k)
+
+    @ORACLE_SETTINGS
+    @given(proper_ideals(max_r=4))
+    def test_profile_matches_quotient_route(self, I):
+        entries = ass_profile(I, 8, "recursion").entries
+        assert entries == tuple(ass_of_quotient(power(I, n + 1)) for n in range(9))
+
+    def test_recursion_route_forms_no_power(self, monkeypatch):
+        """The two routes share no power: the recursion route walks its
+        own, so it answers with `power` made to fail."""
+        ideals = [example_ideal(5), ideal(4, (2, 1, 0, 1), (0, 2, 2, 0), (1, 0, 1, 2))]
+        want = [ass_profile(I, 6).entries for I in ideals]
+
+        def refuse(*args):
+            raise AssertionError("power called on the recursion route")
+
+        monkeypatch.setattr(monomials, "power", refuse)
+        monkeypatch.setattr(assprimes, "power", refuse)
+        for I, entries in zip(ideals, want):
+            assert ass_profile(I, 6, "recursion").entries == entries
+            assert ass_power(I, 3, "recursion") == entries[3]
+            assert max_ideal_in_ass(I, 3) == (full_support_prime(I.r) in entries[3])
+        with pytest.raises(AssertionError, match="power called"):
+            ass_power(ideals[0], 3, "both")
+
+    @pytest.mark.parametrize(
+        "d, n_max, method, charge", [(5, 40, "recursion", 3852131), (6, 30, "both", 3254066)]
+    )
+    def test_long_profiles_fit_the_default_budget(self, d, n_max, method, charge):
+        with enumeration_budget(DEFAULT_BUDGET) as meter:
+            prof = ass_profile(example_ideal(d), n_max, method)
+        assert meter.used == charge
+        assert prof.observed_stable_at == d - 3
+        assert prof.entries[-1] == {(1, 2)}
 
 
 class TestRequestBudget:

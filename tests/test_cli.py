@@ -479,8 +479,8 @@ class TestExitCodes:
         assert "budget exceeded" in err
 
     def test_budget_covers_the_whole_call(self, capsys, family_file):
-        # 432 lattice points on the quotient route and 726 on the recursion
-        # route, though no table alone needs more than 242
+        # 432 lattice points on the quotient route and 1452 on the recursion
+        # route, though no table alone needs more than 432
         argv = ["ass", "--ideal", family_file, "--n", "1", "--method", "both"]
         code, out, err = run(capsys, *argv, "--budget", "500")
         assert (code, out) == (3, "")
@@ -488,12 +488,12 @@ class TestExitCodes:
             "budget exceeded: membership box needs 121 lattice points,"
             " budget is 500, 432 already charged\n"
         )
-        assert run(capsys, *argv, "--budget", "1157")[0] == 3
-        assert run(capsys, *argv, "--budget", "1158")[0] == 0
-        assert run(capsys, *argv, "--budget", "1200") == run(capsys, *argv)
+        assert run(capsys, *argv, "--budget", "1883")[0] == 3
+        assert run(capsys, *argv, "--budget", "1884")[0] == 0
+        assert run(capsys, *argv, "--budget", "1900") == run(capsys, *argv)
 
     def test_budget_does_not_carry_over_between_calls(self, capsys, family_file):
-        # each call charges 1158 points, more than half the limit
+        # each call charges 1884 points, more than half the limit
         argv = ["ass", "--ideal", family_file, "--n", "1", "--method", "both", "--budget", "2000"]
         assert [run(capsys, *argv)[0] for _ in range(2)] == [0, 0]
 

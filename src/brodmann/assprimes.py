@@ -12,6 +12,7 @@ they are formed once per request: once per `ass_power` call, and once for
 all the entries of an `ass_profile`.  The recursion route walks the powers
 of each localization up as bitsets (`_power_walk`), one walk for every n,
 so it never calls `power` and shares no table with the quotient route.
+`max_ideal_in_ass` and `h0_m_monomials` read the torsion off the same walk.
 """
 
 from __future__ import annotations
@@ -100,16 +101,6 @@ def _torsion(table: BoxTable, upper: int, lower: int) -> int:
     return cells
 
 
-def _torsion_cells(I: MonomialIdeal, n: int) -> tuple[BoxTable, int]:
-    """The table of I^(n+1) and the `_torsion` cells of I^n/I^(n+1), on the
-    box of the exponents of I^n and I^(n+1)."""
-    i_n, i_n1 = power(I, n), power(I, n + 1)
-    box = tuple(map(max, max_exponents(i_n), max_exponents(i_n1)))
-    upper = BoxTable(i_n.generators, box)
-    lower = BoxTable(i_n1.generators, box, upper.masks)
-    return lower, _torsion(lower, upper.bits, lower.bits)
-
-
 def _power_walk(J: MonomialIdeal) -> Iterator[tuple[BoxTable, int, int]]:
     """(table, J^n, J^(n+1)) for n = 0, 1, ...: the bitsets of two
     consecutive powers on the box of `table`, walked up without forming a
@@ -145,19 +136,27 @@ def _power_walk(J: MonomialIdeal) -> Iterator[tuple[BoxTable, int, int]]:
         gens = list(table.points(table.minimal(bits)))
 
 
+def _torsion_cells(I: MonomialIdeal, n: int) -> tuple[BoxTable, int]:
+    """The table of step n of `_power_walk(I)` and the `_torsion` cells of
+    I^n/I^(n+1) on it: the whole torsion, since the box reaches the
+    exponents of I^n and I^(n+1)."""
+    table, upper, lower = next(islice(_power_walk(I), n, None))
+    return table, _torsion(table, upper, lower)
+
+
 def max_ideal_in_ass(I: MonomialIdeal, n: int) -> bool:
     """Whether the full-support prime is associated to I^n/I^(n+1).
 
     Decided by the torsion criterion: I^n intersected with the (n+1)-st
     powers of all single-variable deletions must exceed I^(n+1), tested by
-    `_torsion` on the tables of I^n and I^(n+1) that `_power_walk` reaches.
-    An unused variable x_i leaves I^(n+1) : x_i^inf equal to I^(n+1), so
-    the answer is then False.
+    `_torsion_cells`, the same cells `h0_m_monomials` lists.  An unused
+    variable x_i leaves I^(n+1) : x_i^inf equal to I^(n+1), so the answer
+    is then False.
     """
     require_proper_nonzero(I)
     if n < 0:
         raise InputError(f"power index must be >= 0, got {n}")
-    return bool(_torsion(*next(islice(_power_walk(I), n, None))))
+    return bool(_torsion_cells(I, n)[1])
 
 
 def _localize(I: MonomialIdeal, support: tuple[int, ...]) -> MonomialIdeal:

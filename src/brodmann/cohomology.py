@@ -1,10 +1,11 @@
 """Torsion computations on the associated graded ring of a monomial ideal.
 
 Three tools: the degreewise maximal-ideal torsion of I^n/I^(n+1) with an
-explicit finite witness list; Ratliff-Rush closures computed through the
-colon chain by generator powers, with an honest stabilization certificate;
-and the scanner for the top degree where the Rees-irrelevant torsion of the
-graded ring is nonzero (reported as None when every scanned degree vanishes).
+explicit finite witness list, read off the bitset power walk of
+`assprimes`; Ratliff-Rush closures computed through the colon chain by
+generator powers, with an honest stabilization certificate; and the scanner
+for the top degree where the Rees-irrelevant torsion of the graded ring is
+nonzero (reported as None when every scanned degree vanishes).
 
 The colon chain runs packed from start to end: each power I^(n+m) is the
 previous one times the generators of I, and each colon is formed above
@@ -16,7 +17,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .assprimes import _torsion_cells
 from .errors import DEFAULT_M_CAP, InputError
 from .monomials import (
     Monomial,
@@ -74,9 +74,13 @@ def h0_m_monomials(I: MonomialIdeal, n: int) -> H0Report:
 
     The torsion is I^n intersected with the (n+1)-st powers of every
     single-variable deletion of I, modulo I^(n+1).  Its monomials are the
-    cells of `_torsion_cells`, listed ascending lexicographically from the
-    box of I^n and I^(n+1), which holds them all.
+    cells of `_torsion_cells`, read off step n of the power walk of I, the
+    same cells `max_ideal_in_ass` tests, listed ascending lexicographically.
     """
+    # imported here: only this tool needs the power walk, so `rr` and `a0`
+    # do not load assprimes
+    from .assprimes import _torsion_cells
+
     require_proper_nonzero(I)
     if n < 0:
         raise InputError(f"degree must be >= 0, got {n}")

@@ -425,9 +425,9 @@ def _axis_mask(total: int, stride: int, dim: int, k: int) -> int:
 
 
 class _AxisMasks(dict):
-    """`_axis_mask` by its arguments, each built on first use.  The tables
-    of one box share one of these and drop it with them: nothing caches
-    masks across calls, since a mask holds one bit per cell of the box."""
+    """`_axis_mask` by its arguments, each built on first use.  Each table
+    holds its own and drops it with the table: nothing caches masks across
+    calls, since a mask holds one bit per cell of the box."""
 
     def __missing__(self, key: tuple[int, int, int, int]) -> int:
         mask = self[key] = _axis_mask(*key)
@@ -443,20 +443,15 @@ class BoxTable:
     The box is a bitset: bit idx of `bits` is the cell whose row-major index
     sum(v_i * strides[i]) is idx, so the lowest set bit is the
     lexicographically first cell.  The upward closure is `close` along each
-    axis, and `saturate` gives the table of each J : x_i^inf from J's.  A
-    second table on the box shares the axis masks when given `masks`.
-    `table` holds the same cells one byte each, for O(r) point queries,
-    built when first read.
+    axis, and `saturate` gives the table of each J : x_i^inf from J's.
+    Other bitsets on the box, such as the powers of a power walk, use the
+    table's axis masks through these methods.  `table` holds the same
+    cells one byte each, for O(r) point queries, built when first read.
     """
 
     __slots__ = ("dims", "strides", "bits", "masks", "_table")
 
-    def __init__(
-        self,
-        gens: Iterable[Monomial],
-        bounds: tuple[int, ...],
-        masks: _AxisMasks | None = None,
-    ):
+    def __init__(self, gens: Iterable[Monomial], bounds: tuple[int, ...]):
         dims = tuple(b + 1 for b in bounds)
         total = prod(dims)
         charge_budget(total, "membership box")
@@ -471,7 +466,7 @@ class BoxTable:
                 cells[idx >> 3] |= 1 << (idx & 7)
         self.dims = dims
         self.strides = tuple(strides)
-        self.masks = _AxisMasks() if masks is None else masks
+        self.masks = _AxisMasks()
         self._table: bytearray | None = None
         self.bits = reduce(self.close, range(e), int.from_bytes(cells, "little"))
 

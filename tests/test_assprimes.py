@@ -3,7 +3,7 @@ import random
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from brodmann import assprimes, monomials
+from brodmann import assprimes, cohomology, monomials
 from brodmann.assprimes import (
     ass_of_quotient,
     ass_power,
@@ -44,6 +44,7 @@ from oracles import (
     scan_ass_witnesses,
     scan_h0_witnesses,
     scan_max_ideal_in_ass,
+    torsion_cells_ref,
 )
 
 
@@ -364,9 +365,9 @@ class TestBitsetScansMatchCellScans:
         ids=["ass_witnesses", "max_ideal_in_ass", "h0_m_monomials"],
     )
     def test_axis_masks_built_once_per_box(self, monkeypatch, call):
-        """The tables on one box (one per call, or one per two powers of a
-        power walk) build each of its axis masks once; a second call builds
-        them again (no cache outlives a call).  Per axis only two masks are
+        """Each box (one per call, or one per two powers of a power walk)
+        builds each of its axis masks once; a second call builds them
+        again (no cache outlives a call).  Per axis only two masks are
         kept: the first doubling mask of `close`, which derives the others
         and the walk's masks of `BoxTable.above`, and the top one of
         `saturate` and `sub_box`."""
@@ -495,11 +496,15 @@ class TestPowerWalk:
     @given(walk_ideals())
     @example(FAMILY_ROTATIONS[0])
     def test_flags_match_torsion_scans(self, J):
+        """Across the re-seeds, the walk's flags match the cell scan, and the
+        h0 witnesses it lists match the two-table kernel on the powers."""
         walk = assprimes._power_walk(J)
         for n in range(8):
             flag = bool(assprimes._torsion(*next(walk)))
             assert flag == scan_max_ideal_in_ass(J, n), (J, n)
-            assert flag == bool(assprimes._torsion_cells(J, n)[1]) == max_ideal_in_ass(J, n)
+            witnesses = h0_m_monomials(J, n).witnesses
+            assert witnesses == torsion_cells_ref(J, n), (J, n)
+            assert flag == bool(witnesses) == max_ideal_in_ass(J, n)
 
     @WALK_SETTINGS
     @given(walk_ideals())
@@ -527,21 +532,42 @@ class TestPowerWalk:
 
     def test_recursion_route_forms_no_power(self, monkeypatch):
         """The two routes share no power: the recursion route walks its
-        own, so it answers with `power` made to fail."""
+        own, so it answers with `power` made to fail, and so do the two
+        torsion tools, which read the same walk."""
         ideals = [example_ideal(5), ideal(4, (2, 1, 0, 1), (0, 2, 2, 0), (1, 0, 1, 2))]
         want = [ass_profile(I, 6).entries for I in ideals]
+        torsion = [torsion_cells_ref(I, 3) for I in ideals]
 
         def refuse(*args):
             raise AssertionError("power called on the recursion route")
 
         monkeypatch.setattr(monomials, "power", refuse)
         monkeypatch.setattr(assprimes, "power", refuse)
-        for I, entries in zip(ideals, want):
+        monkeypatch.setattr(cohomology, "power", refuse)
+        for I, entries, cells in zip(ideals, want, torsion):
             assert ass_profile(I, 6, "recursion").entries == entries
             assert ass_power(I, 3, "recursion") == entries[3]
             assert max_ideal_in_ass(I, 3) == (full_support_prime(I.r) in entries[3])
+            assert h0_m_monomials(I, 3).witnesses == cells
         with pytest.raises(AssertionError, match="power called"):
             ass_power(ideals[0], 3, "both")
+
+    def test_pure_power_ideal_walks_nothing(self):
+        """An m-primary pure power ideal is associated at every n without a
+        walk, whose boxes would grow in every variable: n = 40 in four
+        variables charges nothing."""
+        I = ideal(4, (3, 0, 0, 0), (0, 3, 0, 0), (0, 0, 3, 0), (0, 0, 0, 3))
+        with enumeration_budget(DEFAULT_BUDGET) as meter:
+            entries = ass_profile(I, 40, "recursion").entries
+        assert meter.used == 0
+        assert entries == ({(1, 2, 3, 4)},) * 41
+
+    @pytest.mark.parametrize("call", [h0_m_monomials, max_ideal_in_ass])
+    def test_torsion_tools_charge_the_walk(self, call):
+        """Both torsion tools charge the walk up to n = 40 and nothing more."""
+        with enumeration_budget(DEFAULT_BUDGET) as meter:
+            call(example_ideal(5), 40)
+        assert meter.used == 2889429
 
     @pytest.mark.parametrize(
         "d, n_max, method, charge", [(5, 40, "recursion", 3852131), (6, 30, "both", 3254066)]

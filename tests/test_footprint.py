@@ -70,7 +70,7 @@ print(json.dumps({LOADED}))
         (["--help"], []),
         (["bound", "--r", "2", "--s", "2", "--d", "2"], ["bounds", "monomials", "radicals"]),
         (["rr", "--ideal", "two.txt", "--n", "1"],
-         ["assprimes", "cohomology", "ioformats", "monomials"]),
+         ["cohomology", "ioformats", "monomials"]),
         (["cone", "--system", "stair.txt"], ["ioformats", "monomials", "polyhedra", "radicals"]),
     ],
     ids=["help", "bound", "rr", "cone"],

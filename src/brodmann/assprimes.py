@@ -12,7 +12,8 @@ they are formed once per request: once per `ass_power` call, and once for
 all the entries of an `ass_profile`.  The recursion route walks the powers
 of each localization up as bitsets (`_power_walk`), one walk for every n,
 so it never calls `power` and shares no table with the quotient route.
-`max_ideal_in_ass` and `h0_m_monomials` read the torsion off the same walk.
+`max_ideal_in_ass` and `h0_m_monomials` read the torsion off one step of
+such a walk, started at I^n.
 """
 
 from __future__ import annotations
@@ -101,10 +102,23 @@ def _torsion(table: BoxTable, upper: int, lower: int) -> int:
     return cells
 
 
-def _power_walk(J: MonomialIdeal) -> Iterator[tuple[BoxTable, int, int]]:
-    """(table, J^n, J^(n+1)) for n = 0, 1, ...: the bitsets of two
-    consecutive powers on the box of `table`, walked up without forming a
-    product of generators.
+def _power_gens(J: MonomialIdeal, n: int) -> list[Monomial]:
+    """The minimal generators of J^n, each power walked up packed as the
+    last one times the generators of J, charging the products it forms."""
+    P = Packing(J.r, n * _top(J))
+    gens, high = P.pack_ideal(J), [0]
+    for _ in range(n):
+        charge_budget(len(high) * len(gens), "power walk", unit="products")
+        high = P.minimal(a + g for a in high for g in gens)
+    return [P.unpack(x) for x in high]
+
+
+def _power_walk(
+    J: MonomialIdeal, start: int = 0, steps: int = 2
+) -> Iterator[tuple[BoxTable, int, int]]:
+    """(table, J^n, J^(n+1)) for n = start, start + 1, ...: the bitsets of
+    two consecutive powers on the box of `table`, walked up without forming
+    a product of generators past J^start.
 
     The cells of J^(k+1) are those v with v - g in J^k for a generator g,
     so its bitset is the OR over g of J^k's shifted by g's cell offset and
@@ -113,20 +127,22 @@ def _power_walk(J: MonomialIdeal) -> Iterator[tuple[BoxTable, int, int]]:
     mask drops exactly the cells that wrapped into another row.  A box
     stays exact for every power, but must reach the exponents of J^(n+1)
     for `_torsion`, and those of J^(k+1) are at most those of J^k plus
-    those of J.  So every two steps the walk moves to a box reaching the
-    exponents of J^k plus twice those of J, seeded from the minimal
-    generators of J^k (its cells with no cell one step below on any
-    axis).  Each box charges one table when seeded and one per step.
+    those of J.  So every `steps` steps the walk moves to a box reaching
+    the exponents of J^k plus `steps` times those of J, seeded from the
+    minimal generators of J^k: those of `_power_gens` at the start, then
+    the cells of the table with no cell one step below on any axis.  Each
+    box charges one table when seeded and one per step.
     """
     caps = max_exponents(J)
-    gens: list[Monomial] = [(0,) * J.r]
+    gens = _power_gens(J, start)
     while True:
-        table = BoxTable(gens, tuple(e + 2 * c for e, c in zip(map(max, zip(*gens)), caps)))
+        bounds = tuple(e + steps * c for e, c in zip(map(max, zip(*gens)), caps))
+        table = BoxTable(gens, bounds)
         total = prod(table.dims)
         offsets = (sum(map(mul, g, table.strides)) for g in J.generators)
         shifts = list(zip(offsets, table.above(J.generators)))
         bits = table.bits
-        for _ in range(2):
+        for _ in range(steps):
             charge_budget(total, "membership box")
             step = 0
             for offset, above in shifts:
@@ -137,10 +153,11 @@ def _power_walk(J: MonomialIdeal) -> Iterator[tuple[BoxTable, int, int]]:
 
 
 def _torsion_cells(I: MonomialIdeal, n: int) -> tuple[BoxTable, int]:
-    """The table of step n of `_power_walk(I)` and the `_torsion` cells of
-    I^n/I^(n+1) on it: the whole torsion, since the box reaches the
-    exponents of I^n and I^(n+1)."""
-    table, upper, lower = next(islice(_power_walk(I), n, None))
+    """The `_torsion` cells of I^n/I^(n+1) and the table they lie on: one
+    step of a power walk started at I^n, whose box reaches the exponents of
+    I^n plus those of I, so those of I^(n+1) too, and holds the whole
+    torsion.  Two tables of that box are charged, whatever n is."""
+    table, upper, lower = next(_power_walk(I, n, 1))
     return table, _torsion(table, upper, lower)
 
 

@@ -1,8 +1,8 @@
 """Torsion computations on the associated graded ring of a monomial ideal.
 
 Three tools: the degreewise maximal-ideal torsion of I^n/I^(n+1) with an
-explicit finite witness list, read off the bitset power walk of
-`assprimes`; Ratliff-Rush closures computed through the colon chain by
+explicit finite witness list, read off one step of a bitset power walk
+of `assprimes`; Ratliff-Rush closures computed through the colon chain by
 generator powers, with an honest stabilization certificate; and the scanner
 for the top degree where the Rees-irrelevant torsion of the graded ring is
 nonzero (reported as None when every scanned degree vanishes).
@@ -74,8 +74,9 @@ def h0_m_monomials(I: MonomialIdeal, n: int) -> H0Report:
 
     The torsion is I^n intersected with the (n+1)-st powers of every
     single-variable deletion of I, modulo I^(n+1).  Its monomials are the
-    cells of `_torsion_cells`, read off step n of the power walk of I, the
-    same cells `max_ideal_in_ass` tests, listed ascending lexicographically.
+    cells of `_torsion_cells`, read off one step of a power walk started at
+    I^n, the same cells `max_ideal_in_ass` tests, listed ascending
+    lexicographically.
     """
     # imported here: only this tool needs the power walk, so `rr` and `a0`
     # do not load assprimes

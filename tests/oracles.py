@@ -11,19 +11,12 @@ parts add up to, cone membership does exact Gaussian elimination over
 Fractions, the cone bounds come from their closed forms by isqrt and
 mpmath, and the Ratliff-Rush chain takes the whole colon of a fresh power
 at every step.
-
-One reference is the library's own retired kernel rather than a brute-force
-one: `torsion_cells_ref` applies the box torsion test to tables of the
-reference powers, as a check of the power walk that the library now reads.
 """
 
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, combinations_with_replacement, product as iproduct
 from math import isqrt
-
-from brodmann.assprimes import _torsion
-from brodmann.monomials import BoxTable
 
 
 def divides(a, b):
@@ -312,16 +305,6 @@ def product_ref(A, B):
 
 def power_ref(A, n, r):
     return minimal(power_gens(A, n, r))
-
-
-def torsion_cells_ref(I, n):
-    """The witnesses of `cohomology.h0_m_monomials` by the two-table kernel:
-    the `_torsion` cells of the tables of I^n and I^(n+1), formed by
-    `power_ref`, on the box of their exponents, ascending lexicographically."""
-    upper, lower = (power_ref(I.generators, k, I.r) for k in (n, n + 1))
-    box = tuple(map(max, *upper, *lower))
-    high, low = BoxTable(upper, box), BoxTable(lower, box)
-    return tuple(low.points(_torsion(low, high.bits, low.bits)))
 
 
 def lcm_ref(a, b):

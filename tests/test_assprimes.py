@@ -1,4 +1,5 @@
 import random
+from math import comb
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -44,7 +45,6 @@ from oracles import (
     scan_ass_witnesses,
     scan_h0_witnesses,
     scan_max_ideal_in_ass,
-    torsion_cells_ref,
 )
 
 
@@ -496,15 +496,15 @@ class TestPowerWalk:
     @given(walk_ideals())
     @example(FAMILY_ROTATIONS[0])
     def test_flags_match_torsion_scans(self, J):
-        """Across the re-seeds, the walk's flags match the cell scan, and the
-        h0 witnesses it lists match the two-table kernel on the powers."""
+        """Across the re-seeds, the walk's flags match the cell scan, and so
+        do the h0 witnesses, from a walk started at J^n."""
         walk = assprimes._power_walk(J)
         for n in range(8):
+            cells = scan_h0_witnesses(J, n)
             flag = bool(assprimes._torsion(*next(walk)))
-            assert flag == scan_max_ideal_in_ass(J, n), (J, n)
-            witnesses = h0_m_monomials(J, n).witnesses
-            assert witnesses == torsion_cells_ref(J, n), (J, n)
-            assert flag == bool(witnesses) == max_ideal_in_ass(J, n)
+            assert flag == bool(cells), (J, n)
+            assert h0_m_monomials(J, n).witnesses == cells, (J, n)
+            assert max_ideal_in_ass(J, n) == flag, (J, n)
 
     @WALK_SETTINGS
     @given(walk_ideals())
@@ -533,10 +533,10 @@ class TestPowerWalk:
     def test_recursion_route_forms_no_power(self, monkeypatch):
         """The two routes share no power: the recursion route walks its
         own, so it answers with `power` made to fail, and so do the two
-        torsion tools, which read the same walk."""
+        torsion tools, whose walks start from I^n walked up packed."""
         ideals = [example_ideal(5), ideal(4, (2, 1, 0, 1), (0, 2, 2, 0), (1, 0, 1, 2))]
         want = [ass_profile(I, 6).entries for I in ideals]
-        torsion = [torsion_cells_ref(I, 3) for I in ideals]
+        torsion = [scan_h0_witnesses(I, 3) for I in ideals]
 
         def refuse(*args):
             raise AssertionError("power called on the recursion route")
@@ -563,11 +563,27 @@ class TestPowerWalk:
         assert entries == ({(1, 2, 3, 4)},) * 41
 
     @pytest.mark.parametrize("call", [h0_m_monomials, max_ideal_in_ass])
-    def test_torsion_tools_charge_the_walk(self, call):
-        """Both torsion tools charge the walk up to n = 40 and nothing more."""
+    def test_torsion_tools_charge_two_tables(self, call):
+        """Both torsion tools charge the products of I^0..I^39 times I,
+        19695, and two tables of the box of I^40 plus I, 206 * 206 * 2
+        cells (the z of I^40 is 0), and nothing more."""
         with enumeration_budget(DEFAULT_BUDGET) as meter:
             call(example_ideal(5), 40)
-        assert meter.used == 2889429
+        assert meter.used == 19695 + 2 * 206 * 206 * 2
+
+    def test_torsion_of_cubes_reaches_n_17(self):
+        """The torsion tools answer at one large n for the price of that n:
+        for the cubes in four variables, two tables of 55^4 cells and the
+        4 * C(20, 4) products of I^0..I^16 times I fit the default budget.
+        I^17/I^18 is all torsion, 3^4 * C(20, 3) monomials: each exponent
+        is 3q + t with t < 3 and the q summing to 17."""
+        I = ideal(4, (3, 0, 0, 0), (0, 3, 0, 0), (0, 0, 3, 0), (0, 0, 0, 3))
+        with enumeration_budget(DEFAULT_BUDGET) as meter:
+            witnesses = h0_m_monomials(I, 17).witnesses
+        assert meter.used == 2 * 55**4 + 4 * comb(20, 4)
+        assert len(witnesses) == 3**4 * comb(20, 3)
+        with enumeration_budget(DEFAULT_BUDGET):
+            assert max_ideal_in_ass(I, 17)
 
     @pytest.mark.parametrize(
         "d, n_max, method, charge", [(5, 40, "recursion", 3852131), (6, 30, "both", 3254066)]

@@ -11,7 +11,7 @@ exceeded, 4 internal inconsistency (both conflicting answers are dumped).
 Each command imports the library functions it calls when it runs, so that
 building the parser loads no computing module and a call loads only what
 its command needs.  Likewise a call builds only the parser of the
-subcommand it names (see `build_parser`).
+subcommand it names (see `_parse`).
 """
 
 from __future__ import annotations
@@ -482,29 +482,38 @@ _COMMANDS = {
 }
 
 
-def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The argument parser, with only `command`'s subparser when it names a
-    subcommand and with all of them otherwise.
-
-    Either parses that subcommand's argv alike and prints the same
-    top-level usage, which lists every subcommand.
-    """
+def build_parser() -> argparse.ArgumentParser:
+    """The argument parser with every subcommand."""
     parser = argparse.ArgumentParser(
         prog="brodmann",
         description="Associated primes of monomial ideal powers, Ratliff-Rush "
         "closures, polyhedral generator enumeration, and stabilization bounds.",
     )
-    if command in _COMMANDS:
-        # metavar keeps every subcommand in the usage line; the full parser
-        # leaves it unset, since it also replaces "command" in its errors
-        names, metavar = [command], "{" + ",".join(_COMMANDS) + "}"
-    else:
-        names, metavar = list(_COMMANDS), None
-    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
-    for name in names:
-        help_text, add_arguments = _COMMANDS[name]
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_text, add_arguments) in _COMMANDS.items():
         add_arguments(sub.add_parser(name, help=help_text))
     return parser
+
+
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """argv parsed as the full parser parses it, building only the parser
+    of the subcommand argv[0] names.
+
+    The full parser hands a subcommand's arguments to that subcommand's
+    parser, prog "brodmann <command>", through parse_known_args, and
+    reports what is left over in its own error.  So does this; the full
+    parser is built only for that error and for argv that does not start
+    with a subcommand.
+    """
+    if not argv or argv[0] not in _COMMANDS:
+        return build_parser().parse_args(argv)
+    parser = argparse.ArgumentParser(prog=f"brodmann {argv[0]}")
+    _COMMANDS[argv[0]][1](parser)
+    args, rest = parser.parse_known_args(argv[1:])
+    if rest:
+        build_parser().error("unrecognized arguments: " + " ".join(rest))
+    args.command = argv[0]
+    return args
 
 
 def _run(args: argparse.Namespace) -> int:
@@ -541,7 +550,7 @@ def _run(args: argparse.Namespace) -> int:
 def main(argv: list[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    args = build_parser(argv[0] if argv else None).parse_args(argv)
+    args = _parse(argv)
     try:
         return _run(args)
     except ParseError as exc:

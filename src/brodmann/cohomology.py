@@ -10,7 +10,9 @@ nonzero (reported as None when every scanned degree vanishes).
 The colon chain runs packed from start to end: each power I^(n+m) is the
 previous one times the generators of I, and each colon is formed above
 I^n, which lies in every step of the chain, so only the generators outside
-I^n are met, compared and collected.
+I^n are met, compared and collected.  Every colon and lcm candidate in I^n
+is dropped before it is minimized, which is exact since a divisor of a
+monomial outside I^n lies outside it too.
 """
 
 from __future__ import annotations
@@ -106,7 +108,8 @@ def ratliff_rush(
     part or meet that lies in I^n.  Each I^(n+m) is I^(n+m-1)
     times the generators of I, and only the current power is kept.  One
     packing, widened whenever a new power needs wider fields, carries the
-    whole chain; only the closure is unpacked.
+    whole chain, and I^n is laid into its slots (`Packing.lay`) once per
+    packing; only the closure is unpacked.
     """
     require_proper_nonzero(I)
     if n < 1:
@@ -117,6 +120,7 @@ def ratliff_rush(
     top = _top(I)
     P = Packing(I.r, (n + 1) * top)
     gens, floor = P.pack_ideal(I), P.pack_ideal(base)
+    laid = P.lay(floor)
     # on entry to step m: I^(n+m-1), then C_(m-2), C_(m-1) and the union of
     # the chain so far, each C as its generators outside I^n (C_0 has none)
     high, before, last, union = floor, [], [], []
@@ -134,8 +138,9 @@ def ratliff_rush(
                 for xs in (gens, floor, high, before, last, union)
             ]
             P = Q
+            laid = P.lay(floor)
         high = P.minimal(a + g for a in high for g in gens)
-        c_m = _colon_above(P, high, [m * g for g in gens], floor)
+        c_m = _colon_above(P, high, [m * g for g in gens], laid)
         if not P.covers(c_m, last):
             monotone = False
         if not P.covers(union, c_m):

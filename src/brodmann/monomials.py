@@ -18,6 +18,8 @@ from typing import Iterable, Iterator
 from .errors import InputError, charge_budget
 
 Monomial = tuple[int, ...]
+# packed monomials side by side in slots, as `Packing.lay` returns them
+Laid = tuple[int, int, int, int]
 
 
 @dataclass(frozen=True)
@@ -153,45 +155,50 @@ class Packing:
             at += stride
         return kept
 
-    def split(self, A: list[int], B: list[int]) -> tuple[list[int], list[int]]:
-        """The monomials of B that are multiples of one of A, and the rest,
-        each in B's order, by the slot test of `minimal` with all of A in
-        the slots."""
-        G = self.guard
+    def lay(self, A: list[int]) -> Laid:
+        """A side by side in the slots of `minimal`, for `outside` to test
+        monomials against: the block of A, and the ones, guards and flags
+        of its slots."""
         stride = self.r * self.width + 1
         block = ones = 0
         for a in reversed(A):
             block = block << stride | a
             ones = ones << stride | 1
-        guards, flags = G * ones, ones << (stride - 1)
-        inside: list[int] = []
-        outside: list[int] = []
-        for p in B:
-            short = ~((p | G) * ones - block) & guards
-            (inside if (flags - short) & flags else outside).append(p)
-        return inside, outside
+        return block, ones, self.guard * ones, ones << (stride - 1)
+
+    def outside(self, laid: Laid, B: Iterable[int]) -> list[int]:
+        """The monomials of B that are multiples of none of the laid
+        monomials (see `lay`), in B's order, by the slot test of `minimal`."""
+        block, ones, guards, flags = laid
+        G = self.guard
+        return [p for p in B if not (flags - (~((p | G) * ones - block) & guards)) & flags]
 
     def covers(self, A: list[int], B: list[int]) -> bool:
         """Whether every monomial of B is a multiple of one of A."""
-        return not self.split(A, B)[1]
+        return not self.outside(self.lay(A), B)
 
-    def meet(self, A: list[int], B: list[int]) -> list[int]:
+    def meet(self, A: list[int], B: list[int], floor: Laid | None = None) -> list[int]:
         """The minimal generators of the intersection of two ideals given
         by their ascending packed minimal generators.
 
         A generator a of A that lies in (B) lies in the intersection, and
         every lcm(a, b) is a multiple of it; so only the generators of each
         side outside the other form lcms.  With none outside, one ideal
-        holds the other and meet returns it, the same list object.
+        holds the other and meet returns it, the same list object.  With
+        the laid generators of an ideal F as floor, where A and B lie
+        outside F, the lcms in F are dropped before they are minimized, and
+        the result is the generators of the intersection outside F.
         """
-        in_a, out_a = self.split(B, A)
+        out_a = self.outside(self.lay(B), A)
         if not out_a:
             return A
-        in_b, out_b = self.split(A, B)
+        out_b = self.outside(self.lay(A), B)
         if not out_b:
             return B
         G, s = self.guard, self.width - 1
-        lcms = {*in_a, *in_b}
+        # each side's generators that lie in the other ideal: one shared by
+        # both sides lies in both ideals, so it is in neither out list
+        lcms = {*A, *B}.difference(out_a, out_b)
         for a in out_a:
             a |= G
             for b in out_b:
@@ -199,7 +206,7 @@ class Packing:
                 x = a - b
                 ge = x & G
                 lcms.add(b + (x & (ge - (ge >> s))))
-        return self.minimal(lcms)
+        return self.minimal(lcms if floor is None else self.outside(floor, lcms))
 
     def ideal(self, kept: list[int]) -> MonomialIdeal:
         """The ideal of ascending packed minimal generators."""
@@ -319,40 +326,37 @@ def colon_monomial(I: MonomialIdeal, m: Monomial) -> MonomialIdeal:
 
 
 def colon_ideal(I: MonomialIdeal, J: MonomialIdeal) -> MonomialIdeal:
-    """I : J, the intersection of I : g over the generators of J."""
+    """I : J, the intersection of the parts I : g over the generators g of
+    J, each part formed only when the meet reaches it."""
     _require_same_r(I, J)
     if J.is_zero():
         # everything multiplies the zero ideal into I
         return unit_ideal(I.r)
     P = Packing(I.r, _top(I, J))
-    return P.ideal(reduce(P.meet, _colon_parts(P, P.pack_ideal(I), P.pack_ideal(J))))
+    gens = P.pack_ideal(I)
+    parts = (P.minimal(P.colon(g, q) for g in gens) for q in P.pack_ideal(J))
+    return P.ideal(reduce(P.meet, parts))
 
 
-def _colon_parts(P: Packing, gens: list[int], qs: Iterable[int]) -> Iterator[list[int]]:
-    """The parts (gens) : q, one per packed q, each as ascending packed
-    minimal generators and formed only when the next one is asked for."""
-    for q in qs:
-        yield P.minimal(P.colon(g, q) for g in gens)
-
-
-def _colon_above(
-    P: Packing, gens: list[int], qs: Iterable[int], floor: list[int]
-) -> list[int]:
-    """The generators of (gens) : (qs) outside (floor), where floor holds
-    the packed generators of an ideal F that lies in every part (gens) : q.
+def _colon_above(P: Packing, gens: list[int], qs: Iterable[int], floor: Laid) -> list[int]:
+    """The generators of (gens) : (qs) outside F, where floor holds the
+    laid generators (`Packing.lay`) of an ideal F that lies in every part
+    (gens) : q.
 
     Each part is then F + (E_q), with E_q its generators outside F, and for
     monomial ideals the intersection of the F + (E_q) is F + the
-    intersection of the (E_q).  So only the E_q are met, and what a meet
-    puts back into F is dropped.  The empty list, for a colon equal to F,
-    comes back as soon as one E_q or running meet is empty.  qs must not
-    be empty.
+    intersection of the (E_q).  So only the E_q are met.  Every colon and
+    lcm candidate in F is dropped before it is minimized: a divisor of a
+    monomial outside F lies outside F too, so the minimal candidates
+    outside F are the candidates outside F that are minimal among all of
+    them.  The empty list, for a colon equal to F, comes back as soon as
+    one E_q or running meet is empty.  qs must not be empty.
     """
     met = None
-    for part in _colon_parts(P, gens, qs):
-        part = P.split(floor, part)[1]
+    for q in qs:
+        part = P.minimal(P.outside(floor, [P.colon(g, q) for g in gens]))
         if part and met is not None:
-            part = P.split(floor, P.meet(met, part))[1]
+            part = P.meet(met, part, floor)
         if not part:
             return part
         met = part

@@ -549,20 +549,20 @@ class TestParser:
 
         monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
         assert run(capsys, "bound", "--r", "2", "--s", "2", "--d", "2")[0] == 0
-        assert built == ["brodmann", "brodmann bound"]
+        assert built == ["brodmann bound"]
 
     @pytest.mark.parametrize("name", list(_COMMANDS))
     def test_one_subcommand_parser_prints_as_the_full_one(self, capsys, monkeypatch, name):
         monkeypatch.setenv("COLUMNS", "80")
-        one, full = build_parser(name), build_parser()
-        assert one.format_usage() == full.format_usage()
 
-        def subcommand_help(parser):
+        def printed(parse, argv):
             with pytest.raises(SystemExit):
-                parser.parse_args([name, "--help"])
-            return capsys.readouterr().out
+                parse(argv)
+            return capsys.readouterr()
 
-        assert subcommand_help(one) == subcommand_help(full)
+        # help and usage errors, both the subcommand's and the top level's
+        for argv in ([name, "--help"], [name, "--no-such-flag"], [name, "--format", "x"]):
+            assert printed(main, argv) == printed(build_parser().parse_args, argv)
 
 
 def test_import_leaves_out_multiprocessing():

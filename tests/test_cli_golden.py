@@ -129,6 +129,13 @@ ARGPARSE_CASES = [
     ("flag-before-command", ["--bogus", "rr", "--ideal", "{t}/gap.txt", "--n", "1"]),
     ("dashdash-before-command", ["--", "rr", "--ideal", "{t}/gap.txt", "--n", "1"]),
     ("rr-extra-positional", ["rr", "--ideal", "{t}/gap.txt", "--n", "1", "extra"]),
+    ("rr-equals", ["rr", "--ideal={t}/gap.txt", "--n=1"]),
+    ("rr-abbreviated-flag", ["rr", "--ide", "{t}/gap.txt", "--n", "1"]),
+    ("rr-dashdash-in-command", ["rr", "--ideal", "{t}/gap.txt", "--", "--n", "1"]),
+    ("rr-extra-positionals", ["rr", "--n", "1", "--ideal", "{t}/gap.txt", "extra", "more"]),
+    ("rr-repeated-flag", ["rr", "--ideal", "{t}/gap.txt", "--n", "1", "--n", "2"]),
+    ("ass-profile-short-flag", ["ass-profile", "--ideal", "{t}/family5.txt", "--n-max", "1",
+                                "-x"]),
     *((f"help-{name}", [name, "--help"]) for name in SUBCOMMANDS),
 ]
 

@@ -4,6 +4,7 @@ from itertools import combinations_with_replacement
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import brodmann.cohomology as cohomology
 from brodmann.assprimes import ass_power, max_ideal_in_ass
 from brodmann.cli import example_ideal
 from brodmann.cohomology import (
@@ -16,6 +17,7 @@ from brodmann.errors import BudgetError, InputError, enumeration_budget
 from brodmann.monomials import (
     MonomialIdeal,
     Packing,
+    _colon_above,
     _top,
     add,
     colon_ideal,
@@ -28,7 +30,14 @@ from brodmann.monomials import (
 )
 
 from conftest import random_ideal
-from oracles import a0_ref, full_support_prime, generator_power_ref, ratliff_rush_ref
+from oracles import (
+    a0_ref,
+    colon_ideal_ref,
+    full_support_prime,
+    generator_power_ref,
+    monomial_in,
+    ratliff_rush_ref,
+)
 
 
 def ideal(r, *gens):
@@ -298,3 +307,122 @@ class TestChainMatchesReference:
         value, flags, uncertified = a0_ref(I.generators, n_max, m_cap, I.r)
         assert (res.value, res.flags) == (value, flags)
         assert (res.certified, len(res.warnings)) == (not uncertified, len(uncertified))
+
+
+def colon_above_ref(I, n, m):
+    """The generators of C_m = I^(n+m) : (g_1^m, ..., g_s^m) outside I^n,
+    by the tuple reference of the colon."""
+    C = colon_ideal_ref(power(I, n + m).generators, generator_power_ref(I.generators, m), I.r)
+    return tuple(g for g in C if not monomial_in(g, power(I, n).generators))
+
+
+def colon_above(I, n, m):
+    """The same generators from `_colon_above`, packed as the chain packs them."""
+    P = Packing(I.r, (n + m) * _top(I))
+    qs = [m * g for g in P.pack_ideal(I)]
+    floor = P.lay(P.pack_ideal(power(I, n)))
+    return P.ideal(_colon_above(P, P.pack_ideal(power(I, n + m)), qs, floor)).generators
+
+
+@st.composite
+def colon_steps(draw):
+    """(I, n, m) with r = 1..4, n = 1..3 and m = 1..4.  I is a gapped ideal
+    of degree 3..6 in one or two variables and 3..4 in three; in four
+    variables, where the reference is slow, up to six generators of the
+    one of degree 3.  About a quarter of the colons have generators outside
+    I^n."""
+    r = draw(st.integers(1, 4))
+    gens = gapped_ideal(r, draw(st.integers(3, (6, 6, 4, 3)[r - 1]))).generators
+    if r == 4:
+        gens = draw(st.lists(st.sampled_from(gens), min_size=1, max_size=6, unique=True))
+    return ideal(r, *gens), draw(st.integers(1, 3)), draw(st.integers(1, 4))
+
+
+def widening_ideal():
+    """gapped_ideal(2, 6) with x1 raised to the 8th power: its chain at
+    n = 1 climbs to m = 3, and from m = 2 the powers need two-byte fields."""
+    return ideal(2, *((8 * a, b) for a, b in gapped_ideal(2, 6).generators))
+
+
+class TestColonAboveTheFloor:
+    """`_colon_above`, the kernel of the Ratliff-Rush chain, against the
+    tuple reference of the colon, and the sieve that keeps the candidates
+    in the floor I^n away from `Packing.minimal`."""
+
+    @CHAIN_SETTINGS
+    @given(colon_steps())
+    def test_matches_the_reference(self, case):
+        assert colon_above(*case) == colon_above_ref(*case)
+
+    def test_some_colons_leave_the_floor(self):
+        outside = []
+
+        @CHAIN_SETTINGS
+        @given(colon_steps())
+        def record(case):
+            outside.append(bool(colon_above(*case)))
+
+        record()
+        assert sum(outside) >= len(outside) / 10
+
+    def test_a_chain_that_widens_its_packing(self, monkeypatch):
+        I, n = widening_ideal(), 1
+        steps = []
+
+        def spy(P, gens, qs, floor):
+            got = _colon_above(P, gens, qs, floor)
+            steps.append((P.width, P.ideal(got).generators))
+            return got
+
+        monkeypatch.setattr(cohomology, "_colon_above", spy)
+        res = ratliff_rush(I, n)
+        assert [width for width, _ in steps] == [8] + [16] * (len(steps) - 1)
+        expected = [colon_above_ref(I, n, m) for m in range(1, len(steps) + 1)]
+        assert [c for _, c in steps] == expected
+        assert all(c for _, c in steps[:3])
+        closure, stabilized_at_m, certified, monotone = ratliff_rush_ref(
+            I.generators, n, DEFAULT_M_CAP, I.r
+        )
+        assert (res.closure.generators, res.stabilized_at_m) == (closure, stabilized_at_m)
+        assert (res.certified, res.chain_monotone) == (certified, monotone)
+
+    @pytest.mark.parametrize(
+        "I,n", [(widening_ideal(), 1), (gapped_ideal(3, 4), 2), (example_ideal(6), 2)]
+    )
+    def test_the_floor_stays_out_of_minimal(self, monkeypatch, I, n):
+        """No colon or lcm candidate in I^n reaches `minimal` from the
+        kernel, and each packing of the chain lays I^n out once.  The
+        chains at n = 2 meet parts whose lcms fall in I^n."""
+        floor = power(I, n).generators
+        packings, floor_lays, kernel = [], [], []
+        init, lay, minimal = Packing.__init__, Packing.lay, Packing.minimal
+
+        def spy_init(self, r, top):
+            packings.append(self)
+            init(self, r, top)
+
+        def spy_lay(self, A):
+            if [self.unpack(a) for a in A] == list(reversed(floor)):
+                floor_lays.append(self)
+            return lay(self, A)
+
+        def spy_minimal(self, cands):
+            cands = list(cands)
+            if kernel:
+                assert not [p for p in cands if monomial_in(self.unpack(p), floor)]
+            return minimal(self, cands)
+
+        def spy_kernel(*args):
+            kernel.append(True)
+            try:
+                return _colon_above(*args)
+            finally:
+                kernel.pop()
+
+        monkeypatch.setattr(Packing, "__init__", spy_init)
+        monkeypatch.setattr(Packing, "lay", spy_lay)
+        monkeypatch.setattr(Packing, "minimal", spy_minimal)
+        monkeypatch.setattr(cohomology, "_colon_above", spy_kernel)
+        res = ratliff_rush(I, n)
+        assert res.stabilized_at_m >= 1 and packings
+        assert floor_lays == packings

@@ -10,6 +10,8 @@ from brodmann.monomials import (
     BoxTable,
     _zero_coords,
     MonomialIdeal,
+    Packing,
+    _top,
     add,
     colon_ideal,
     colon_monomial,
@@ -417,6 +419,57 @@ def overlap_case(I, J):
     if set(A) & set(B):
         return "shared generator"
     return "both outside"
+
+
+@st.composite
+def floors_and_candidates(draw):
+    """(F, candidates): an ideal F and up to 8 monomials, each drawn at
+    random or as a generator of F times a random monomial, so that both
+    sides of F are drawn."""
+    r = draw(RANKS)
+    F = draw(ideals(r))
+    cands = []
+    for v in draw(st.lists(exponent_vectors(r), max_size=8)):
+        if F.generators and draw(st.booleans()):
+            g = draw(st.sampled_from(F.generators))
+            v = tuple(map(sum, zip(g, v)))
+        cands.append(v)
+    return F, cands
+
+
+class TestFloorSieve:
+    """The Ratliff-Rush chain drops the colon and lcm candidates that lie
+    in a floor ideal F before `Packing.minimal` sees them.  A divisor of a
+    monomial outside F lies outside F too, so the minimal candidates
+    outside F are the candidates outside F that are minimal among all."""
+
+    @KERNEL_SETTINGS
+    @given(floors_and_candidates())
+    def test_minimal_commutes_with_the_floor(self, case):
+        F, cands = case
+        P = Packing(F.r, max((max(v) for v in [*F.generators, *cands]), default=0))
+        packed = [P.pack(v) for v in cands]
+        floor = P.lay(P.pack_ideal(F))
+        outside = P.outside(floor, packed)
+        assert [P.unpack(p) for p in outside] == [
+            v for v in cands if not monomial_in(v, F.generators)
+        ]
+        assert P.minimal(outside) == P.outside(floor, P.minimal(packed))
+
+    @KERNEL_SETTINGS
+    @given(RANKS.flatmap(lambda r: st.tuples(ideals(r), ideals(r), ideals(r))))
+    def test_meet_above_a_floor(self, case):
+        """With F as floor, `meet` of the generators of A and B outside F
+        gives those of (F + A) meet (F + B) outside F."""
+        F, A, B = case
+        P = Packing(F.r, _top(F, A, B))
+        floor = P.lay(P.pack_ideal(F))
+        E_a, E_b = (P.outside(floor, P.pack_ideal(J)) for J in (A, B))
+        above = [add(F, J).generators for J in (A, B)]
+        expected = [
+            g for g in ref.intersect_ref(*above) if not monomial_in(g, F.generators)
+        ]
+        assert [P.unpack(p) for p in reversed(P.meet(E_a, E_b, floor))] == expected
 
 
 class TestMeetOnOverlappingIdeals:

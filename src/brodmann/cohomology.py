@@ -7,8 +7,10 @@ generator powers, with an honest stabilization certificate; and the scanner
 for the top degree where the Rees-irrelevant torsion of the graded ring is
 nonzero (reported as None when every scanned degree vanishes).
 
-The colon chain runs packed from start to end: each power I^(n+m) is the
-previous one times the generators of I, and each colon is formed above
+The colon chain runs packed from start to end.  Its powers come from one
+`_Ladder` per request, on which each power is the previous one times the
+generators of I, formed and charged to the budget once, so the chains of
+every degree `a0_observed` scans share them.  Each colon is formed above
 I^n, which lies in every step of the chain, so only the generators outside
 I^n are met, compared and collected.  Every colon and lcm candidate in I^n
 is dropped before it is minimized, which is exact since a divisor of a
@@ -19,14 +21,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import DEFAULT_M_CAP, InputError
+from .errors import DEFAULT_M_CAP, InputError, charge_budget
 from .monomials import (
     Monomial,
     MonomialIdeal,
     Packing,
     _colon_above,
     _top,
-    intersect,
     power,
     require_proper_nonzero,
 )
@@ -92,6 +93,85 @@ def h0_m_monomials(I: MonomialIdeal, n: int) -> H0Report:
     return H0Report(n, witnesses, bool(witnesses))
 
 
+class _Ladder:
+    """The packed powers I^k, k >= low, that one `rr` or `a0` request walks.
+
+    Each power past the seed is the last one times the generators of I,
+    formed when a chain first asks for it and charged |G(I^(k-1))|·s
+    products ("power walk").  One packing holds them all; it is sized by
+    the highest power formed, never by a chain's cap, and re-packed with
+    everything held when a new power needs wider fields.  gens holds the
+    generators of I in the order the chain meets their colon parts, kept
+    from step to step and degree to degree (see `_colon_above`).
+    """
+
+    __slots__ = ("top", "P", "gens", "low", "powers")
+
+    def __init__(self, I: MonomialIdeal, low: int, seed: MonomialIdeal):
+        self.top, self.low = _top(I), low
+        self.P = P = Packing(I.r, (low + 1) * self.top)
+        self.gens = P.pack_ideal(I)
+        self.powers = [P.pack_ideal(seed)]
+
+    def __getitem__(self, k: int) -> list[int]:
+        """I^k for low <= k, climbing to it first if need be."""
+        while self.low + len(self.powers) <= k:
+            self.climb()
+        return self.powers[k - self.low]
+
+    def climb(self) -> None:
+        """Form the power above the highest one held."""
+        k = self.low + len(self.powers)
+        if (k * self.top).bit_length() >= self.P.width:
+            # I^k needs wider fields: the same monomials, packed anew
+            P, self.P = self.P, Packing(self.P.r, k * self.top)
+            self.gens, *self.powers = [self.repack(P, xs) for xs in (self.gens, *self.powers)]
+        high, gens = self.powers[-1], self.gens
+        charge_budget(len(high) * len(gens), "power walk", unit="products")
+        self.powers.append(self.P.minimal(a + g for a in high for g in gens))
+
+    def repack(self, P: Packing, xs: list[int]) -> list[int]:
+        """Monomials packed by P, packed by the ladder's packing."""
+        return [self.P.pack(P.unpack(x)) for x in xs]
+
+    def drop_below(self, k: int) -> None:
+        """Let go of the powers below I^k."""
+        if k > self.low:
+            del self.powers[: k - self.low]
+            self.low = k
+
+
+def _chain(ladder: _Ladder, n: int, m_cap: int) -> tuple[list[int], int, bool, bool]:
+    """The colon chain of I^n on the ladder, as (union, stabilized_at_m,
+    certified, chain_monotone) of `RRResult`.  The union and each C_m are
+    kept as their generators outside I^n, packed by the ladder's packing,
+    and I^n is laid into slots (`Packing.lay`) once per packing."""
+    P = ladder.P
+    laid = P.lay(ladder[n])
+    # on entry to step m: C_(m-2), C_(m-1) and the union of the chain so
+    # far, each C as its generators outside I^n (C_0 has none)
+    before, last, union = [], [], []
+    monotone = True
+    for m in range(1, m_cap + 1):
+        high = ladder[n + m]
+        if ladder.P is not P:
+            before, last, union = [ladder.repack(P, xs) for xs in (before, last, union)]
+            P = ladder.P
+            laid = P.lay(ladder[n])
+        qs = [m * g for g in ladder.gens]
+        c_m = _colon_above(P, high, qs, laid)
+        # the generators in the order the kernel left qs: m * g packs m·g
+        ladder.gens = [q // m for q in qs]
+        if not P.covers(c_m, last):
+            monotone = False
+        if not P.covers(union, c_m):
+            union = P.minimal(union + c_m)
+        if m >= 2 and before == last == c_m:
+            return union, m - 2, True, monotone
+        before, last = last, c_m
+    return union, m_cap, False, monotone
+
+
 def ratliff_rush(
     I: MonomialIdeal, n: int, m_cap: int = DEFAULT_M_CAP
 ) -> RRResult:
@@ -103,13 +183,11 @@ def ratliff_rush(
     certified=False once m_cap is exhausted.
 
     Every C_m contains I^n, since g_i^m I^n lies in I^(n+m), and C_0 is I^n.
-    The chain therefore runs on the generators of each C_m outside I^n, the
-    colons of `_colon_above` with I^n as floor, which stop at the first
-    part or meet that lies in I^n.  Each I^(n+m) is I^(n+m-1)
-    times the generators of I, and only the current power is kept.  One
-    packing, widened whenever a new power needs wider fields, carries the
-    whole chain, and I^n is laid into its slots (`Packing.lay`) once per
-    packing; only the closure is unpacked.
+    The chain (`_chain`) therefore runs on the generators of each C_m
+    outside I^n.  Its powers come from a `_Ladder` seeded with the cached
+    `power(I, n)`, which forms I^(n+1), I^(n+2), ... as the chain reaches
+    them and charges their products to the budget; only the closure is
+    unpacked.
     """
     require_proper_nonzero(I)
     if n < 1:
@@ -117,38 +195,11 @@ def ratliff_rush(
     if m_cap < 2:
         raise InputError(f"chain cap must be >= 2, got {m_cap}")
     base = power(I, n)
-    top = _top(I)
-    P = Packing(I.r, (n + 1) * top)
-    gens, floor = P.pack_ideal(I), P.pack_ideal(base)
-    laid = P.lay(floor)
-    # on entry to step m: I^(n+m-1), then C_(m-2), C_(m-1) and the union of
-    # the chain so far, each C as its generators outside I^n (C_0 has none)
-    high, before, last, union = floor, [], [], []
-    monotone = True
-
-    def closure() -> MonomialIdeal:
-        return P.ideal(P.minimal(floor + union)) if union else base
-
-    for m in range(1, m_cap + 1):
-        if ((n + m) * top).bit_length() >= P.width:
-            # I^(n+m) needs wider fields: the same monomials, packed anew
-            Q = Packing(I.r, (n + m) * top)
-            gens, floor, high, before, last, union = [
-                [Q.pack(P.unpack(x)) for x in xs]
-                for xs in (gens, floor, high, before, last, union)
-            ]
-            P = Q
-            laid = P.lay(floor)
-        high = P.minimal(a + g for a in high for g in gens)
-        c_m = _colon_above(P, high, [m * g for g in gens], laid)
-        if not P.covers(c_m, last):
-            monotone = False
-        if not P.covers(union, c_m):
-            union = P.minimal(union + c_m)
-        if m >= 2 and before == last == c_m:
-            return RRResult(closure(), n, m - 2, True, monotone)
-        before, last = last, c_m
-    return RRResult(closure(), n, m_cap, False, monotone)
+    ladder = _Ladder(I, n, base)
+    union, stop, certified, monotone = _chain(ladder, n, m_cap)
+    P = ladder.P
+    closure = P.ideal(P.minimal(ladder[n] + union)) if union else base
+    return RRResult(closure, n, stop, certified, monotone)
 
 
 def a0_observed(
@@ -159,20 +210,33 @@ def a0_observed(
     Degree k is flagged when the Ratliff-Rush closure of I^(k+1) intersected
     with I^k is strictly larger than I^(k+1).  Uncertified closures are
     reported as warnings rather than silently trusted.
+
+    Every degree's chain runs on one `_Ladder` of I, so each power is
+    formed and charged once per call, and the powers below I^(n-1) are
+    dropped once degree n starts.  With E the chain's union outside I^n,
+    the closure is I^n + (E), so its meet with I^(n-1) exceeds I^n exactly
+    when E meets I^(n-1) outside I^n: no closure is unpacked and no
+    `power` is called.
     """
     require_proper_nonzero(I)
     if n_max < 1:
         raise InputError(f"scan bound must be >= 1, got {n_max}")
+    if m_cap < 2:
+        raise InputError(f"chain cap must be >= 2, got {m_cap}")
     flags: list[bool] = []
     warnings: list[str] = []
+    ladder = _Ladder(I, 1, I)
     for n in range(1, n_max + 1):
-        rr = ratliff_rush(I, n, m_cap)
-        if not rr.certified:
+        ladder.drop_below(n - 1)
+        union, _, certified, _ = _chain(ladder, n, m_cap)
+        if not certified:
             warnings.append(
                 f"closure of power {n} not certified within chain cap {m_cap}"
             )
-        meet = intersect(rr.closure, power(I, n - 1))
-        flags.append(meet != power(I, n))
+        P = ladder.P
+        # I^0 is the unit ideal, whose one generator packs to 0
+        below = ladder[n - 1] if n > 1 else [0]
+        flags.append(bool(union) and bool(P.meet(union, below, P.lay(ladder[n]))))
     value = None
     for k in range(n_max - 1, -1, -1):
         if flags[k]:

@@ -338,7 +338,7 @@ def colon_ideal(I: MonomialIdeal, J: MonomialIdeal) -> MonomialIdeal:
     return P.ideal(reduce(P.meet, parts))
 
 
-def _colon_above(P: Packing, gens: list[int], qs: Iterable[int], floor: Laid) -> list[int]:
+def _colon_above(P: Packing, gens: list[int], qs: list[int], floor: Laid) -> list[int]:
     """The generators of (gens) : (qs) outside F, where floor holds the
     laid generators (`Packing.lay`) of an ideal F that lies in every part
     (gens) : q.
@@ -350,14 +350,31 @@ def _colon_above(P: Packing, gens: list[int], qs: Iterable[int], floor: Laid) ->
     monomial outside F lies outside F too, so the minimal candidates
     outside F are the candidates outside F that are minimal among all of
     them.  The empty list, for a colon equal to F, comes back as soon as
-    one E_q or running meet is empty.  qs must not be empty.
+    one E_q or running meet is empty, and that q moves to the front of
+    qs: a caller that keeps the order meets it first next time.  The
+    intersection does not depend on the order.  qs must not be empty.
     """
+    G, s = P.guard, P.width - 1
+    block, ones, guards, flags = floor
+    # (c | G) * ones - block, the slot test of `Packing.outside`, for c
+    # with clear guards
+    sieve = guards - block
     met = None
-    for q in qs:
-        part = P.minimal(P.outside(floor, [P.colon(g, q) for g in gens]))
+    for i, q in enumerate(qs):
+        # each colon of `Packing.colon`, kept when no floor generator divides it
+        part = []
+        Gq = G - q
+        for g in gens:
+            x = g + Gq
+            ge = x & G
+            c = x & (ge - (ge >> s))
+            if not (flags - (~(c * ones + sieve) & guards)) & flags:
+                part.append(c)
+        part = P.minimal(part)
         if part and met is not None:
             part = P.meet(met, part, floor)
         if not part:
+            qs.insert(0, qs.pop(i))
             return part
         met = part
     return met

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import brodmann.cohomology as cohomology
+import brodmann.monomials as monomials
 from brodmann.assprimes import ass_power, max_ideal_in_ass
 from brodmann.cli import example_ideal
 from brodmann.cohomology import (
@@ -246,6 +247,38 @@ class TestA0Observed:
         res = a0_observed(rr_example(), 4)
         assert len(res.flags) == 4
 
+    def test_rejects_a_cap_below_two(self):
+        with pytest.raises(InputError, match="chain cap must be >= 2, got 1"):
+            a0_observed(rr_example(), 3, m_cap=1)
+
+    def test_a_huge_cap_changes_nothing(self):
+        I = example_ideal(5)
+        assert a0_observed(I, 3, 10**4000) == a0_observed(I, 3, 6)
+
+    def test_forms_each_power_once_without_power(self, monkeypatch):
+        """One ladder serves every degree: I^2, I^3, ... are each formed
+        once, as far as the highest chain reaches, and `power` is never
+        called."""
+        I, n_max = example_ideal(5), 4
+        expected = a0_observed(I, n_max)
+        top = max(n + chain_reach(ratliff_rush(I, n)) for n in range(1, n_max + 1))
+        powers = [power(I, k) for k in range(2, top + 1)]
+        formed = []
+        climb = cohomology._Ladder.climb
+
+        def spy_climb(self):
+            climb(self)
+            formed.append(self.P.ideal(self.powers[-1]))
+
+        def no_power(*args):
+            raise AssertionError(f"power{args} called")
+
+        monkeypatch.setattr(cohomology._Ladder, "climb", spy_climb)
+        monkeypatch.setattr(cohomology, "power", no_power)
+        monkeypatch.setattr(monomials, "power", no_power)
+        assert a0_observed(I, n_max) == expected
+        assert formed == powers
+
 
 CHAIN_SETTINGS = settings(max_examples=120, deadline=None, derandomize=True, database=None)
 
@@ -316,12 +349,18 @@ def colon_above_ref(I, n, m):
     return tuple(g for g in C if not monomial_in(g, power(I, n).generators))
 
 
-def colon_above(I, n, m):
-    """The same generators from `_colon_above`, packed as the chain packs them."""
+def colon_above_args(I, n, m):
+    """The arguments of `_colon_above` for C_m, packed as the chain packs them."""
     P = Packing(I.r, (n + m) * _top(I))
     qs = [m * g for g in P.pack_ideal(I)]
     floor = P.lay(P.pack_ideal(power(I, n)))
-    return P.ideal(_colon_above(P, P.pack_ideal(power(I, n + m)), qs, floor)).generators
+    return P, P.pack_ideal(power(I, n + m)), qs, floor
+
+
+def colon_above(I, n, m):
+    """The same generators from `_colon_above`."""
+    P, gens, qs, floor = colon_above_args(I, n, m)
+    return P.ideal(_colon_above(P, gens, qs, floor)).generators
 
 
 @st.composite
@@ -353,6 +392,17 @@ class TestColonAboveTheFloor:
     @given(colon_steps())
     def test_matches_the_reference(self, case):
         assert colon_above(*case) == colon_above_ref(*case)
+
+    @CHAIN_SETTINGS
+    @given(colon_steps(), st.data())
+    def test_any_order_of_the_parts(self, case, data):
+        """The parts are met in any order to the same generators, and the
+        kernel leaves qs a reordering of itself."""
+        P, gens, qs, floor = colon_above_args(*case)
+        expected = _colon_above(P, gens, list(qs), floor)
+        order = data.draw(st.permutations(qs))
+        assert _colon_above(P, gens, order, floor) == expected
+        assert sorted(order) == sorted(qs)
 
     def test_some_colons_leave_the_floor(self):
         outside = []
@@ -426,3 +476,44 @@ class TestColonAboveTheFloor:
         res = ratliff_rush(I, n)
         assert res.stabilized_at_m >= 1 and packings
         assert floor_lays == packings
+
+
+def chain_reach(res):
+    """How many steps above I^n a chain went: the powers it formed."""
+    return res.stabilized_at_m + 2 if res.certified else res.stabilized_at_m
+
+
+def walk_products(I, low, high):
+    """The products of walking I^low up to I^high, |G(I^k)|·s per step."""
+    s = len(I.generators)
+    return sum(len(power(I, k).generators) * s for k in range(low, high))
+
+
+class TestChainBudget:
+    """Each power a chain forms is charged its products, on every call, so
+    a request is refused exactly when its total passes the limit."""
+
+    def fits_exactly(self, call, total):
+        with enumeration_budget(total) as meter:
+            res = call()
+        assert meter.used == total
+        with enumeration_budget(total - 1), pytest.raises(BudgetError, match="power walk"):
+            call()
+        with enumeration_budget() as meter:
+            assert call() == res and call() == res
+        assert meter.used == 2 * total
+
+    @pytest.mark.parametrize("I,n", [(rr_example(), 2), (example_ideal(5), 3), (widening_ideal(), 1)])
+    def test_ratliff_rush(self, I, n):
+        res = ratliff_rush(I, n)
+        total = walk_products(I, n, n + chain_reach(res))
+        self.fits_exactly(lambda: ratliff_rush(I, n), total)
+
+    @pytest.mark.parametrize("I,n_max", [(rr_example(), 3), (example_ideal(5), 4)])
+    def test_a0_observed_charges_one_ladder(self, I, n_max):
+        top = max(n + chain_reach(ratliff_rush(I, n)) for n in range(1, n_max + 1))
+        total = walk_products(I, 1, top)
+        assert total < sum(
+            walk_products(I, n, n + chain_reach(ratliff_rush(I, n))) for n in range(1, n_max + 1)
+        )
+        self.fits_exactly(lambda: a0_observed(I, n_max), total)

@@ -9,11 +9,14 @@ the variables off S to 1, and tests whether the maximal ideal is associated
 there; the two must agree, and `ass_profile` can cross-check them against
 each other.  The supports and their localizations do not depend on n, so
 they are formed once per request: once per `ass_power` call, and once for
-all the entries of an `ass_profile`.  The recursion route walks the powers
-of each localization up as bitsets (`_power_walk`), one walk for every n,
-so it never calls `power` and shares no table with the quotient route.
-`max_ideal_in_ass` and `h0_m_monomials` read the torsion off one step of
-such a walk, started at I^n.
+all the entries of an `ass_profile`.  Every power either route needs
+comes off a packed `monomials.Ladder`, charged as "power walk" products,
+and no route calls `power`.  The quotient route climbs one ladder of I over
+all the entries of a profile.  The recursion route walks the powers of each
+localization up as bitsets (`_power_walk`), one walk for every n, so it
+shares no table with the quotient route.  `max_ideal_in_ass` and
+`h0_m_monomials` read the torsion off one step of such a walk, started at
+I^n, which a ladder climbs to.
 """
 
 from __future__ import annotations
@@ -27,13 +30,13 @@ from operator import mul
 from .errors import METHODS, InconsistencyError, InputError, charge_budget
 from .monomials import (
     BoxTable,
+    Ladder,
     MonomialIdeal,
     Monomial,
     Packing,
     _top,
     is_pure_power,
     max_exponents,
-    power,
     require_proper_nonzero,
     used_variables,
 )
@@ -102,17 +105,6 @@ def _torsion(table: BoxTable, upper: int, lower: int) -> int:
     return cells
 
 
-def _power_gens(J: MonomialIdeal, n: int) -> list[Monomial]:
-    """The minimal generators of J^n, each power walked up packed as the
-    last one times the generators of J, charging the products it forms."""
-    P = Packing(J.r, n * _top(J))
-    gens, high = P.pack_ideal(J), [0]
-    for _ in range(n):
-        charge_budget(len(high) * len(gens), "power walk", unit="products")
-        high = P.minimal(a + g for a in high for g in gens)
-    return [P.unpack(x) for x in high]
-
-
 def _power_walk(
     J: MonomialIdeal, start: int = 0, steps: int = 2
 ) -> Iterator[tuple[BoxTable, int, int]]:
@@ -129,12 +121,12 @@ def _power_walk(
     for `_torsion`, and those of J^(k+1) are at most those of J^k plus
     those of J.  So every `steps` steps the walk moves to a box reaching
     the exponents of J^k plus `steps` times those of J, seeded from the
-    minimal generators of J^k: those of `_power_gens` at the start, then
+    minimal generators of J^k: those of a `Ladder` of J at the start, then
     the cells of the table with no cell one step below on any axis.  Each
     box charges one table when seeded and one per step.
     """
     caps = max_exponents(J)
-    gens = _power_gens(J, start)
+    gens = Ladder(J).ideal(start).generators
     while True:
         bounds = tuple(e + steps * c for e, c in zip(map(max, zip(*gens)), caps))
         table = BoxTable(gens, bounds)
@@ -226,7 +218,8 @@ def _require_method(method: str) -> None:
 
 
 def _quotient_entry(I: MonomialIdeal, n: int) -> frozenset[VariablePrime]:
-    return ass_of_quotient(power(I, n + 1))
+    """The quotient route's entry at n alone, from a `Ladder` of its own."""
+    return ass_of_quotient(Ladder(I).ideal(n + 1))
 
 
 def _agreed(
@@ -291,8 +284,9 @@ def ass_profile(
     jobs: int = 1,
 ) -> AssProfile:
     """Profile of Ass(I^n/I^(n+1)) over n = 0..n_max.  The recursion route
-    runs here, once for every n; `jobs` worker processes share the
-    quotient route's entries."""
+    runs here, once for every n, and the quotient route climbs one ladder
+    of I over the entries; `jobs` worker processes share the quotient
+    route's entries, each entry climbing a ladder of its own."""
     require_proper_nonzero(I)
     if n_max < 1:
         raise InputError(f"scan bound must be >= 1, got {n_max}")
@@ -307,7 +301,8 @@ def ass_profile(
     if method == "recursion":
         quotient = [None] * len(ns)
     elif workers == 1:
-        quotient = list(map(_quotient_entry, repeat(I), ns))
+        ladder = Ladder(I)
+        quotient = [ass_of_quotient(ladder.ideal(n + 1)) for n in ns]
     else:
         # imported here: multiprocessing is slow to load and rarely needed
         from concurrent.futures import ProcessPoolExecutor

@@ -8,7 +8,6 @@ No coefficient field is ever represented.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 from math import prod
@@ -267,18 +266,71 @@ def product(I: MonomialIdeal, J: MonomialIdeal) -> MonomialIdeal:
     return P.ideal(P.minimal(a + b for a in P.pack_ideal(I) for b in B))
 
 
+class Ladder:
+    """The packed powers I^k that one request climbs, one at a time.
+
+    I^0 and I^1 are held from the start.  Each power above them is the
+    last one times the generators of I, formed when first asked for and
+    charged |G(I^(k-1))|·s products ("power walk") on every climb, outside
+    every cache.  One packing holds every power held; it is sized by the
+    highest power formed and re-packed, with everything held, when a new
+    power needs wider fields.  The powers below I^low have been let go.
+    gens holds the generators of I in the order a colon chain meets their
+    parts, kept from step to step and degree to degree (see `_colon_above`).
+    """
+
+    __slots__ = ("top", "P", "gens", "low", "powers")
+
+    def __init__(self, I: MonomialIdeal):
+        self.top, self.low = _top(I), 0
+        self.P = P = Packing(I.r, self.top)
+        self.gens = P.pack_ideal(I)
+        # I^0 is the unit ideal, whose one generator packs to 0
+        self.powers = [[0], self.gens]
+
+    def __getitem__(self, k: int) -> list[int]:
+        """I^k for low <= k, climbing to it first if need be."""
+        while self.low + len(self.powers) <= k:
+            self.climb()
+        return self.powers[k - self.low]
+
+    def climb(self) -> None:
+        """Form the power above the highest one held."""
+        k = self.low + len(self.powers)
+        if (k * self.top).bit_length() >= self.P.width:
+            # I^k needs wider fields: the same monomials, packed anew
+            P, self.P = self.P, Packing(self.P.r, k * self.top)
+            self.gens, *self.powers = [self.repack(P, xs) for xs in (self.gens, *self.powers)]
+        high, gens = self.powers[-1], self.gens
+        charge_budget(len(high) * len(gens), "power walk", unit="products")
+        self.powers.append(self.P.minimal(a + g for a in high for g in gens))
+
+    def repack(self, P: Packing, xs: list[int]) -> list[int]:
+        """Monomials packed by P, packed by the ladder's packing."""
+        return [self.P.pack(P.unpack(x)) for x in xs]
+
+    def drop_below(self, k: int) -> None:
+        """Let go of the powers below I^k, climbing to it first if need be,
+        so that no more than two powers are held on the way up."""
+        while self.low < k:
+            if len(self.powers) == 1:
+                self.climb()
+            del self.powers[0]
+            self.low += 1
+
+    def ideal(self, k: int) -> MonomialIdeal:
+        """I^k, letting go of the powers below it."""
+        self.drop_below(k)
+        return self.P.ideal(self.powers[0])
+
+
 @lru_cache(maxsize=8192)
 def power(I: MonomialIdeal, n: int) -> MonomialIdeal:
-    """I**n via products of n generators (n = 0 gives the unit ideal)."""
+    """I**n (n = 0 gives the unit ideal), read off a fresh `Ladder` and
+    charged as its products; a call the cache answers charges nothing."""
     if n < 0:
         raise InputError(f"power exponent must be >= 0, got {n}")
-    if n == 0:
-        return unit_ideal(I.r)
-    if n == 1 or I.is_zero() or I.is_unit():
-        return I
-    P = Packing(I.r, n * _top(I))
-    combos = itertools.combinations_with_replacement(P.pack_ideal(I), n)
-    return P.ideal(P.minimal(map(sum, combos)))
+    return Ladder(I).ideal(n)
 
 
 def intersect(I: MonomialIdeal, J: MonomialIdeal) -> MonomialIdeal:

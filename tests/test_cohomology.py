@@ -264,7 +264,7 @@ class TestA0Observed:
         top = max(n + chain_reach(ratliff_rush(I, n)) for n in range(1, n_max + 1))
         powers = [power(I, k) for k in range(2, top + 1)]
         formed = []
-        climb = cohomology._Ladder.climb
+        climb = monomials.Ladder.climb
 
         def spy_climb(self):
             climb(self)
@@ -273,8 +273,7 @@ class TestA0Observed:
         def no_power(*args):
             raise AssertionError(f"power{args} called")
 
-        monkeypatch.setattr(cohomology._Ladder, "climb", spy_climb)
-        monkeypatch.setattr(cohomology, "power", no_power)
+        monkeypatch.setattr(monomials.Ladder, "climb", spy_climb)
         monkeypatch.setattr(monomials, "power", no_power)
         assert a0_observed(I, n_max) == expected
         assert formed == powers
@@ -506,7 +505,7 @@ class TestChainBudget:
     @pytest.mark.parametrize("I,n", [(rr_example(), 2), (example_ideal(5), 3), (widening_ideal(), 1)])
     def test_ratliff_rush(self, I, n):
         res = ratliff_rush(I, n)
-        total = walk_products(I, n, n + chain_reach(res))
+        total = walk_products(I, 1, n + chain_reach(res))
         self.fits_exactly(lambda: ratliff_rush(I, n), total)
 
     @pytest.mark.parametrize("I,n_max", [(rr_example(), 3), (example_ideal(5), 4)])
@@ -514,6 +513,6 @@ class TestChainBudget:
         top = max(n + chain_reach(ratliff_rush(I, n)) for n in range(1, n_max + 1))
         total = walk_products(I, 1, top)
         assert total < sum(
-            walk_products(I, n, n + chain_reach(ratliff_rush(I, n))) for n in range(1, n_max + 1)
+            walk_products(I, 1, n + chain_reach(ratliff_rush(I, n))) for n in range(1, n_max + 1)
         )
         self.fits_exactly(lambda: a0_observed(I, n_max), total)

@@ -11,11 +11,11 @@ The colon chain runs packed from start to end.  Its powers come from one
 `monomials.Ladder` per request, which climbs from I: each power is the
 previous one times the generators of I, formed and charged to the budget
 once, so the chains of every degree `a0_observed` scans share them, and
-`ratliff_rush` lets go of the powers below I^n on its way up to it.  Each colon is formed above
-I^n, which lies in every step of the chain, so only the generators outside
-I^n are met, compared and collected.  Every colon and lcm candidate in I^n
-is dropped before it is minimized, which is exact since a divisor of a
-monomial outside I^n lies outside it too.
+`ratliff_rush` lets go of the powers below I^n on its way up to it.  Each
+colon is formed above I^n, which lies in every step of the chain, so only
+the generators outside I^n are met, compared and collected.  Every colon
+and lcm candidate in I^n is dropped before it is minimized, which is exact
+since a divisor of a monomial outside I^n lies outside it too.
 """
 
 from __future__ import annotations

@@ -3,7 +3,8 @@
 Monomials are exponent tuples in a fixed number of variables; ideals are
 kept as canonical minimal generating sets (a divisibility antichain in
 descending lexicographic order), so ideal equality is dataclass equality.
-No coefficient field is ever represented.
+No coefficient field is ever represented.  Every power the library forms
+comes off a `Ladder`, charged as it is formed; `power` reads a fresh one.
 """
 
 from __future__ import annotations
@@ -267,16 +268,13 @@ def product(I: MonomialIdeal, J: MonomialIdeal) -> MonomialIdeal:
 
 
 class Ladder:
-    """The packed powers I^k that one request climbs, one at a time.
-
-    I^0 and I^1 are held from the start.  Each power above them is the
-    last one times the generators of I, formed when first asked for and
-    charged |G(I^(k-1))|·s products ("power walk") on every climb, outside
-    every cache.  One packing holds every power held; it is sized by the
-    highest power formed and re-packed, with everything held, when a new
-    power needs wider fields.  The powers below I^low have been let go.
-    gens holds the generators of I in the order a colon chain meets their
-    parts, kept from step to step and degree to degree (see `_colon_above`).
+    """The packed powers I^k of one request, climbed one at a time from
+    I^0 and I^1.  Each higher power is the last one times the generators
+    of I, formed when first asked for and charged |G(I^(k-1))|·s products
+    ("power walk") on every climb.  One packing holds every power held,
+    re-packed when a new power needs wider fields; those below I^low have
+    been let go.  gens holds the generators of I in the order a colon
+    chain meets their parts (see `_colon_above`).
     """
 
     __slots__ = ("top", "P", "gens", "low", "powers")

@@ -400,11 +400,18 @@ def _ed_block(
 def build_system(I: MonomialIdeal, mode: str) -> ConstraintSystem:
     """Constraint system whose integer solutions encode membership questions.
 
-    Mode ED1: solutions with z = n and y = b say that the monomial with
-    exponent vector b lies in I^(n-1) and in the n-th power of every
-    single-variable deletion of I.  Mode ED2 is its homogenization.  Mode
-    ED3: solutions with z = n and y = b say that b's monomial lies in the
-    closure union of colons of I^(n+m) by m-th generator powers.  The
+    Mode ED1: with z = n and y = b it is feasible exactly when t^b lies in
+    I^(n-1) and in the n-th power of every single-variable deletion of I,
+    that is in I^(n-1) ∩ ⋂_i (I^n : x_i^inf).  Its first block divides t^b
+    by a product of z - 1 generators, its sum row leaving the designated
+    one z - 1 - Σ x_k of them; block i divides it by a product of z
+    generators with x_i set to 1.  Every x column is at most z.  So with
+    z = n + 1 the solutions with t^b outside I^(n+1) are the maximal-ideal
+    torsion of I^n/I^(n+1), the witnesses of `h0_m_monomials(I, n)`.
+
+    Mode ED2 is the homogenization of ED1.  Mode ED3: solutions with z = n
+    and y = b say that b's monomial lies in the closure union of colons of
+    I^(n+m) by m-th generator powers.  The
     designated last generator and the variable layout are fixed and
     deterministic; squared column norms are asserted against their
     theoretical limits on every build.

@@ -613,6 +613,51 @@ class TestRequestBudget:
             assert total <= limit
             assert (got, metered.used) == (want, total)
 
+    @pytest.mark.parametrize(
+        "call",
+        [
+            *(lambda m=m: ass_power(example_ideal(5), 3, m) for m in METHODS),
+            *(lambda m=m: ass_profile(example_ideal(5), 4, m) for m in METHODS),
+            lambda: cohomology.ratliff_rush(example_ideal(5), 3),
+            lambda: cohomology.a0_observed(example_ideal(5), 3),
+            lambda: h0_m_monomials(example_ideal(5), 3),
+        ],
+        ids=[
+            *(f"ass_power-{m}" for m in METHODS),
+            *(f"ass_profile-{m}" for m in METHODS),
+            "ratliff_rush", "a0_observed", "h0_m_monomials",
+        ],
+    )  # fmt: skip
+    def test_a_request_charges_the_same_cold_or_warm(self, call):
+        """Every power a request reads comes off a ladder of its own, so
+        two calls in a row charge the same, the second with `power`'s cache
+        warm with every power the first one read."""
+        power.cache_clear()
+        with enumeration_budget() as cold:
+            want = call()
+        for k in range(10):
+            power(example_ideal(5), k)
+        with enumeration_budget() as warm:
+            assert call() == want
+        assert warm.used == cold.used > 0
+
+    def test_quotient_route_is_refused_at_its_last_climb(self):
+        """A quotient-route profile is refused one below its total, and one
+        below its total less its last table, at the climb to I^(n_max+1)."""
+        I, n_max = example_ideal(5), 4
+        last = power(I, n_max + 1)
+        with enumeration_budget() as meter:
+            want = ass_profile(I, n_max, "quotient")
+        with enumeration_budget() as table:
+            ass_of_quotient(last)
+        with enumeration_budget(meter.used):
+            assert ass_profile(I, n_max, "quotient") == want
+        with enumeration_budget(meter.used - 1), pytest.raises(BudgetError, match="membership box"):
+            ass_profile(I, n_max, "quotient")
+        limit = meter.used - table.used - 1
+        with enumeration_budget(limit), pytest.raises(BudgetError, match="power walk"):
+            ass_profile(I, n_max, "quotient")
+
     def test_charges_add_up_only_inside_a_block(self, monkeypatch):
         monkeypatch.setenv(BUDGET_ENV_VAR, "150")
         for _ in range(3):

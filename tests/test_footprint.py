@@ -72,8 +72,11 @@ print(json.dumps({LOADED}))
         (["rr", "--ideal", "two.txt", "--n", "1"],
          ["cohomology", "ioformats", "monomials"]),
         (["cone", "--system", "stair.txt"], ["ioformats", "monomials", "polyhedra", "radicals"]),
+        (["ass-profile", "--ideal", "two.txt", "--n-max", "2"],
+         ["assprimes", "ioformats", "monomials"]),
+        (["a0", "--ideal", "two.txt", "--n-max", "2"], ["cohomology", "ioformats", "monomials"]),
     ],
-    ids=["help", "bound", "rr", "cone"],
+    ids=["help", "bound", "rr", "cone", "ass-profile", "a0"],
 )  # fmt: skip
 def test_a_command_loads_only_what_it_runs(tmp_path, argv, extra):
     (tmp_path / "two.txt").write_text("vars: 2\nx1^2 x2\nx1 x2^3\n")

@@ -8,6 +8,7 @@ import oracles as ref
 from brodmann.errors import BudgetError, InputError, enumeration_budget
 from brodmann.monomials import (
     BoxTable,
+    Ladder,
     _zero_coords,
     MonomialIdeal,
     Packing,
@@ -384,6 +385,54 @@ class TestPackedKernelMatchesTupleReferences:
             assert colon_ideal(I, J).generators == ref.colon_ideal_ref(A, B, r)
             assert contains_ideal(I, J) == ref.contains_ideal_ref(A, B)
             assert delete_variable(I, r).generators == ref.delete_variable_ref(A, r)
+
+
+@st.composite
+def ladder_cases(draw):
+    """(I, k): 1..4 generators in 1..3 variables, exponents at most a top
+    in 17..40 that one of them reaches, and k up to 8, so that k·top
+    crosses 127, past which a one-byte field needs two."""
+    r = draw(st.integers(1, 3))
+    top = draw(st.integers(17, 40))
+    gens = draw(st.lists(st.tuples(*[st.integers(0, top)] * r), min_size=1, max_size=4))
+    axis = draw(st.integers(0, r - 1))
+    gens[0] = gens[0][:axis] + (top,) + gens[0][axis + 1 :]
+    return minimize(gens, r), draw(st.integers(0, 8))
+
+
+class TestLadder:
+    @KERNEL_SETTINGS
+    @given(ladder_cases())
+    @example((ideal(2, (40, 0), (3, 5), (0, 17)), 8))
+    def test_powers_match_the_combination_reference(self, case):
+        """Every power the ladder holds, I^0..I^k read after climbing to
+        I^k, so across a re-pack, and `power`, equal the reference."""
+        I, k = case
+        ladder = Ladder(I)
+        ladder[k]
+        assert ladder.P.width == (16 if k * _top(I) > 127 else 8)
+        for j in range(k + 1):
+            assert ladder.P.ideal(ladder[j]).generators == ref.power_ref(I.generators, j, I.r)
+        assert power(I, k).generators == ref.power_ref(I.generators, k, I.r)
+
+    def test_climbing_lets_go_of_the_powers_below(self, monkeypatch):
+        """`ideal` climbs to I^k holding at most two powers on the way,
+        and charges the products of I^1..I^(k-1) times I."""
+        I = ideal(2, (2, 0), (1, 1), (0, 3))
+        held = []
+        climb = Ladder.climb
+
+        def spy_climb(self):
+            climb(self)
+            held.append(len(self.powers))
+
+        monkeypatch.setattr(Ladder, "climb", spy_climb)
+        ladder = Ladder(I)
+        with enumeration_budget() as meter:
+            assert ladder.ideal(6) == ideal(2, *ref.power_ref(I.generators, 6, 2))
+        assert held == [2] * 5
+        assert (ladder.low, len(ladder.powers)) == (6, 1)
+        assert meter.used == sum(len(ref.power_ref(I.generators, j, 2)) * 3 for j in range(1, 6))
 
 
 @st.composite

@@ -6,7 +6,16 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from brodmann.cli import example_ideal
 from brodmann.errors import BudgetError, InputError, enumeration_budget
-from brodmann.monomials import intersect_all, minimize, power
+from brodmann.cohomology import h0_m_monomials
+from brodmann.monomials import (
+    MonomialIdeal,
+    intersect_all,
+    is_pure_power,
+    max_exponents,
+    minimize,
+    power,
+    used_variables,
+)
 from brodmann.polyhedra import (
     ConstraintSystem,
     _box_solutions,
@@ -34,6 +43,7 @@ from oracles import (
     iter_box,
     module_generators_ref,
     monomial_in,
+    power_ref,
     solve_nonneg,
     star_norm,
 )
@@ -429,6 +439,45 @@ class TestEDSystems:
                     witness = solve_feasible(sys_, fixed, box=2 * n + 2)
                     expected = monomial_in((b1, b2), member.generators)
                     assert (witness is not None) == expected, (n, (b1, b2))
+
+
+@st.composite
+def ed1_cases(draw):
+    """(I, n) for n = 0..3: 2..4 generators in 2 variables with exponents
+    up to 3, or 3 in 3 variables up to 2, every variable used and one
+    generator in two variables at least (a pure power ideal has no ED
+    systems).  ED1's x columns then number (s-1)(r+1) <= 9, so its box
+    stays within the budget."""
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    r = rng.choice((2, 3))
+    top, s_min, s_max = (3, 2, 4) if r == 2 else (2, 3, 3)
+    while True:
+        gens = [[rng.randint(0, top) for _ in range(r)] for _ in range(rng.randint(s_min, s_max))]
+        I = minimize(gens, r)
+        if len(I.generators) >= s_min and len(used_variables(I)) == r and not is_pure_power(I):
+            return I, draw(st.integers(0, 3))
+
+
+class TestED1MeansTorsion:
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(ed1_cases())
+    @example((ideal(2, (2, 0), (1, 1), (0, 3)), 2))
+    def test_feasible_outside_the_next_power_is_the_h0_torsion(self, case):
+        """Over the box of the exponents of I^(n+1), ED1 with z = n+1 and
+        y = b is feasible, with b outside I^(n+1), exactly at the witnesses
+        of `h0_m_monomials(I, n)`.  Every x column is at most z by the sum
+        rows, so the box n+1 of `solve_feasible` is exact."""
+        I, n = case
+        sys_ = build_system(I, "ED1")
+        upper = power_ref(I.generators, n + 1, I.r)
+        ys = [f"y{j + 1}" for j in range(I.r)]
+        torsion = tuple(
+            b
+            for b in iter_box(max_exponents(MonomialIdeal(I.r, upper)))
+            if not monomial_in(b, upper)
+            and solve_feasible(sys_, {"z": n + 1, **dict(zip(ys, b))}, n + 1) is not None
+        )
+        assert h0_m_monomials(I, n).witnesses == torsion
 
 
 def sparse_rows(sys_):

@@ -37,7 +37,6 @@ from .monomials import (
     _top,
     is_pure_power,
     max_exponents,
-    power,  # not called here: bench/test_bench.py checks the tracer rebinds it
     require_proper_nonzero,
     used_variables,
 )

@@ -411,10 +411,9 @@ def build_system(I: MonomialIdeal, mode: str) -> ConstraintSystem:
 
     Mode ED2 is the homogenization of ED1.  Mode ED3: solutions with z = n
     and y = b say that b's monomial lies in the closure union of colons of
-    I^(n+m) by m-th generator powers.  The
-    designated last generator and the variable layout are fixed and
-    deterministic; squared column norms are asserted against their
-    theoretical limits on every build.
+    I^(n+m) by m-th generator powers.  The designated last generator and
+    the variable layout are fixed and deterministic; squared column norms
+    are asserted against their theoretical limits on every build.
     """
     mode = mode.upper()
     if mode not in ED_MODES:

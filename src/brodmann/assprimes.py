@@ -10,13 +10,14 @@ there; the two must agree, and `ass_profile` can cross-check them against
 each other.  The supports and their localizations do not depend on n, so
 they are formed once per request: once per `ass_power` call, and once for
 all the entries of an `ass_profile`.  Every power either route needs
-comes off a packed `monomials.Ladder`, charged as "power walk" products,
-and no route calls `power`.  The quotient route climbs one ladder of I over
-all the entries of a profile.  The recursion route walks the powers of each
-localization up as bitsets (`_power_walk`), one walk for every n, so it
-shares no table with the quotient route.  `max_ideal_in_ass` and
-`h0_m_monomials` read the torsion off one step of such a walk, started at
-I^n, which a ladder climbs to.
+comes off a packed `monomials.Ladder`, charged as "power walk" products
+on every call.  The quotient route climbs one ladder of I over all the
+entries of a profile; a single entry (`ass_power`, or one `--jobs` worker
+task) reads `power`, a fresh ladder.  The recursion route walks the powers
+of each localization up as bitsets (`_power_walk`), one walk for every n,
+so it never calls `power` and shares no table with the quotient route.
+`max_ideal_in_ass` and `h0_m_monomials` read the torsion off one step of
+such a walk, started at I^n, which a ladder climbs to.
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ from .monomials import (
     _top,
     is_pure_power,
     max_exponents,
+    power,
     require_proper_nonzero,
     used_variables,
 )
@@ -218,8 +220,7 @@ def _require_method(method: str) -> None:
 
 
 def _quotient_entry(I: MonomialIdeal, n: int) -> frozenset[VariablePrime]:
-    """The quotient route's entry at n alone, from a `Ladder` of its own."""
-    return ass_of_quotient(Ladder(I).ideal(n + 1))
+    return ass_of_quotient(power(I, n + 1))
 
 
 def _agreed(
@@ -286,7 +287,7 @@ def ass_profile(
     """Profile of Ass(I^n/I^(n+1)) over n = 0..n_max.  The recursion route
     runs here, once for every n, and the quotient route climbs one ladder
     of I over the entries; `jobs` worker processes share the quotient
-    route's entries, each entry climbing a ladder of its own."""
+    route's entries, each entry climbing from I to its own power."""
     require_proper_nonzero(I)
     if n_max < 1:
         raise InputError(f"scan bound must be >= 1, got {n_max}")

@@ -322,10 +322,12 @@ class Ladder:
         return self.P.ideal(self.powers[0])
 
 
-@lru_cache(maxsize=8192)
+# maxsize=0 keeps nothing, so every call charges alike; the decorator stays
+# only for the cache_clear and cache_info that bench/run.py and spans.py call
+@lru_cache(maxsize=0)
 def power(I: MonomialIdeal, n: int) -> MonomialIdeal:
     """I**n (n = 0 gives the unit ideal), read off a fresh `Ladder` and
-    charged as its products; a call the cache answers charges nothing."""
+    charged as its products on every call."""
     if n < 0:
         raise InputError(f"power exponent must be >= 0, got {n}")
     return Ladder(I).ideal(n)

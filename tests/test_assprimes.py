@@ -530,18 +530,28 @@ class TestPowerWalk:
         entries = ass_profile(I, 8, "recursion").entries
         assert entries == tuple(ass_of_quotient(power(I, n + 1)) for n in range(9))
 
-    def test_no_route_calls_power(self):
-        """Every route and both torsion tools form their powers on ladders
-        of their own: `power`'s cache sees no call, hit or miss."""
+    def test_recursion_route_forms_no_power(self, monkeypatch):
+        """The two routes share no power: the recursion route walks its
+        own, so it answers with `power` made to fail, and so do the two
+        torsion tools, whose walks start from I^n on a ladder, and every
+        profile, whose quotient route climbs one ladder of I."""
         ideals = [example_ideal(5), ideal(4, (2, 1, 0, 1), (0, 2, 2, 0), (1, 0, 1, 2))]
-        power.cache_clear()
-        for I in ideals:
+        want = [ass_profile(I, 6).entries for I in ideals]
+        torsion = [scan_h0_witnesses(I, 3) for I in ideals]
+
+        def refuse(*args):
+            raise AssertionError("power called on the recursion route")
+
+        monkeypatch.setattr(monomials, "power", refuse)
+        monkeypatch.setattr(assprimes, "power", refuse)
+        for I, entries, cells in zip(ideals, want, torsion):
             for method in METHODS:
-                entries = ass_profile(I, 6, method).entries
-                assert ass_power(I, 3, method) == entries[3]
+                assert ass_profile(I, 6, method).entries == entries
+            assert ass_power(I, 3, "recursion") == entries[3]
             assert max_ideal_in_ass(I, 3) == (full_support_prime(I.r) in entries[3])
-            assert h0_m_monomials(I, 3).witnesses == scan_h0_witnesses(I, 3)
-        assert power.cache_info()[:2] == (0, 0)
+            assert h0_m_monomials(I, 3).witnesses == cells
+        with pytest.raises(AssertionError, match="power called"):
+            ass_power(ideals[0], 3, "both")
 
     def test_pure_power_ideal_walks_nothing(self):
         """An m-primary pure power ideal is associated at every n without a
@@ -616,6 +626,7 @@ class TestRequestBudget:
     @pytest.mark.parametrize(
         "call",
         [
+            lambda: power(example_ideal(5), 6),
             *(lambda m=m: ass_power(example_ideal(5), 3, m) for m in METHODS),
             *(lambda m=m: ass_profile(example_ideal(5), 4, m) for m in METHODS),
             lambda: cohomology.ratliff_rush(example_ideal(5), 3),
@@ -623,15 +634,16 @@ class TestRequestBudget:
             lambda: h0_m_monomials(example_ideal(5), 3),
         ],
         ids=[
+            "power",
             *(f"ass_power-{m}" for m in METHODS),
             *(f"ass_profile-{m}" for m in METHODS),
             "ratliff_rush", "a0_observed", "h0_m_monomials",
         ],
     )  # fmt: skip
     def test_a_request_charges_the_same_cold_or_warm(self, call):
-        """Every power a request reads comes off a ladder of its own, so
-        two calls in a row charge the same, the second with `power`'s cache
-        warm with every power the first one read."""
+        """Every power a request reads comes off a fresh ladder, so two
+        calls in a row charge the same, the second after `power` has been
+        asked for every power the first one read: `power` keeps none."""
         power.cache_clear()
         with enumeration_budget() as cold:
             want = call()

@@ -10,15 +10,18 @@ exceeded, 4 internal inconsistency (both conflicting answers are dumped).
 
 Each command imports the library functions it calls when it runs, so that
 building the parser loads no computing module and a call loads only what
-its command needs.  Likewise a call builds only the parser of the
-subcommand it names (see `_parse`).
+its command needs.  The options of every subcommand are one table,
+`_COMMANDS`, of add_argument keywords.  A well-formed call is read straight
+off that table, building no parser and importing no argparse; any other
+command line goes to argparse, which builds only the parser of the
+subcommand it names, from the same table (see `_parse`).
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import sys
+from types import SimpleNamespace
 from typing import TYPE_CHECKING
 
 from .errors import (
@@ -33,7 +36,11 @@ from .errors import (
 )
 
 if TYPE_CHECKING:
+    import argparse
+
     from .monomials import MonomialIdeal
+
+    Args = argparse.Namespace | SimpleNamespace
 
 INDEX_NOTE = (
     "row n lists Ass(I^n/I^(n+1)); in the shifted numbering Ass(I^(m-1)/I^m) "
@@ -51,7 +58,7 @@ def _vector_cell(v: tuple[int, ...]) -> str:
     return " ".join(str(c) for c in v)
 
 
-def _cmd_ass_profile(args: argparse.Namespace) -> dict:
+def _cmd_ass_profile(args: Args) -> dict:
     from .assprimes import ass_profile
     from .ioformats import load_ideal
 
@@ -86,7 +93,7 @@ def _tsv_ass_profile(p: dict) -> str:
     return "\n".join(lines)
 
 
-def _cmd_ass(args: argparse.Namespace) -> dict:
+def _cmd_ass(args: Args) -> dict:
     from .assprimes import ass_power
     from .ioformats import load_ideal
 
@@ -105,7 +112,7 @@ def _tsv_ass(p: dict) -> str:
     return f"# {p['index_note']}\n{p['n']}\t{_primes_cell(p['primes'])}"
 
 
-def _cmd_rr(args: argparse.Namespace) -> dict:
+def _cmd_rr(args: Args) -> dict:
     from .cohomology import ratliff_rush
     from .ioformats import load_ideal, monomial_str
 
@@ -130,7 +137,7 @@ def _tsv_rr(p: dict) -> str:
     return "\n".join([head, *p["closure_monomials"]])
 
 
-def _cmd_a0(args: argparse.Namespace) -> dict:
+def _cmd_a0(args: Args) -> dict:
     from .cohomology import a0_observed
     from .ioformats import load_ideal
 
@@ -152,7 +159,7 @@ def _tsv_a0(p: dict) -> str:
     return "\n".join(lines)
 
 
-def _cmd_bound(args: argparse.Namespace) -> dict:
+def _cmd_bound(args: Args) -> dict:
     from .bounds import bound_report, ideal_parameters
 
     explicit = [v for v in (args.r, args.s, args.d) if v is not None]
@@ -186,7 +193,7 @@ _BOUND_TSV = (
 )
 
 
-def _cmd_cone(args: argparse.Namespace) -> dict:
+def _cmd_cone(args: Args) -> dict:
     from .ioformats import load_system
     from .polyhedra import (
         bound_a1,
@@ -236,7 +243,7 @@ def _tsv_cone(p: dict) -> str:
     return "\n".join(lines)
 
 
-def _cmd_build_system(args: argparse.Namespace) -> dict:
+def _cmd_build_system(args: Args) -> dict:
     from .ioformats import load_ideal, system_to_json
     from .polyhedra import build_system, designated_generator
 
@@ -285,7 +292,7 @@ def _parse_fix(pairs: list[str]) -> dict[str | int, int]:
     return fixed
 
 
-def _cmd_feasible(args: argparse.Namespace) -> dict:
+def _cmd_feasible(args: Args) -> dict:
     from .ioformats import load_system
     from .polyhedra import solve_feasible
 
@@ -353,7 +360,7 @@ def _check_bounds() -> tuple[bool, str]:
     return ok, f"b1={rep.b1_ceil} b2={rep.b2} b4={rep.b4} b={rep.b_ceil}"
 
 
-def _cmd_paper_examples(args: argparse.Namespace) -> dict:
+def _cmd_paper_examples(args: Args) -> dict:
     checks: list[tuple[str, bool, str]] = []
     for d in (5,) if args.quick else (5, 6, 7):
         ok, detail = _check_example_family(d)
@@ -374,149 +381,215 @@ def _tsv_paper_examples(p: dict) -> str:
     return "\n".join(lines)
 
 
-def _add_output(p: argparse.ArgumentParser, func, tsv, default: str = "tsv") -> None:
-    """The subcommand's payload builder, its TSV renderer and --format."""
-    p.add_argument("--format", choices=("tsv", "json"), default=default, help="output format")
-    p.set_defaults(func=func, tsv=tsv)
+# The options each subcommand takes, in the order its help lists them: the
+# flag and its add_argument keywords.  The dest is argparse's own (the flag
+# without "--", dashes as underscores) unless a spec names it.
+_FORMAT = ("--format", {"choices": ("tsv", "json"), "default": "tsv", "help": "output format"})
+_FORMAT_JSON = ("--format", {**_FORMAT[1], "default": "json"})
+_BUDGET_HELP = "lattice-point enumeration budget (default: BRODMANN_BUDGET or built-in)"
+_BUDGET = ("--budget", {"type": int, "default": None, "help": _BUDGET_HELP})
+_FIX_HELP = "fix a variable by label or 0-based index (repeatable)"
+_FIX = ("--fix", {"action": "append", "default": [], "metavar": "VAR=VALUE", "help": _FIX_HELP})
+_M_CAP = ("--m-cap", {"type": int, "default": DEFAULT_M_CAP, "dest": "m_cap"})
 
-
-def _add_budget(p: argparse.ArgumentParser) -> None:
-    p.add_argument(
-        "--budget",
-        type=int,
-        default=None,
-        help="lattice-point enumeration budget (default: BRODMANN_BUDGET or built-in)",
-    )
-
-
-def _args_ass_profile(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--ideal", required=True, help="ideal file (text or .json)")
-    p.add_argument("--n-max", type=int, required=True, dest="n_max")
-    p.add_argument("--method", choices=METHODS, default="quotient")
-    p.add_argument("--jobs", type=int, default=1, help="parallel workers per power")
-    _add_budget(p)
-    _add_output(p, _cmd_ass_profile, _tsv_ass_profile)
-
-
-def _args_ass(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--ideal", required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--method", choices=METHODS, default="quotient")
-    _add_budget(p)
-    _add_output(p, _cmd_ass, _tsv_ass)
-
-
-def _args_rr(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--ideal", required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--m-cap", type=int, default=DEFAULT_M_CAP, dest="m_cap")
-    _add_output(p, _cmd_rr, _tsv_rr, "json")
-
-
-def _args_a0(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--ideal", required=True)
-    p.add_argument("--n-max", type=int, required=True, dest="n_max")
-    p.add_argument("--m-cap", type=int, default=DEFAULT_M_CAP, dest="m_cap")
-    _add_output(p, _cmd_a0, _tsv_a0, "json")
-
-
-def _args_bound(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--r", type=int, default=None, help="number of variables")
-    p.add_argument("--s", type=int, default=None, help="number of generators")
-    p.add_argument("--d", type=int, default=None, help="largest generator degree")
-    p.add_argument("--ideal", default=None, help="derive (r, s, d) from this ideal")
-    _add_output(p, _cmd_bound, _BOUND_TSV.format_map)
-
-
-def _args_cone(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--system", required=True, help="constraint-system file")
-    p.add_argument("--rays", action="store_true", help="list extreme rays (default)")
-    p.add_argument("--hilbert", action="store_true", help="semigroup generators")
-    p.add_argument("--module", action="store_true", help="module generators")
-    p.add_argument("--bound", action="store_true", help="print norm bounds")
-    p.add_argument("--cap", type=int, default=None, help="enumeration box cap")
-    _add_budget(p)
-    _add_output(p, _cmd_cone, _tsv_cone)
-
-
-def _args_build_system(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--ideal", required=True)
-    p.add_argument("--mode", type=str.upper, choices=ED_MODES, required=True)
-    p.add_argument("--out", default=None, help="write to this file instead of stdout")
-    _add_output(p, _cmd_build_system, _tsv_build_system)
-
-
-def _args_feasible(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--system", required=True)
-    p.add_argument(
-        "--fix",
-        action="append",
-        default=[],
-        metavar="VAR=VALUE",
-        help="fix a variable by label or 0-based index (repeatable)",
-    )
-    p.add_argument("--box", type=int, required=True, help="range 0..box per free variable")
-    _add_budget(p)
-    _add_output(p, _cmd_feasible, _tsv_feasible)
-
-
-def _args_paper_examples(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--quick", action="store_true", help="smallest family member only")
-    p.set_defaults(func=_cmd_paper_examples, tsv=_tsv_paper_examples, format="tsv")
-
-
-# subcommand -> (help line, function adding its arguments and defaults)
+# subcommand -> (help line, its options, the defaults it sets: the payload
+# builder, the TSV renderer and, where there is no --format, the format)
 _COMMANDS = {
-    "ass-profile": ("primes of I^n/I^(n+1) for n = 0..n_max", _args_ass_profile),
-    "ass": ("primes of I^n/I^(n+1) for a single n", _args_ass),
-    "rr": ("Ratliff-Rush closure of I^n", _args_rr),
-    "a0": ("top degree with nonzero Rees-irrelevant torsion", _args_a0),
-    "bound": ("stabilization thresholds from (r, s, d)", _args_bound),
-    "cone": ("extreme rays and generator enumeration", _args_cone),
-    "build-system": ("construct an ED constraint system", _args_build_system),
-    "feasible": ("bounded search for an integer solution", _args_feasible),
+    "ass-profile": (
+        "primes of I^n/I^(n+1) for n = 0..n_max",
+        (
+            ("--ideal", {"required": True, "help": "ideal file (text or .json)"}),
+            ("--n-max", {"type": int, "required": True, "dest": "n_max"}),
+            ("--method", {"choices": METHODS, "default": "quotient"}),
+            ("--jobs", {"type": int, "default": 1, "help": "parallel workers per power"}),
+            _BUDGET,
+            _FORMAT,
+        ),
+        {"func": _cmd_ass_profile, "tsv": _tsv_ass_profile},
+    ),
+    "ass": (
+        "primes of I^n/I^(n+1) for a single n",
+        (
+            ("--ideal", {"required": True}),
+            ("--n", {"type": int, "required": True}),
+            ("--method", {"choices": METHODS, "default": "quotient"}),
+            _BUDGET,
+            _FORMAT,
+        ),
+        {"func": _cmd_ass, "tsv": _tsv_ass},
+    ),
+    "rr": (
+        "Ratliff-Rush closure of I^n",
+        (
+            ("--ideal", {"required": True}),
+            ("--n", {"type": int, "required": True}),
+            _M_CAP,
+            _FORMAT_JSON,
+        ),
+        {"func": _cmd_rr, "tsv": _tsv_rr},
+    ),
+    "a0": (
+        "top degree with nonzero Rees-irrelevant torsion",
+        (
+            ("--ideal", {"required": True}),
+            ("--n-max", {"type": int, "required": True, "dest": "n_max"}),
+            _M_CAP,
+            _FORMAT_JSON,
+        ),
+        {"func": _cmd_a0, "tsv": _tsv_a0},
+    ),
+    "bound": (
+        "stabilization thresholds from (r, s, d)",
+        (
+            ("--r", {"type": int, "default": None, "help": "number of variables"}),
+            ("--s", {"type": int, "default": None, "help": "number of generators"}),
+            ("--d", {"type": int, "default": None, "help": "largest generator degree"}),
+            ("--ideal", {"default": None, "help": "derive (r, s, d) from this ideal"}),
+            _FORMAT,
+        ),
+        {"func": _cmd_bound, "tsv": _BOUND_TSV.format_map},
+    ),
+    "cone": (
+        "extreme rays and generator enumeration",
+        (
+            ("--system", {"required": True, "help": "constraint-system file"}),
+            ("--rays", {"action": "store_true", "help": "list extreme rays (default)"}),
+            ("--hilbert", {"action": "store_true", "help": "semigroup generators"}),
+            ("--module", {"action": "store_true", "help": "module generators"}),
+            ("--bound", {"action": "store_true", "help": "print norm bounds"}),
+            ("--cap", {"type": int, "default": None, "help": "enumeration box cap"}),
+            _BUDGET,
+            _FORMAT,
+        ),
+        {"func": _cmd_cone, "tsv": _tsv_cone},
+    ),
+    "build-system": (
+        "construct an ED constraint system",
+        (
+            ("--ideal", {"required": True}),
+            ("--mode", {"type": str.upper, "choices": ED_MODES, "required": True}),
+            ("--out", {"default": None, "help": "write to this file instead of stdout"}),
+            _FORMAT,
+        ),
+        {"func": _cmd_build_system, "tsv": _tsv_build_system},
+    ),
+    "feasible": (
+        "bounded search for an integer solution",
+        (
+            ("--system", {"required": True}),
+            _FIX,
+            ("--box", {"type": int, "required": True, "help": "range 0..box per free variable"}),
+            _BUDGET,
+            _FORMAT,
+        ),
+        {"func": _cmd_feasible, "tsv": _tsv_feasible},
+    ),
     "paper-examples": (
         "run the built-in example expectations and print a pass/fail table",
-        _args_paper_examples,
+        (("--quick", {"action": "store_true", "help": "smallest family member only"}),),
+        {"func": _cmd_paper_examples, "tsv": _tsv_paper_examples, "format": "tsv"},
     ),
 }
 
 
+def _add_options(parser: argparse.ArgumentParser, name: str) -> None:
+    """Give parser the options and defaults of subcommand name."""
+    _, options, defaults = _COMMANDS[name]
+    for flag, spec in options:
+        parser.add_argument(flag, **spec)
+    parser.set_defaults(**defaults)
+
+
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser with every subcommand."""
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="brodmann",
         description="Associated primes of monomial ideal powers, Ratliff-Rush "
         "closures, polyhedral generator enumeration, and stabilization bounds.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (help_text, add_arguments) in _COMMANDS.items():
-        add_arguments(sub.add_parser(name, help=help_text))
+    for name, (help_text, _, _) in _COMMANDS.items():
+        _add_options(sub.add_parser(name, help=help_text), name)
     return parser
 
 
-def _parse(argv: list[str]) -> argparse.Namespace:
-    """argv parsed as the full parser parses it, building only the parser
-    of the subcommand argv[0] names.
-
-    The full parser hands a subcommand's arguments to that subcommand's
-    parser, prog "brodmann <command>", through parse_known_args, and
-    reports what is left over in its own error.  So does this; the full
-    parser is built only for that error and for argv that does not start
-    with a subcommand.
+def _read(name: str, argv: list[str]) -> SimpleNamespace | None:
+    """The arguments of subcommand name read off its options, or None
+    unless argv has the one form argparse is sure to read the same way:
+    exact flags; switches with no value; --fix as often as wanted; each
+    other flag once, then one value not starting with "-", converted by
+    its type and among its choices; every required option given.
     """
+    _, options, defaults = _COMMANDS[name]
+    specs = dict(options)
+    dests = {flag: spec.get("dest", flag[2:].replace("-", "_")) for flag, spec in options}
+    values: dict = {}
+    tokens = iter(argv)
+    for flag in tokens:
+        spec = specs.get(flag)
+        if spec is None:
+            return None
+        action = spec.get("action")
+        if action == "store_true":
+            value = True
+        else:
+            raw = next(tokens, "-")
+            if raw.startswith("-"):
+                return None
+            try:
+                value = spec.get("type", str)(raw)
+            except (TypeError, ValueError):
+                return None
+            if value not in spec.get("choices", (value,)):
+                return None
+        if action == "append":
+            values.setdefault(dests[flag], []).append(value)
+        elif dests[flag] in values:
+            return None
+        else:
+            values[dests[flag]] = value
+    for flag, spec in options:
+        if dests[flag] in values:
+            continue
+        if spec.get("required"):
+            return None
+        action = spec.get("action")
+        default = spec.get("default", False if action == "store_true" else None)
+        values[dests[flag]] = list(default) if action == "append" else default
+    return SimpleNamespace(command=name, **values, **defaults)
+
+
+def _parse(argv: list[str]) -> Args:
+    """argv parsed as the full parser parses it.
+
+    A call `_read` accepts builds no parser and loads no argparse.  Any
+    other argv goes to argparse unchanged, so help, errors and exit codes
+    are its own; there only the parser of the subcommand argv[0] names is
+    built, prog "brodmann <command>", as the full parser would hand it the
+    rest.  The full parser is built only for leftover arguments, which it
+    reports in its own error, and for argv that does not start with a
+    subcommand.
+    """
+    if argv and argv[0] in _COMMANDS:
+        args = _read(argv[0], argv[1:])
+        if args is not None:
+            return args
+    import argparse
+
     if not argv or argv[0] not in _COMMANDS:
         return build_parser().parse_args(argv)
     parser = argparse.ArgumentParser(prog=f"brodmann {argv[0]}")
-    _COMMANDS[argv[0]][1](parser)
-    args, rest = parser.parse_known_args(argv[1:])
+    _add_options(parser, argv[0])
+    parsed, rest = parser.parse_known_args(argv[1:])
     if rest:
         build_parser().error("unrecognized arguments: " + " ".join(rest))
-    args.command = argv[0]
-    return args
+    parsed.command = argv[0]
+    return parsed
 
 
-def _run(args: argparse.Namespace) -> int:
+def _run(args: Args) -> int:
     """Build the subcommand's payload and print it as JSON or as its TSV.
 
     Ints of any size print here (B2 passes Python's default limit of 4300

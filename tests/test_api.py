@@ -124,8 +124,8 @@ def test_removed_members_are_gone():
 
 
 def test_no_unused_relative_imports():
-    """Every name a module imports from within the package is used there
-    (`__init__` imports only to re-export)."""
+    """Every name a module imports is used there, whether from within the
+    package or not (`__init__` imports only to re-export)."""
     unused = []
     for path in sorted(Path(brodmann.__file__).parent.glob("*.py")):
         if path.name == "__init__.py":
@@ -133,11 +133,12 @@ def test_no_unused_relative_imports():
         tree = ast.parse(path.read_text())
         used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         unused += [
-            (path.name, alias.asname or alias.name)
+            (path.name, (alias.asname or alias.name).partition(".")[0])
             for node in ast.walk(tree)
-            if isinstance(node, ast.ImportFrom) and node.level
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+            and getattr(node, "module", None) != "__future__"
             for alias in node.names
-            if (alias.asname or alias.name) not in used
+            if (alias.asname or alias.name).partition(".")[0] not in used
         ]
     assert unused == []
 

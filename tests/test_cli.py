@@ -1,5 +1,7 @@
 import argparse
+import contextlib
 import errno
+import io
 import json
 import os
 import subprocess
@@ -7,10 +9,19 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import brodmann
 import oracles
-from brodmann.cli import _COMMANDS, INDEX_NOTE, build_parser, example_ideal, main
+from brodmann.cli import (
+    _COMMANDS,
+    INDEX_NOTE,
+    _parse,
+    _read,
+    build_parser,
+    example_ideal,
+    main,
+)
 from brodmann.errors import InconsistencyError
 from brodmann.ioformats import ideal_to_text, parse_system_text, system_to_text
 from brodmann.monomials import minimize
@@ -540,7 +551,7 @@ class TestPaperExamples:
 
 
 class TestParser:
-    def test_a_call_builds_only_its_subcommand(self, capsys, monkeypatch):
+    def test_a_call_builds_only_its_subcommand(self, capsys, monkeypatch, rr_file):
         built = []
         init = argparse.ArgumentParser.__init__
 
@@ -549,8 +560,18 @@ class TestParser:
             init(self, *args, **kwargs)
 
         monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        # a well-formed call is read off the option table
         assert run(capsys, "bound", "--r", "2", "--s", "2", "--d", "2")[0] == 0
-        assert built == ["brodmann bound"]
+        assert built == []
+        # one the table refuses goes to its subcommand's parser alone
+        assert run(capsys, "a0", "--ideal", rr_file, "--n-m", "2")[0] == 0
+        assert built == ["brodmann a0"]
+        for argv, code in ((["rr", "--ideal", rr_file, "--n", "two"], 2), (["rr", "--help"], 0)):
+            built.clear()
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == code
+            assert built == ["brodmann rr"]
 
     @pytest.mark.parametrize("name", list(_COMMANDS))
     def test_one_subcommand_parser_prints_as_the_full_one(self, capsys, monkeypatch, name):
@@ -564,6 +585,84 @@ class TestParser:
         # help and usage errors, both the subcommand's and the top level's
         for argv in ([name, "--help"], [name, "--no-such-flag"], [name, "--format", "x"]):
             assert printed(main, argv) == printed(build_parser().parse_args, argv)
+
+
+def _good_value(spec):
+    """A value the option takes."""
+    if spec.get("type") is int:
+        return st.integers(0, 40).map(str)
+    if "choices" in spec:
+        return st.sampled_from(spec["choices"])
+    return st.sampled_from(["two.txt", "x1=3", "0=1", "a b", ""])
+
+
+# values with a leading dash, and values only some types and choices take
+EDGE_VALUES = ["-3", "-x", "--", "-h", "--help", "two", "3.5", " 7 ", "1_0", "ed1", "Ed2", "JSON"]
+
+
+@st.composite
+def _piece(draw, options):
+    """Tokens for one option, written well or in one of the forms the table
+    leaves to argparse."""
+    flag, spec = draw(st.sampled_from(options))
+    value = draw(st.one_of(_good_value(spec), st.sampled_from(EDGE_VALUES)))
+    well = [flag] if spec.get("action") == "store_true" else [flag, value]
+    short = [flag[: draw(st.integers(3, len(flag)))], *well[1:]]
+    stray = draw(st.sampled_from(["--", "-h", "--help", "--no-such", "-5", "x"]))
+    return draw(
+        st.sampled_from([well, [flag, value], [f"{flag}={value}"], short, [flag], [value], [stray]])
+    )
+
+
+@st.composite
+def _argvs(draw):
+    if draw(st.integers(0, 19)) == 0:
+        return draw(st.sampled_from([[], ["--help"], ["nope"], ["-h", "rr"], ["--", "rr"]]))
+    name = draw(st.sampled_from(list(_COMMANDS)))
+    options = _COMMANDS[name][1]
+    pieces = [
+        [flag, draw(_good_value(spec))]
+        for flag, spec in options
+        if spec.get("required") and draw(st.integers(0, 9))
+    ]
+    pieces += draw(st.lists(_piece(options), max_size=4))
+    return [name, *(token for piece in draw(st.permutations(pieces)) for token in piece)]
+
+
+def _outcome(parse, argv):
+    """vars() of what parse gives, or its exit code and printed text."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            return vars(parse(argv))
+        except SystemExit as exc:
+            return exc.code, out.getvalue(), err.getvalue()
+
+
+class TestTableReader:
+    @settings(max_examples=400, deadline=None, derandomize=True, database=None)
+    @given(_argvs())
+    @example(["bound", "--ideal"])
+    @example(["rr", "--n", "1", "--ideal", "-x"])
+    @example(["cone", "--system", "--"])
+    @example(["ass", "--ideal", "f", "--n", "-2"])
+    def test_parses_as_argparse(self, argv):
+        assert _outcome(_parse, argv) == _outcome(build_parser().parse_args, argv)
+
+    @pytest.mark.parametrize("name", list(_COMMANDS))
+    def test_reads_every_option(self, name):
+        """Each option given well-formed and in reverse order, --fix twice,
+        is read off the table to argparse's values."""
+        argv = [name]
+        for flag, spec in reversed(_COMMANDS[name][1]):
+            if spec.get("action") == "store_true":
+                argv += [flag]
+            else:
+                argv += [flag, spec["choices"][-1] if "choices" in spec else "3"]
+        argv += ["--fix", "x1=2"] if name == "feasible" else []
+        args = _read(name, argv[1:])
+        assert args is not None
+        assert vars(args) == vars(build_parser().parse_args(argv))
 
 
 def test_import_leaves_out_multiprocessing():

@@ -42,7 +42,7 @@ with contextlib.redirect_stdout(io.StringIO()):
         code = brodmann.cli.main(sys.argv[1:])
     except SystemExit as exc:
         code = exc.code
-print(json.dumps([code, {LOADED}]))
+print(json.dumps([code, {LOADED}, "argparse" in sys.modules]))
 """
 
 BASE = ["brodmann", "brodmann.cli", "brodmann.errors"]
@@ -81,9 +81,11 @@ print(json.dumps({LOADED}))
 def test_a_command_loads_only_what_it_runs(tmp_path, argv, extra):
     (tmp_path / "two.txt").write_text("vars: 2\nx1^2 x2\nx1 x2^3\n")
     (tmp_path / "stair.txt").write_text("vars: 3\n2 -1 0 >= 0\n0 2 -1 >= 0\n")
-    code, loaded = fresh(RUN_COMMAND, *argv, cwd=tmp_path)
+    code, loaded, argparse_loaded = fresh(RUN_COMMAND, *argv, cwd=tmp_path)
     assert code == 0
     assert loaded == sorted(BASE + [f"brodmann.{m}" for m in extra])
+    # a well-formed call is read off the option table; only help needs argparse
+    assert argparse_loaded == (argv == ["--help"])
 
 
 def _defining_modules() -> dict[str, list[str]]:

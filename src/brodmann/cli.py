@@ -572,14 +572,13 @@ def _parse(argv: list[str]) -> Args:
     reports in its own error, and for argv that does not start with a
     subcommand.
     """
-    if argv and argv[0] in _COMMANDS:
-        args = _read(argv[0], argv[1:])
-        if args is not None:
-            return args
-    import argparse
-
     if not argv or argv[0] not in _COMMANDS:
         return build_parser().parse_args(argv)
+    args = _read(argv[0], argv[1:])
+    if args is not None:
+        return args
+    import argparse
+
     parser = argparse.ArgumentParser(prog=f"brodmann {argv[0]}")
     _add_options(parser, argv[0])
     parsed, rest = parser.parse_known_args(argv[1:])

@@ -14,10 +14,10 @@ comes off a packed `monomials.Ladder`, charged as "power walk" products
 on every call.  The quotient route climbs one ladder of I over all the
 entries of a profile; a single entry (`ass_power`, or one `--jobs` worker
 task) reads `power`, a fresh ladder.  The recursion route walks the powers
-of each localization up as bitsets (`_power_walk`), one walk for every n,
-so it never calls `power` and shares no table with the quotient route.
-`max_ideal_in_ass` and `h0_m_monomials` read the torsion off one step of
-such a walk, started at I^n, which a ladder climbs to.
+of each localization up as bitsets (`_power_walk`): a profile walks once
+from I_S^0 over every n, and one n (`ass_power`, `max_ideal_in_ass`,
+`h0_m_monomials`) takes one step from I_S^n, which a ladder climbs to.
+The two routes share no table.
 """
 
 from __future__ import annotations
@@ -203,10 +203,11 @@ def _local_ideals(I: MonomialIdeal) -> list[LocalIdeal]:
 
 
 def _ass_by_localization(I: MonomialIdeal, n_max: int) -> list[frozenset[VariablePrime]]:
-    """Ass(I^n/I^(n+1)) for n = 0..n_max, from the supports and
-    localizations of `_local_ideals`, formed once: the prime on S is
-    associated at n when I_S is a pure power ideal or the maximal ideal is
-    associated to I_S^n/I_S^(n+1), read off one `_power_walk` of I_S."""
+    """Ass(I^n/I^(n+1)) for n = 0..n_max, the recursion route of
+    `ass_profile`, from the supports and localizations of `_local_ideals`,
+    formed once: the prime on S is associated at n when I_S is a pure
+    power ideal or the maximal ideal is associated to I_S^n/I_S^(n+1),
+    read off one `_power_walk` of I_S."""
     flags = [
         (S, None if J is None else [bool(_torsion(*t)) for t in islice(_power_walk(J), n_max + 1)])
         for S, J in _local_ideals(I)
@@ -256,7 +257,9 @@ def ass_power(I: MonomialIdeal, n: int, method: str = "quotient") -> frozenset[V
         raise InputError(f"power index must be >= 0, got {n}")
     _require_method(method)
     via_quotient = None if method == "recursion" else _quotient_entry(I, n)
-    via_recursion = None if method == "quotient" else _ass_by_localization(I, n)[n]
+    via_recursion = None if method == "quotient" else frozenset(
+        S for S, J in _local_ideals(I) if J is None or max_ideal_in_ass(J, n)
+    )
     return _agreed(n, via_quotient, via_recursion)
 
 

@@ -288,7 +288,10 @@ def _parse_fix(pairs: list[str]) -> dict[str | int, int]:
         except ValueError:
             raise InputError(f"--fix value must be an integer, got {_excerpt(raw)!r}")
         # isdecimal, not isdigit: int() rejects digits such as superscripts
-        fixed[_parse_int(key, "--fix", None) if key.isdecimal() else key] = value
+        key = _parse_int(key, "--fix", None) if key.isdecimal() else key
+        if fixed.setdefault(key, value) != value:
+            what = f"index {key}" if isinstance(key, int) else f"label {key!r}"
+            raise InputError(f"conflicting assignments for variable {_excerpt(what)}")
     return fixed
 
 

@@ -121,14 +121,20 @@ def _content_lines(text: str):
             yield lineno, line
 
 
-def _parse_header(line: str, lineno: int, source: str) -> int:
-    m = re.match(r"^vars:\s*(\d+)$", line)
+def _parse_header(text: str, source: str) -> tuple[int, list[tuple[int, str]]]:
+    """The count of the `vars: <count>` header that text opens with, and
+    the numbered content lines after it."""
+    lines = list(_content_lines(text))
+    if not lines:
+        raise ParseError("empty input, expected `vars: <count>` header", source=source)
+    lineno, header = lines[0]
+    m = re.match(r"^vars:\s*(\d+)$", header)
     if not m:
         raise ParseError("expected header `vars: <count>`", source=source, line=lineno)
     n = _parse_int(m.group(1), source, lineno)
     if n < 1:
         raise ParseError("variable count must be >= 1", source=source, line=lineno)
-    return n
+    return n, lines[1:]
 
 
 def parse_monomial(line: str, r: int, source: str = "<string>", lineno: int = 0) -> Monomial:
@@ -151,12 +157,8 @@ def parse_monomial(line: str, r: int, source: str = "<string>", lineno: int = 0)
 
 
 def parse_ideal_text(text: str, source: str = "<string>") -> MonomialIdeal:
-    lines = list(_content_lines(text))
-    if not lines:
-        raise ParseError("empty input, expected `vars: <count>` header", source=source)
-    lineno, header = lines[0]
-    r = _parse_header(header, lineno, source)
-    gens = [parse_monomial(line, r, source, ln) for ln, line in lines[1:]]
+    r, body = _parse_header(text, source)
+    gens = [parse_monomial(line, r, source, ln) for ln, line in body]
     return minimize(gens, r)
 
 
@@ -215,15 +217,10 @@ def load_ideal(path: str | Path) -> MonomialIdeal:
 def parse_system_text(text: str, source: str = "<string>") -> "ConstraintSystem":
     from .polyhedra import ConstraintSystem
 
-    lines = list(_content_lines(text))
-    if not lines:
-        raise ParseError("empty input, expected `vars: <count>` header", source=source)
-    lineno, header = lines[0]
-    e = _parse_header(header, lineno, source)
+    e, body = _parse_header(text, source)
     labels: tuple[str, ...] | None = None
     rows: list[tuple[int, ...]] = []
     rhs: list[int] = []
-    body = lines[1:]
     if body and body[0][1].startswith("labels:"):
         ln, line = body[0]
         names = line[len("labels:"):].split()

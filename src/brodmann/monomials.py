@@ -5,6 +5,8 @@ kept as canonical minimal generating sets (a divisibility antichain in
 descending lexicographic order), so ideal equality is dataclass equality.
 No coefficient field is ever represented.  Every power the library forms
 comes off a `Ladder`, charged as it is formed; `power` reads a fresh one.
+Every colon, `colon_ideal`'s and the Ratliff-Rush chain's alike, runs the
+one kernel `_colon_above`.
 """
 
 from __future__ import annotations
@@ -120,13 +122,6 @@ class Packing:
         """I's generators packed, in ascending order."""
         return [self.pack(g) for g in reversed(I.generators)]
 
-    def colon(self, g: int, m: int) -> int:
-        """lcm(g, m) / m: the fields g_i - m_i where g_i > m_i, else 0."""
-        x = (g | self.guard) - m
-        ge = x & self.guard
-        # each surviving guard becomes the value bits below it
-        return x & (ge - (ge >> (self.width - 1)))
-
     def minimal(self, cands: Iterable[int]) -> list[int]:
         """The divisibility-minimal packed monomials among cands, ascending.
 
@@ -202,7 +197,9 @@ class Packing:
         for a in out_a:
             a |= G
             for b in out_b:
-                # lcm(a, b) = b * (a : b), with the colon of `colon` inlined
+                # lcm(a, b) = b * (a : b), the colon being the fields of
+                # a - b whose guard survived, each guard turned into the
+                # value bits below it, and 0 elsewhere
                 x = a - b
                 ge = x & G
                 lcms.add(b + (x & (ge - (ge >> s))))
@@ -370,24 +367,19 @@ def colon_monomial(I: MonomialIdeal, m: Monomial) -> MonomialIdeal:
     """I : m for a single monomial m."""
     if len(m) != I.r or any(e < 0 for e in m):
         raise InputError(f"bad colon monomial {m} for ambient {I.r}")
-    if I.is_zero():
-        return I
-    P = Packing(I.r, max(_top(I), *m))
-    q = P.pack(m)
-    return P.ideal(P.minimal(P.colon(g, q) for g in P.pack_ideal(I)))
+    return colon_ideal(I, MonomialIdeal(I.r, (tuple(m),)))
 
 
 def colon_ideal(I: MonomialIdeal, J: MonomialIdeal) -> MonomialIdeal:
     """I : J, the intersection of the parts I : g over the generators g of
-    J, each part formed only when the meet reaches it."""
+    J: `_colon_above` over the zero ideal as floor, whose sieve has no
+    slots and so drops nothing."""
     _require_same_r(I, J)
     if J.is_zero():
         # everything multiplies the zero ideal into I
         return unit_ideal(I.r)
     P = Packing(I.r, _top(I, J))
-    gens = P.pack_ideal(I)
-    parts = (P.minimal(P.colon(g, q) for g in gens) for q in P.pack_ideal(J))
-    return P.ideal(reduce(P.meet, parts))
+    return P.ideal(_colon_above(P, P.pack_ideal(I), P.pack_ideal(J), P.lay([])))
 
 
 def _colon_above(P: Packing, gens: list[int], qs: list[int], floor: Laid) -> list[int]:
@@ -405,6 +397,8 @@ def _colon_above(P: Packing, gens: list[int], qs: list[int], floor: Laid) -> lis
     one E_q or running meet is empty, and that q moves to the front of
     qs: a caller that keeps the order meets it first next time.  The
     intersection does not depend on the order.  qs must not be empty.
+    With the zero ideal as F, laid in no slots, nothing is dropped and the
+    result is the whole colon, which is how `colon_ideal` reads it.
     """
     G, s = P.guard, P.width - 1
     block, ones, guards, flags = floor
@@ -413,7 +407,8 @@ def _colon_above(P: Packing, gens: list[int], qs: list[int], floor: Laid) -> lis
     sieve = guards - block
     met = None
     for i, q in enumerate(qs):
-        # each colon of `Packing.colon`, kept when no floor generator divides it
+        # each colon g : q by the guard subtraction of `meet`, kept when no
+        # floor generator divides it
         part = []
         Gq = G - q
         for g in gens:
@@ -519,7 +514,8 @@ class BoxTable:
     axis, and `saturate` gives the table of each J : x_i^inf from J's.
     Other bitsets on the box, such as the powers of a power walk, use the
     table's axis masks through these methods.  `table` holds the same
-    cells one byte each, for O(r) point queries, built when first read.
+    cells one byte each, built when first read; no query of the library
+    reads it, and `bench/spans.py` counts cells by its length.
     """
 
     __slots__ = ("dims", "strides", "bits", "masks", "_table")
@@ -605,12 +601,6 @@ class BoxTable:
                 format(self.bits, f"0{total}b")[::-1], "ascii"
             ).translate(_CELL_BYTES)
         return self._table
-
-    def __getitem__(self, v: tuple[int, ...]) -> bool:
-        idx = 0
-        for x, s in zip(v, self.strides):
-            idx += x * s
-        return bool(self.table[idx])
 
     def point(self, idx: int) -> tuple[int, ...]:
         """The cell with row-major index idx."""

@@ -111,28 +111,19 @@ class ExactRadical:
             other = ExactRadical.of_fraction(Fraction(other))
         return self.square() < other.square()
 
+    # `RadicalSum`'s rounding and printing of one term, defined in this
+    # class body because `bench/spans.py` wraps each class's own methods
     def floor(self) -> int:
-        if self.is_rational():
-            return self.coeff.numerator // self.coeff.denominator
-        a = self.coeff.numerator
-        b = self.coeff.denominator
-        return isqrt(a * a * self.radicand) // b
+        return RadicalSum.of(self).floor()
 
     def ceil(self) -> int:
-        if self.is_rational():
-            return -((-self.coeff.numerator) // self.coeff.denominator)
-        # irrational, so never an integer
-        return self.floor() + 1
+        return RadicalSum.of(self).ceil()
 
     def __float__(self) -> float:
-        return float(self.coeff) * self.radicand**0.5
+        return float(RadicalSum.of(self))
 
     def __str__(self) -> str:
-        if self.is_rational():
-            return str(self.coeff)
-        if self.coeff == 1:
-            return f"sqrt({self.radicand})"
-        return f"{self.coeff}*sqrt({self.radicand})"
+        return str(RadicalSum.of(self))
 
 
 def _sqrt_bounds(m: int, k: int) -> tuple[Fraction, Fraction]:
@@ -284,7 +275,7 @@ class RadicalSum:
         return self.floor() + 1
 
     def __float__(self) -> float:
-        return sum(float(q) * m**0.5 for m, q in self.terms)
+        return sum((float(q) * m**0.5 for m, q in self.terms), 0.0)
 
     def __str__(self) -> str:
         if not self.terms:

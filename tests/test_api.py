@@ -10,8 +10,8 @@ from pathlib import Path
 
 import brodmann
 from brodmann import cli, errors, monomials, polyhedra
-from brodmann.monomials import BoxTable
-from brodmann.radicals import ExactRadical
+from brodmann.monomials import BoxTable, Packing
+from brodmann.radicals import ExactRadical, RadicalSum
 
 PUBLIC = [
     "A0Result",
@@ -121,6 +121,8 @@ def test_removed_names_are_gone():
 def test_removed_members_are_gone():
     assert "bounds" not in BoxTable.__slots__
     assert not hasattr(ExactRadical, "_cmp")
+    assert not hasattr(Packing, "colon")
+    assert "__getitem__" not in vars(BoxTable)
 
 
 def test_no_unused_relative_imports():
@@ -242,6 +244,13 @@ def test_bench_clears_and_reads_the_lru_caches():
 def test_bench_counts_box_cells_from_the_byte_table():
     table = BoxTable(((2, 0, 1), (0, 3, 0)), (3, 4, 2))
     assert len(table.table) == prod(table.dims) == 4 * 5 * 3
+
+
+def test_bench_wraps_the_radical_rounding_of_each_class():
+    # the tracer patches these through each class's own __dict__
+    for cls in (ExactRadical, RadicalSum):
+        assert {"floor", "ceil"} <= vars(cls).keys()
+    assert "bounds" in vars(RadicalSum)
 
 
 def test_bench_parser_takes_ass_profile_jobs():

@@ -429,7 +429,9 @@ class TestLocalizationLoop:
         I = ideal(4, (2, 0, 0, 0), (0, 3, 0, 0), (1, 0, 1, 1))
         tested = []
         walk = assprimes._power_walk
-        monkeypatch.setattr(assprimes, "_power_walk", lambda J: tested.append(J) or walk(J))
+        monkeypatch.setattr(
+            assprimes, "_power_walk", lambda J, *at: tested.append(J) or walk(J, *at)
+        )
         seen = self.localized(monkeypatch, I)
         assert seen[(1, 2)] == ideal(2, (1, 0), (0, 3))
         assert tested and seen[(1, 2)] not in tested

@@ -118,6 +118,19 @@ class TestAssSingle:
         assert payload["shifted_n"] == 1
         assert payload["primes"] == [[1, 2], [1, 2, 3]]
 
+    @pytest.mark.parametrize("method", ["recursion", "both"])
+    def test_late_n_takes_one_step_from_the_power(self, capsys, tmp_path, monkeypatch, method):
+        # the recursion route starts at I_S^17 rather than walking up from
+        # I_S^0, so it stays inside the default budget
+        monkeypatch.delenv("BRODMANN_BUDGET", raising=False)
+        path = tmp_path / "cubes.txt"
+        path.write_text("vars: 4\nx1^3\nx2^3\nx3^3\nx4^3\nx1 x2 x3 x4\n")
+        argv = ["ass", "--ideal", str(path), "--n", "17"]
+        code, out, err = run(capsys, *argv, "--method", method)
+        assert (code, err) == (0, "")
+        assert out.splitlines()[1] == "17\t{x1,x2,x3,x4}"
+        assert out == run(capsys, *argv, "--method", "quotient")[1]
+
 
 class TestRatliffRush:
     def test_json_keys_and_known_closure(self, capsys, rr_file):
@@ -406,6 +419,29 @@ class TestFeasible:
         )
         assert (code, err) == (2, f"input error: {message}\n")
 
+    @pytest.mark.parametrize(
+        "fixes, what",
+        [
+            (["a1=1", "a1=2"], "label 'a1'"),
+            (["0=1", "00=2"], "index 0"),
+            (["a1=1", "0=2"], "index 0"),
+        ],
+    )
+    def test_repeated_fix_with_another_value_is_refused(
+        self, capsys, membership_file, fixes, what
+    ):
+        argv = ["feasible", "--system", membership_file, "--box", "2"]
+        argv += [arg for fix in fixes for arg in ("--fix", fix)]
+        message = f"input error: conflicting assignments for variable {what}\n"
+        assert run(capsys, *argv) == (2, "", message)
+
+    def test_repeated_fix_with_the_same_value_is_accepted(self, capsys, membership_file):
+        argv = ["feasible", "--system", membership_file, "--box", "2", "--fix", "a1=1"]
+        once = run(capsys, *argv)
+        assert once[0] == 0 and once[1].splitlines()[0] == "feasible"
+        assert run(capsys, *argv, "--fix", "a1=1") == once
+        assert run(capsys, *argv, "--fix", "0=1", "--fix", "00=1") == once
+
     def test_superscript_digit_is_a_label(self, capsys, membership_file):
         # "²".isdigit() holds but int("²") raises; the label is looked up instead
         code, _, err = run(
@@ -490,7 +526,7 @@ class TestExitCodes:
         assert "budget exceeded" in err
 
     def test_budget_covers_the_whole_call(self, capsys, family_file):
-        # 25 products and 432 lattice points on the quotient route and 1452
+        # 25 products and 432 lattice points on the quotient route and 968
         # points on the recursion route, though no table alone needs more
         # than 432
         argv = ["ass", "--ideal", family_file, "--n", "1", "--method", "both"]
@@ -500,12 +536,12 @@ class TestExitCodes:
             "budget exceeded: membership box needs 121 lattice points,"
             " budget is 500, 457 already charged\n"
         )
-        assert run(capsys, *argv, "--budget", "1908")[0] == 3
-        assert run(capsys, *argv, "--budget", "1909")[0] == 0
-        assert run(capsys, *argv, "--budget", "1920") == run(capsys, *argv)
+        assert run(capsys, *argv, "--budget", "1424")[0] == 3
+        assert run(capsys, *argv, "--budget", "1425")[0] == 0
+        assert run(capsys, *argv, "--budget", "1436") == run(capsys, *argv)
 
     def test_budget_does_not_carry_over_between_calls(self, capsys, family_file):
-        # each call charges 1909 units, more than half the limit
+        # each call charges 1425 units, more than half the limit
         argv = ["ass", "--ideal", family_file, "--n", "1", "--method", "both", "--budget", "2000"]
         assert [run(capsys, *argv)[0] for _ in range(2)] == [0, 0]
 

@@ -119,6 +119,11 @@ class TestExactRadical:
         assert str(ExactRadical(Fraction(3, 2), 5)) == "3/2*sqrt(5)"
         assert str(ExactRadical.of_fraction(7)) == "7"
 
+    def test_float(self):
+        assert float(ExactRadical(Fraction(3, 2), 5)) == 1.5 * 5**0.5
+        zero = float(ExactRadical.of_fraction(0))
+        assert zero == 0.0 and isinstance(zero, float)
+
 
 class TestRadicalSum:
     def test_exact_cancellation(self):
@@ -128,6 +133,11 @@ class TestRadicalSum:
         assert diff.is_zero()
         assert diff.sign() == 0
         assert diff == 0
+
+    def test_float_of_zero_is_a_float(self):
+        x = RadicalSum.of(ExactRadical.sqrt_of(2), 1)
+        for zero in (RadicalSum.of(0), x - x):
+            assert float(zero) == 0.0 and isinstance(float(zero), float)
 
     def test_mixed_terms_collapse(self):
         s = RadicalSum.of(ExactRadical.sqrt_of(2), ExactRadical.sqrt_of(2))

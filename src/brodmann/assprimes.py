@@ -6,17 +6,18 @@ quotient route finds each prime of R/J as an explicit colon witness inside
 a finite exponent box.  The recursion route (a name kept for the CLI's
 `--method recursion`) localizes at each support S of the variables, setting
 the variables off S to 1, and tests whether the maximal ideal is associated
-there; the two must agree, and `ass_profile` can cross-check them against
-each other.  The supports and their localizations do not depend on n, so
-they are formed once per request: once per `ass_power` call, and once for
-all the entries of an `ass_profile`.  Every power either route needs
-comes off a packed `monomials.Ladder`, charged as "power walk" products
-on every call.  The quotient route climbs one ladder of I over all the
-entries of a profile; a single entry (`ass_power`, or one `--jobs` worker
-task) reads `power`, a fresh ladder.  The recursion route walks the powers
-of each localization up as bitsets (`_power_walk`): a profile walks once
-from I_S^0 over every n, and one n (`ass_power`, `max_ideal_in_ass`,
-`h0_m_monomials`) takes one step from I_S^n, which a ladder climbs to.
+there; the two must agree, and method "both" checks them against each
+other.  Both `ass_power` and `ass_profile` read one core, `_entries`,
+over a range of n: the one n asked for, or n = 0..n_max.  The supports and
+their localizations do not depend on n, so they are formed once per
+request.  Every power either route needs comes off a packed
+`monomials.Ladder`, charged as "power walk" products on every call.  The
+quotient route climbs one ladder of I over the range; only a `--jobs`
+worker task reads `power`, a fresh ladder, for its one entry.  The
+recursion route walks the powers of each localization up as bitsets over
+the range (`_power_walk`), from I_S^n at its first n, which a ladder
+climbs to: a profile walks from I_S^0, and one n (`ass_power`,
+`max_ideal_in_ass`, `h0_m_monomials`) takes one step from I_S^n.
 The two routes share no table.
 """
 
@@ -24,11 +25,11 @@ from __future__ import annotations
 
 from collections.abc import Iterator
 from dataclasses import dataclass
-from itertools import combinations, islice, repeat
+from itertools import combinations, repeat
 from math import prod
 from operator import mul
 
-from .errors import METHODS, InconsistencyError, InputError, charge_budget
+from .errors import METHODS, InconsistencyError, InputError, charge_budget, require_count
 from .monomials import (
     BoxTable,
     Ladder,
@@ -107,12 +108,10 @@ def _torsion(table: BoxTable, upper: int, lower: int) -> int:
     return cells
 
 
-def _power_walk(
-    J: MonomialIdeal, start: int = 0, steps: int = 2
-) -> Iterator[tuple[BoxTable, int, int]]:
-    """(table, J^n, J^(n+1)) for n = start, start + 1, ...: the bitsets of
-    two consecutive powers on the box of `table`, walked up without forming
-    a product of generators past J^start.
+def _power_walk(J: MonomialIdeal, ns: range) -> Iterator[tuple[BoxTable, int, int]]:
+    """(table, J^n, J^(n+1)) for each n of ns, a range of step 1: the
+    bitsets of two consecutive powers on the box of `table`, walked up
+    without forming a product of generators past J^ns[0].
 
     The cells of J^(k+1) are those v with v - g in J^k for a generator g,
     so its bitset is the OR over g of J^k's shifted by g's cell offset and
@@ -121,29 +120,32 @@ def _power_walk(
     mask drops exactly the cells that wrapped into another row.  A box
     stays exact for every power, but must reach the exponents of J^(n+1)
     for `_torsion`, and those of J^(k+1) are at most those of J^k plus
-    those of J.  So every `steps` steps the walk moves to a box reaching
-    the exponents of J^k plus `steps` times those of J, seeded from the
-    minimal generators of J^k: those of a `Ladder` of J at the start, then
-    the cells of the table with no cell one step below on any axis.  Each
-    box charges one table when seeded and one per step.
+    those of J.  So every `steps` steps, two or the one step of a single
+    n, the walk moves to a box reaching the exponents of J^k plus `steps`
+    times those of J, seeded from the minimal generators of J^k: those of
+    a `Ladder` of J at the start, then the cells of the table with no cell
+    one step below on any axis.  Each box charges one table when seeded
+    and one per step, and the walk stops after len(ns) steps.
     """
     caps = max_exponents(J)
-    gens = Ladder(J).ideal(start).generators
-    while True:
+    steps = min(2, len(ns))
+    gens = Ladder(J).ideal(ns[0]).generators
+    for left in range(len(ns), 0, -steps):
         bounds = tuple(e + steps * c for e, c in zip(map(max, zip(*gens)), caps))
         table = BoxTable(gens, bounds)
         total = prod(table.dims)
         offsets = (sum(map(mul, g, table.strides)) for g in J.generators)
         shifts = list(zip(offsets, table.above(J.generators)))
         bits = table.bits
-        for _ in range(steps):
+        for _ in range(min(steps, left)):
             charge_budget(total, "membership box")
             step = 0
             for offset, above in shifts:
                 step |= (bits << offset) & above
             yield table, bits, step
             bits = step
-        gens = list(table.points(table.minimal(bits)))
+        if left > steps:
+            gens = list(table.points(table.minimal(bits)))
 
 
 def _torsion_cells(I: MonomialIdeal, n: int) -> tuple[BoxTable, int]:
@@ -151,7 +153,7 @@ def _torsion_cells(I: MonomialIdeal, n: int) -> tuple[BoxTable, int]:
     step of a power walk started at I^n, whose box reaches the exponents of
     I^n plus those of I, so those of I^(n+1) too, and holds the whole
     torsion.  Two tables of that box are charged, whatever n is."""
-    table, upper, lower = next(_power_walk(I, n, 1))
+    table, upper, lower = next(_power_walk(I, range(n, n + 1)))
     return table, _torsion(table, upper, lower)
 
 
@@ -165,8 +167,7 @@ def max_ideal_in_ass(I: MonomialIdeal, n: int) -> bool:
     is then False.
     """
     require_proper_nonzero(I)
-    if n < 0:
-        raise InputError(f"power index must be >= 0, got {n}")
+    require_count(n, 0, "power index")
     return bool(_torsion_cells(I, n)[1])
 
 
@@ -202,19 +203,6 @@ def _local_ideals(I: MonomialIdeal) -> list[LocalIdeal]:
     return local
 
 
-def _ass_by_localization(I: MonomialIdeal, n_max: int) -> list[frozenset[VariablePrime]]:
-    """Ass(I^n/I^(n+1)) for n = 0..n_max, the recursion route of
-    `ass_profile`, from the supports and localizations of `_local_ideals`,
-    formed once: the prime on S is associated at n when I_S is a pure
-    power ideal or the maximal ideal is associated to I_S^n/I_S^(n+1),
-    read off one `_power_walk` of I_S."""
-    flags = [
-        (S, None if J is None else [bool(_torsion(*t)) for t in islice(_power_walk(J), n_max + 1)])
-        for S, J in _local_ideals(I)
-    ]
-    return [frozenset(S for S, f in flags if f is None or f[n]) for n in range(n_max + 1)]
-
-
 def _require_method(method: str) -> None:
     if method not in METHODS:
         raise InputError(f"method must be one of {METHODS}, got {method!r}")
@@ -245,6 +233,40 @@ def _agreed(
     return via_quotient
 
 
+def _entries(
+    I: MonomialIdeal, ns: range, method: str, jobs: int = 1
+) -> tuple[frozenset[VariablePrime], ...]:
+    """Ass(I^n/I^(n+1)) for each n of ns, a range of step 1, by the routes
+    method names.  The quotient route runs first, climbing one `Ladder` of
+    I over ns, or `jobs` workers share its entries, each climbing from I to
+    its own power.  The recursion route then takes the prime on S at n when
+    `_local_ideals` gives I_S as a pure power ideal, or when the maximal
+    ideal is associated to I_S^n/I_S^(n+1) on one `_power_walk` of I_S."""
+    # a fork-started pool starts all its workers at the first submit, so no
+    # more workers than tasks
+    workers = min(jobs, len(ns))
+    if method == "recursion":
+        quotient = [None] * len(ns)
+    elif workers == 1:
+        ladder = Ladder(I)
+        quotient = [ass_of_quotient(ladder.ideal(n + 1)) for n in ns]
+    else:
+        # imported here: multiprocessing is slow to load and rarely needed
+        from concurrent.futures import ProcessPoolExecutor
+
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            quotient = list(pool.map(_quotient_entry, repeat(I), ns))
+    if method == "quotient":
+        recursion = [None] * len(ns)
+    else:
+        flags = [
+            (S, None if J is None else [bool(_torsion(*t)) for t in _power_walk(J, ns)])
+            for S, J in _local_ideals(I)
+        ]
+        recursion = [frozenset(S for S, f in flags if f is None or f[k]) for k in range(len(ns))]
+    return tuple(map(_agreed, ns, quotient, recursion))
+
+
 def ass_power(I: MonomialIdeal, n: int, method: str = "quotient") -> frozenset[VariablePrime]:
     """Associated primes of I^n/I^(n+1), n >= 0 (so n=0 covers R/I).
 
@@ -253,14 +275,9 @@ def ass_power(I: MonomialIdeal, n: int, method: str = "quotient") -> frozenset[V
     recursion routes and raises an inconsistency error if they disagree.
     """
     require_proper_nonzero(I)
-    if n < 0:
-        raise InputError(f"power index must be >= 0, got {n}")
+    require_count(n, 0, "power index")
     _require_method(method)
-    via_quotient = None if method == "recursion" else _quotient_entry(I, n)
-    via_recursion = None if method == "quotient" else frozenset(
-        S for S, J in _local_ideals(I) if J is None or max_ideal_in_ass(J, n)
-    )
-    return _agreed(n, via_quotient, via_recursion)
+    return _entries(I, range(n, n + 1), method)[0]
 
 
 @dataclass(frozen=True)
@@ -287,33 +304,13 @@ def ass_profile(
     method: str = "quotient",
     jobs: int = 1,
 ) -> AssProfile:
-    """Profile of Ass(I^n/I^(n+1)) over n = 0..n_max.  The recursion route
-    runs here, once for every n, and the quotient route climbs one ladder
-    of I over the entries; `jobs` worker processes share the quotient
-    route's entries, each entry climbing from I to its own power."""
+    """Profile of Ass(I^n/I^(n+1)) over n = 0..n_max, from `_entries`;
+    `jobs` worker processes share the quotient route's entries."""
     require_proper_nonzero(I)
-    if n_max < 1:
-        raise InputError(f"scan bound must be >= 1, got {n_max}")
-    if jobs < 1:
-        raise InputError(f"parallelism degree must be >= 1, got {jobs}")
+    require_count(n_max, 1, "scan bound")
+    require_count(jobs, 1, "parallelism degree")
     _require_method(method)
-    ns = range(n_max + 1)
-    recursion = [None] * len(ns) if method == "quotient" else _ass_by_localization(I, n_max)
-    # a fork-started pool starts all its workers at the first submit, so no
-    # more workers than tasks
-    workers = min(jobs, len(ns))
-    if method == "recursion":
-        quotient = [None] * len(ns)
-    elif workers == 1:
-        ladder = Ladder(I)
-        quotient = [ass_of_quotient(ladder.ideal(n + 1)) for n in ns]
-    else:
-        # imported here: multiprocessing is slow to load and rarely needed
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            quotient = list(pool.map(_quotient_entry, repeat(I), ns))
-    entries = tuple(map(_agreed, ns, quotient, recursion))
+    entries = _entries(I, range(n_max + 1), method, jobs)
     stable_at: int | None = n_max
     while stable_at > 0 and entries[stable_at - 1] == entries[n_max]:
         stable_at -= 1

@@ -13,8 +13,8 @@ building the parser loads no computing module and a call loads only what
 its command needs.  The options of every subcommand are one table,
 `_COMMANDS`, of add_argument keywords.  A well-formed call is read straight
 off that table, building no parser and importing no argparse; any other
-command line goes to argparse, which builds only the parser of the
-subcommand it names, from the same table (see `_parse`).
+command line goes to the full argparse parser, built from the same table
+(see `_parse`).
 """
 
 from __future__ import annotations
@@ -495,14 +495,6 @@ _COMMANDS = {
 }
 
 
-def _add_options(parser: argparse.ArgumentParser, name: str) -> None:
-    """Give parser the options and defaults of subcommand name."""
-    _, options, defaults = _COMMANDS[name]
-    for flag, spec in options:
-        parser.add_argument(flag, **spec)
-    parser.set_defaults(**defaults)
-
-
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser with every subcommand."""
     import argparse
@@ -513,8 +505,11 @@ def build_parser() -> argparse.ArgumentParser:
         "closures, polyhedral generator enumeration, and stabilization bounds.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (help_text, _, _) in _COMMANDS.items():
-        _add_options(sub.add_parser(name, help=help_text), name)
+    for name, (help_text, options, defaults) in _COMMANDS.items():
+        command = sub.add_parser(name, help=help_text)
+        for flag, spec in options:
+            command.add_argument(flag, **spec)
+        command.set_defaults(**defaults)
     return parser
 
 
@@ -568,27 +563,14 @@ def _parse(argv: list[str]) -> Args:
     """argv parsed as the full parser parses it.
 
     A call `_read` accepts builds no parser and loads no argparse.  Any
-    other argv goes to argparse unchanged, so help, errors and exit codes
-    are its own; there only the parser of the subcommand argv[0] names is
-    built, prog "brodmann <command>", as the full parser would hand it the
-    rest.  The full parser is built only for leftover arguments, which it
-    reports in its own error, and for argv that does not start with a
-    subcommand.
+    other argv goes to the full parser unchanged, so help, errors and exit
+    codes are its own.
     """
-    if not argv or argv[0] not in _COMMANDS:
-        return build_parser().parse_args(argv)
-    args = _read(argv[0], argv[1:])
-    if args is not None:
-        return args
-    import argparse
-
-    parser = argparse.ArgumentParser(prog=f"brodmann {argv[0]}")
-    _add_options(parser, argv[0])
-    parsed, rest = parser.parse_known_args(argv[1:])
-    if rest:
-        build_parser().error("unrecognized arguments: " + " ".join(rest))
-    parsed.command = argv[0]
-    return parsed
+    if argv and argv[0] in _COMMANDS:
+        args = _read(argv[0], argv[1:])
+        if args is not None:
+            return args
+    return build_parser().parse_args(argv)
 
 
 def _run(args: Args) -> int:

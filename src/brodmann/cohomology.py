@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import DEFAULT_M_CAP, InputError
+from .errors import DEFAULT_M_CAP, require_count
 from .monomials import Ladder, Monomial, MonomialIdeal, _colon_above, require_proper_nonzero
 
 
@@ -79,8 +79,7 @@ def h0_m_monomials(I: MonomialIdeal, n: int) -> H0Report:
     from .assprimes import _torsion_cells
 
     require_proper_nonzero(I)
-    if n < 0:
-        raise InputError(f"degree must be >= 0, got {n}")
+    require_count(n, 0, "degree")
     table, cells = _torsion_cells(I, n)
     witnesses = tuple(table.points(cells))
     return H0Report(n, witnesses, bool(witnesses))
@@ -135,10 +134,8 @@ def ratliff_rush(
     the closure is unpacked.
     """
     require_proper_nonzero(I)
-    if n < 1:
-        raise InputError(f"power index must be >= 1, got {n}")
-    if m_cap < 2:
-        raise InputError(f"chain cap must be >= 2, got {m_cap}")
+    require_count(n, 1, "power index")
+    require_count(m_cap, 2, "chain cap")
     ladder = Ladder(I)
     ladder.drop_below(n)
     union, stop, certified, monotone = _chain(ladder, n, m_cap)
@@ -164,10 +161,8 @@ def a0_observed(
     `power` is called.
     """
     require_proper_nonzero(I)
-    if n_max < 1:
-        raise InputError(f"scan bound must be >= 1, got {n_max}")
-    if m_cap < 2:
-        raise InputError(f"chain cap must be >= 2, got {m_cap}")
+    require_count(n_max, 1, "scan bound")
+    require_count(m_cap, 2, "chain cap")
     flags: list[bool] = []
     warnings: list[str] = []
     ladder = Ladder(I)

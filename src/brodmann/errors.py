@@ -42,6 +42,20 @@ class InconsistencyError(RuntimeError):
         super().__init__(message)
 
 
+def is_int(x) -> bool:
+    """x is an int and not a bool, which is a subclass of int."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def require_count(value, low: int, what: str) -> None:
+    """An InputError naming `what` unless value is an int (`is_int`) of
+    at least low."""
+    if not is_int(value):
+        raise InputError(f"{what} must be an integer, got {value!r}")
+    if value < low:
+        raise InputError(f"{what} must be >= {low}, got {value}")
+
+
 class BudgetMeter:
     """One request's budget: the limit asked for (None: the environment
     variable, else the default) and the units charged so far."""

@@ -20,7 +20,7 @@ import sys
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-from .errors import ParseError
+from .errors import ParseError, is_int
 from .monomials import Monomial, MonomialIdeal, minimize
 
 if TYPE_CHECKING:
@@ -69,11 +69,6 @@ def _parse_int(token: str, source: str, lineno: int | None) -> int:
             source=source,
             line=lineno,
         ) from None
-
-
-def _is_int(x) -> bool:
-    """x is a JSON integer; json gives booleans as bool, a subclass of int."""
-    return isinstance(x, int) and not isinstance(x, bool)
 
 
 def _deepest_nesting(text: str) -> tuple[int, int]:
@@ -174,7 +169,7 @@ def parse_ideal_json(text: str, source: str = "<string>") -> MonomialIdeal:
         raise ParseError("expected object with keys `r` and `generators`", source=source)
     r = obj["r"]
     gens = obj["generators"]
-    if not _is_int(r) or r < 1:
+    if not is_int(r) or r < 1:
         raise ParseError(f"`r` must be a positive integer, got {r!r}", source=source)
     if not isinstance(gens, list):
         raise ParseError("`generators` must be a list of exponent lists", source=source)
@@ -183,7 +178,7 @@ def parse_ideal_json(text: str, source: str = "<string>") -> MonomialIdeal:
         if (
             not isinstance(g, list)
             or len(g) != r
-            or not all(_is_int(e) and e >= 0 for e in g)
+            or not all(is_int(e) and e >= 0 for e in g)
         ):
             raise ParseError(
                 f"generator {g!r} is not a list of {r} nonnegative integers",
@@ -266,7 +261,7 @@ def parse_system_json(text: str, source: str = "<string>") -> "ConstraintSystem"
     if not isinstance(obj, dict) or "e" not in obj or "rows" not in obj or "rhs" not in obj:
         raise ParseError("expected object with keys `e`, `rows`, `rhs`", source=source)
     e = obj["e"]
-    if not _is_int(e) or e < 1:
+    if not is_int(e) or e < 1:
         raise ParseError(f"`e` must be a positive integer, got {e!r}", source=source)
     rows = obj["rows"]
     rhs = obj["rhs"]
@@ -274,10 +269,10 @@ def parse_system_json(text: str, source: str = "<string>") -> "ConstraintSystem"
         raise ParseError("`rows` and `rhs` must be lists of equal length", source=source)
     parsed_rows = []
     for row in rows:
-        if not isinstance(row, list) or len(row) != e or not all(map(_is_int, row)):
+        if not isinstance(row, list) or len(row) != e or not all(map(is_int, row)):
             raise ParseError(f"row {row!r} is not a list of {e} integers", source=source)
         parsed_rows.append(tuple(row))
-    if not all(map(_is_int, rhs)):
+    if not all(map(is_int, rhs)):
         raise ParseError("`rhs` entries must be integers", source=source)
     labels = obj.get("labels")
     if labels is not None:

@@ -17,7 +17,7 @@ from math import prod
 from operator import gt, le, mul
 from typing import Iterable, Iterator
 
-from .errors import InputError, charge_budget
+from .errors import InputError, charge_budget, is_int, require_count
 
 Monomial = tuple[int, ...]
 # packed monomials side by side in slots, as `Packing.lay` returns them
@@ -37,8 +37,7 @@ class MonomialIdeal:
     generators: tuple[Monomial, ...]
 
     def __post_init__(self):
-        if self.r < 1:
-            raise InputError(f"ambient variable count must be >= 1, got {self.r}")
+        require_count(self.r, 1, "ambient variable count")
         gens = self.generators
         # every check at once; only a failure walks the generators to name one
         if (
@@ -325,8 +324,7 @@ class Ladder:
 def power(I: MonomialIdeal, n: int) -> MonomialIdeal:
     """I**n (n = 0 gives the unit ideal), read off a fresh `Ladder` and
     charged as its products on every call."""
-    if n < 0:
-        raise InputError(f"power exponent must be >= 0, got {n}")
+    require_count(n, 0, "power exponent")
     return Ladder(I).ideal(n)
 
 
@@ -365,7 +363,7 @@ def add(I: MonomialIdeal, J: MonomialIdeal) -> MonomialIdeal:
 
 def colon_monomial(I: MonomialIdeal, m: Monomial) -> MonomialIdeal:
     """I : m for a single monomial m."""
-    if len(m) != I.r or any(e < 0 for e in m):
+    if len(m) != I.r or not all(is_int(e) and e >= 0 for e in m):
         raise InputError(f"bad colon monomial {m} for ambient {I.r}")
     return colon_ideal(I, MonomialIdeal(I.r, (tuple(m),)))
 
@@ -455,7 +453,7 @@ def delete_variable(I: MonomialIdeal, j: int) -> MonomialIdeal:
     """
     if I.r < 2:
         raise InputError("variable deletion needs at least 2 ambient variables")
-    if not 1 <= j <= I.r:
+    if not (is_int(j) and 1 <= j <= I.r):
         raise InputError(f"variable index {j} out of range 1..{I.r}")
     return _zero_coords(I, frozenset({j - 1}))
 

@@ -35,7 +35,7 @@ from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from math import comb, gcd
 
-from .errors import ED_MODES, InconsistencyError, InputError, charge_budget
+from .errors import ED_MODES, InconsistencyError, InputError, charge_budget, require_count
 from .monomials import MonomialIdeal, is_pure_power, require_proper_nonzero
 from .radicals import ExactRadical, RadicalSum
 
@@ -56,8 +56,7 @@ class ConstraintSystem:
     labels: tuple[str, ...] | None = None
 
     def __post_init__(self):
-        if self.e < 1:
-            raise InputError(f"variable count must be >= 1, got {self.e}")
+        require_count(self.e, 1, "variable count")
         if len(self.rows) != len(self.rhs):
             raise InputError("row and right-hand-side counts differ")
         for row in self.rows:
@@ -304,8 +303,7 @@ def hilbert_generators(sys: ConstraintSystem, cap: int) -> list[IntVector]:
     """
     if not sys.is_homogeneous():
         raise InputError("semigroup generators require a homogeneous system")
-    if cap < 1:
-        raise InputError(f"cap must be >= 1, got {cap}")
+    require_count(cap, 1, "cap")
     box = min(cap, bound_a1(sys).ceil())
     sols = _solutions_in_box(sys, box, "semigroup generator box")
     return _irreducible([v for v in sols if any(v)], sys)
@@ -319,8 +317,7 @@ def module_generators(sys: ConstraintSystem, cap: int) -> list[IntVector]:
     solution in the box.  A cone point below a boxed solution is boxed, so
     the scan of the system's own solutions is the only one.
     """
-    if cap < 1:
-        raise InputError(f"cap must be >= 1, got {cap}")
+    require_count(cap, 1, "cap")
     if sys.is_homogeneous():
         return [(0,) * sys.e]
     box = min(cap, bound_a2(sys).ceil())
@@ -476,8 +473,7 @@ def solve_feasible(
     although the pruned scan drops every prefix that some row can no
     longer meet and so visits fewer points.
     """
-    if box < 0:
-        raise InputError(f"box must be >= 0, got {box}")
+    require_count(box, 0, "box")
     assignment: dict[int, int] = {}
     for key, value in fixed.items():
         if isinstance(key, str):

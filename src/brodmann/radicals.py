@@ -18,14 +18,13 @@ from fractions import Fraction
 from functools import total_ordering
 from math import gcd, isqrt
 
-from .errors import InputError
+from .errors import InputError, require_count
 
 
 def split_square(n: int) -> tuple[int, int]:
     """n = a*a*m, with m == 1 exactly when n is a perfect square; returns
     (a, m).  Square factors of a non-square n stay in m.  Requires n >= 1."""
-    if n < 1:
-        raise InputError(f"radicand must be >= 1, got {n}")
+    require_count(n, 1, "radicand")
     a = isqrt(n)
     return (a, 1) if a * a == n else (1, n)
 
@@ -89,8 +88,7 @@ class ExactRadical:
     __rmul__ = __mul__
 
     def __pow__(self, n: int) -> "ExactRadical":
-        if n < 0:
-            raise InputError(f"power exponent must be >= 0, got {n}")
+        require_count(n, 0, "power exponent")
         q = self.coeff**n * Fraction(self.radicand) ** (n // 2)
         if n % 2:
             return ExactRadical(q, self.radicand) if q else ExactRadical(Fraction(0), 1)

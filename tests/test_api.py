@@ -1,5 +1,6 @@
-"""The public API: what `brodmann` exports, what it no longer has, and no
-unused import from within the package."""
+"""The public API: what `brodmann` exports, what it no longer has, the
+sizes and indices it refuses, and no unused import from within the
+package."""
 
 import ast
 import importlib
@@ -8,10 +9,12 @@ import pkgutil
 from math import prod
 from pathlib import Path
 
+import pytest
+
 import brodmann
 from brodmann import cli, errors, monomials, polyhedra
-from brodmann.monomials import BoxTable, Packing
-from brodmann.radicals import ExactRadical, RadicalSum
+from brodmann.monomials import BoxTable, MonomialIdeal, Packing
+from brodmann.radicals import ExactRadical, RadicalSum, split_square
 
 PUBLIC = [
     "A0Result",
@@ -84,6 +87,8 @@ PUBLIC = [
 # them.  The test-only helpers among them live on in tests/oracles.py.
 REMOVED = [
     "ComparisonReport",
+    "_add_options",
+    "_ass_by_localization",
     "compare_with_observed",
     "contains",
     "decompose_module",
@@ -220,6 +225,47 @@ def test_no_function_takes_a_budget():
     assert taking == []
 
 
+I2 = MonomialIdeal(2, ((2, 0), (1, 1), (0, 2)))
+STAIRCASE = polyhedra.staircase_system(2, 2)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: MonomialIdeal(True, ((1,),)),
+        lambda: monomials.power(I2, 2.5),
+        lambda: monomials.delete_variable(I2, 1.5),
+        lambda: monomials.colon_monomial(I2, (1.5, 0)),
+        lambda: brodmann.ass_power(I2, 1.5),
+        lambda: brodmann.ass_power(I2, True),
+        lambda: brodmann.max_ideal_in_ass(I2, 1.5),
+        lambda: brodmann.ass_profile(I2, 2.5),
+        lambda: brodmann.ass_profile(I2, 2, jobs=1.5),
+        lambda: brodmann.h0_m_monomials(I2, 1.5),
+        lambda: brodmann.ratliff_rush(I2, 1.5),
+        lambda: brodmann.ratliff_rush(I2, 1, m_cap=2.5),
+        lambda: brodmann.a0_observed(I2, 2.5),
+        lambda: split_square(2.5),
+        lambda: ExactRadical.sqrt_of(2) ** 2.5,
+        lambda: polyhedra.ConstraintSystem(1.5, (), ()),
+        lambda: brodmann.hilbert_generators(STAIRCASE, 2.5),
+        lambda: brodmann.module_generators(STAIRCASE, 2.5),
+        lambda: brodmann.solve_feasible(STAIRCASE, {}, 2.5),
+    ],
+    ids=[
+        "ideal_r", "power", "delete_variable", "colon_monomial", "ass_power", "ass_power_bool",
+        "max_ideal_in_ass", "ass_profile", "ass_profile_jobs", "h0_m_monomials", "ratliff_rush",
+        "ratliff_rush_m_cap", "a0_observed", "split_square", "radical_pow", "system_e",
+        "hilbert_generators", "module_generators", "solve_feasible",
+    ],
+)
+def test_non_integer_sizes_and_indices_are_refused(call):
+    """A float or bool size or index is an input error, not a silent
+    answer for a nearby integer or a TypeError from deep inside."""
+    with pytest.raises(errors.InputError):
+        call()
+
+
 # What the benchmark's tracer (bench/spans.py) and runner (bench/run.py) read
 # from the library.  These pins change together with the benchmark, in the
 # change that refreshes it (ROADMAP item 1); until then a library change that
@@ -258,6 +304,11 @@ def test_bench_parser_takes_ass_profile_jobs():
         ["ass-profile", "--ideal", "f", "--n-max", "2", "--jobs", "2"]
     )
     assert (args.ideal, args.n_max, args.jobs) == ("f", 2, 2)
+
+
+def test_bench_reads_power_through_assprimes():
+    # the tracer's restore check reads this binding
+    assert brodmann.assprimes.power is monomials.power
 
 
 def test_bench_reads_the_points_of_charge_budget_positionally():

@@ -483,6 +483,9 @@ def walk_ideals(draw):
 
 WALK_SETTINGS = settings(max_examples=80, deadline=None, derandomize=True, database=None)
 
+# whole walks, walks that start past 0, and single steps
+WALK_RANGES = [range(8), range(1, 8), range(3, 6), range(0, 1), range(4, 5), range(7, 8)]
+
 # the worked family for d = 4 with its z on axis 2, 0 and 1: z stays at
 # exponent <= 1 in every power, so the boxes outgrow the powers on that axis
 FAMILY_ROTATIONS = [
@@ -500,7 +503,7 @@ class TestPowerWalk:
     def test_flags_match_torsion_scans(self, J):
         """Across the re-seeds, the walk's flags match the cell scan, and so
         do the h0 witnesses, from a walk started at J^n."""
-        walk = assprimes._power_walk(J)
+        walk = assprimes._power_walk(J, range(8))
         for n in range(8):
             cells = scan_h0_witnesses(J, n)
             flag = bool(assprimes._torsion(*next(walk)))
@@ -509,18 +512,25 @@ class TestPowerWalk:
             assert max_ideal_in_ass(J, n) == flag, (J, n)
 
     @WALK_SETTINGS
-    @given(walk_ideals())
-    @example(FAMILY_ROTATIONS[0])
-    @example(FAMILY_ROTATIONS[1])
-    @example(FAMILY_ROTATIONS[2])
-    def test_tables_are_the_powers_on_the_reseeded_box(self, J):
-        """Each box reaches the exponents of J^n0 plus twice those of J, n0
-        the even power it starts at, and holds the tables of J^n0..J^(n0+2)."""
+    @given(walk_ideals(), st.sampled_from(WALK_RANGES))
+    @example(FAMILY_ROTATIONS[0], range(8))
+    @example(FAMILY_ROTATIONS[1], range(8))
+    @example(FAMILY_ROTATIONS[2], range(8))
+    @example(FAMILY_ROTATIONS[0], range(3, 8))
+    @example(FAMILY_ROTATIONS[1], range(5, 6))
+    def test_tables_are_the_powers_on_the_reseeded_box(self, J, ns):
+        """A walk over ns gives len(ns) entries.  Each box reaches the
+        exponents of J^n0 plus `steps` times those of J, n0 the power it
+        starts at and steps two, or one for a single n, and holds the tables
+        of J^n0..J^(n0+steps)."""
         caps = max_exponents(J)
-        for n, (table, upper, lower) in zip(range(8), assprimes._power_walk(J)):
-            n0 = n - n % 2
+        steps = min(2, len(ns))
+        walk = list(assprimes._power_walk(J, ns))
+        assert len(walk) == len(ns)
+        for n, (table, upper, lower) in zip(ns, walk):
+            n0 = n - (n - ns[0]) % steps
             start = max_exponents(MonomialIdeal(J.r, power_ref(J.generators, n0, J.r)))
-            bounds = tuple(e + 2 * c for e, c in zip(start, caps))
+            bounds = tuple(e + steps * c for e, c in zip(start, caps))
             assert table.dims == tuple(b + 1 for b in bounds), (J, n)
             for k, bits in ((n, upper), (n + 1, lower)):
                 want = monomials.BoxTable(power_ref(J.generators, k, J.r), bounds).bits
@@ -536,7 +546,8 @@ class TestPowerWalk:
         """The two routes share no power: the recursion route walks its
         own, so it answers with `power` made to fail, and so do the two
         torsion tools, whose walks start from I^n on a ladder, and every
-        profile, whose quotient route climbs one ladder of I."""
+        `ass` and `ass-profile` request, whose quotient route climbs one
+        ladder of I.  Only a `--jobs` worker's entry reads `power`."""
         ideals = [example_ideal(5), ideal(4, (2, 1, 0, 1), (0, 2, 2, 0), (1, 0, 1, 2))]
         want = [ass_profile(I, 6).entries for I in ideals]
         torsion = [scan_h0_witnesses(I, 3) for I in ideals]
@@ -549,11 +560,11 @@ class TestPowerWalk:
         for I, entries, cells in zip(ideals, want, torsion):
             for method in METHODS:
                 assert ass_profile(I, 6, method).entries == entries
-            assert ass_power(I, 3, "recursion") == entries[3]
+            assert ass_power(I, 3, "recursion") == ass_power(I, 3, "both") == entries[3]
             assert max_ideal_in_ass(I, 3) == (full_support_prime(I.r) in entries[3])
             assert h0_m_monomials(I, 3).witnesses == cells
         with pytest.raises(AssertionError, match="power called"):
-            ass_power(ideals[0], 3, "both")
+            assprimes._quotient_entry(ideals[0], 3)
 
     def test_pure_power_ideal_walks_nothing(self):
         """An m-primary pure power ideal is associated at every n without a

@@ -587,7 +587,7 @@ class TestPaperExamples:
 
 
 class TestParser:
-    def test_a_call_builds_only_its_subcommand(self, capsys, monkeypatch, rr_file):
+    def test_only_a_refused_call_builds_the_parser(self, capsys, monkeypatch, rr_file):
         built = []
         init = argparse.ArgumentParser.__init__
 
@@ -599,15 +599,17 @@ class TestParser:
         # a well-formed call is read off the option table
         assert run(capsys, "bound", "--r", "2", "--s", "2", "--d", "2")[0] == 0
         assert built == []
-        # one the table refuses goes to its subcommand's parser alone
+        # one the table refuses goes to the full parser, built once with
+        # the parser of each subcommand
+        full = ["brodmann", *(f"brodmann {name}" for name in _COMMANDS)]
         assert run(capsys, "a0", "--ideal", rr_file, "--n-m", "2")[0] == 0
-        assert built == ["brodmann a0"]
+        assert built == full
         for argv, code in ((["rr", "--ideal", rr_file, "--n", "two"], 2), (["rr", "--help"], 0)):
             built.clear()
             with pytest.raises(SystemExit) as exc:
                 main(argv)
             assert exc.value.code == code
-            assert built == ["brodmann rr"]
+            assert built == full
 
     @pytest.mark.parametrize("name", list(_COMMANDS))
     def test_one_subcommand_parser_prints_as_the_full_one(self, capsys, monkeypatch, name):

@@ -6,19 +6,21 @@ quotient route finds each prime of R/J as an explicit colon witness inside
 a finite exponent box.  The recursion route (a name kept for the CLI's
 `--method recursion`) localizes at each support S of the variables, setting
 the variables off S to 1, and tests whether the maximal ideal is associated
-there; the two must agree, and method "both" checks them against each
-other.  Both `ass_power` and `ass_profile` read one core, `_entries`,
-over a range of n: the one n asked for, or n = 0..n_max.  The supports and
-their localizations do not depend on n, so they are formed once per
-request.  Every power either route needs comes off a packed
-`monomials.Ladder`, charged as "power walk" products on every call.  The
-quotient route climbs one ladder of I over the range; only a `--jobs`
-worker task reads `power`, a fresh ladder, for its one entry.  The
-recursion route walks the powers of each localization up as bitsets over
-the range (`_power_walk`), from I_S^n at its first n, which a ladder
-climbs to: a profile walks from I_S^0, and one n (`ass_power`,
-`max_ideal_in_ass`, `h0_m_monomials`) takes one step from I_S^n.
-The two routes share no table.
+there: outright when the localization is principal, or the gcd of its
+generators times an ideal primary to the maximal ideal, and otherwise by a
+socle cell of each power's quotient.  The two routes must agree, and method
+"both" checks them against each other.  Both `ass_power` and `ass_profile`
+read one core, `_entries`, over a range of n: the one n asked for, or
+n = 0..n_max.  The supports and their localizations do not depend on n, so
+they are formed once per request.  Every power either route needs comes
+off a packed `monomials.Ladder`, charged as "power walk" products on every
+call.  The quotient route climbs one ladder of I over the range; only a
+`--jobs` worker task reads `power`, a fresh ladder, for its one entry.  The
+recursion route walks the powers of each localization it does not settle
+outright up as bitsets over the range (`_power_walk`), from I_S^n at its
+first n, which a ladder climbs to: a profile walks from I_S^0, and one n
+(`ass_power`, `max_ideal_in_ass`, `h0_m_monomials`) takes one step from
+I_S^n.  The two routes share no table.
 """
 
 from __future__ import annotations
@@ -37,7 +39,6 @@ from .monomials import (
     Monomial,
     Packing,
     _top,
-    is_pure_power,
     max_exponents,
     power,
     require_proper_nonzero,
@@ -74,15 +75,24 @@ def ass_witnesses(J: MonomialIdeal) -> dict[VariablePrime, Monomial]:
             if group[1]
         ]
     found: list[tuple[Monomial, VariablePrime]] = []
-    for prime, cells in groups:
-        if not prime:
-            continue
-        # J restricted to the support is J saturated by the variables off it
-        restricted = table.bits
-        for i in range(r):
-            if i + 1 not in prime:
-                restricted = table.saturate(restricted, i)
-        cells &= ~restricted
+    # J restricted to a support is J saturated by the variables off it, in
+    # ascending order.  chain[j] is J saturated by the first j variables of
+    # `done`; taking the supports by their variables off in lexicographic
+    # order forms each saturation once, from the one without its last variable
+    chain, done = [table.bits], ()
+    for off, prime, cells in sorted(
+        (tuple(i for i in range(r) if i + 1 not in prime), prime, cells)
+        for prime, cells in groups
+        if prime
+    ):
+        keep = 0
+        while keep < min(len(done), len(off)) and done[keep] == off[keep]:
+            keep += 1
+        del chain[keep + 1 :]
+        for i in off[keep:]:
+            chain.append(table.saturate(chain[-1], i))
+        done = off
+        cells &= ~chain[-1]
         if cells:
             # the lowest set bit is the lexicographically first cell
             found.append((table.point((cells & -cells).bit_length() - 1), prime))
@@ -108,6 +118,21 @@ def _torsion(table: BoxTable, upper: int, lower: int) -> int:
     return cells
 
 
+def _socle(table: BoxTable, upper: int, lower: int) -> int:
+    """The cells of `upper`, the table of I^n, outside `lower`, that of
+    I^(n+1), whose one step up along each axis lies in `lower` inside the
+    box: the socle of I^n/I^(n+1), which is nonzero exactly when its
+    maximal-ideal torsion is.  Exact on a box that reaches the exponents of
+    I^(n+1): a cell outside I^(n+1) at the top of an axis stays outside
+    after any step up along it, so every socle cell lies below the top."""
+    total = prod(table.dims)
+    cells = upper & ~lower
+    for s, d in zip(table.strides, table.dims):
+        if cells:
+            cells &= (lower >> s) & ~table.masks[total, s, d, d - 1]
+    return cells
+
+
 def _power_walk(J: MonomialIdeal, ns: range) -> Iterator[tuple[BoxTable, int, int]]:
     """(table, J^n, J^(n+1)) for each n of ns, a range of step 1: the
     bitsets of two consecutive powers on the box of `table`, walked up
@@ -119,8 +144,8 @@ def _power_walk(J: MonomialIdeal, ns: range) -> Iterator[tuple[BoxTable, int, in
     carry, counting from the last, ends below g's coordinate there, so the
     mask drops exactly the cells that wrapped into another row.  A box
     stays exact for every power, but must reach the exponents of J^(n+1)
-    for `_torsion`, and those of J^(k+1) are at most those of J^k plus
-    those of J.  So every `steps` steps, two or the one step of a single
+    for `_socle` and `_torsion`, and those of J^(k+1) are at most those of
+    J^k plus those of J.  So every `steps` steps, two or the one step of a single
     n, the walk moves to a box reaching the exponents of J^k plus `steps`
     times those of J, seeded from the minimal generators of J^k: those of
     a `Ladder` of J at the start, then the cells of the table with no cell
@@ -160,15 +185,15 @@ def _torsion_cells(I: MonomialIdeal, n: int) -> tuple[BoxTable, int]:
 def max_ideal_in_ass(I: MonomialIdeal, n: int) -> bool:
     """Whether the full-support prime is associated to I^n/I^(n+1).
 
-    Decided by the torsion criterion: I^n intersected with the (n+1)-st
-    powers of all single-variable deletions must exceed I^(n+1), tested by
-    `_torsion_cells`, the same cells `h0_m_monomials` lists.  An unused
-    variable x_i leaves I^(n+1) : x_i^inf equal to I^(n+1), so the answer
-    is then False.
+    Decided by the socle criterion: some monomial of I^n outside I^(n+1)
+    lands in I^(n+1) times every variable, found by `_socle` on the step of
+    the power walk `_torsion_cells` takes, so exactly when the torsion
+    `h0_m_monomials` lists is nonzero.  An unused variable x_i takes no
+    monomial outside I^(n+1) into it, so the answer is then False.
     """
     require_proper_nonzero(I)
     require_count(n, 0, "power index")
-    return bool(_torsion_cells(I, n)[1])
+    return bool(_socle(*next(_power_walk(I, range(n, n + 1)))))
 
 
 def _localize(I: MonomialIdeal, support: tuple[int, ...]) -> MonomialIdeal:
@@ -184,12 +209,17 @@ LocalIdeal = tuple[VariablePrime, MonomialIdeal | None]
 
 def _local_ideals(I: MonomialIdeal) -> list[LocalIdeal]:
     """The supports S whose prime can be associated to some I^n/I^(n+1),
-    each with I_S, or None when its prime is associated at every n.  The
-    prime on S is associated exactly when the maximal ideal is associated
-    to the same quotient of I_S (Herzog-Hibi, Monomial Ideals, ch. 1).  That
-    needs I_S proper and using every variable of S, and holds outright when
-    I_S is generated by powers of the variables, so primary to the maximal
-    ideal.  None of this depends on n."""
+    each with J = I_S, or None when its prime is associated at every n.
+    The prime on S is associated exactly when the maximal ideal m is
+    associated to J^n/J^(n+1) (Herzog-Hibi, Monomial Ideals, ch. 1).  That
+    needs J proper and using every variable of S.  Write J = u J', u the
+    gcd of its generators.  A principal J = (u) is associated at every n
+    on one variable and at none on more: J^n/J^(n+1) is R/(u), whose
+    primes are the (x_i) with x_i dividing u.  When J' holds a pure power of every variable of S
+    (so it is primary to m; J' = J when u = 1) and J is not principal, m is
+    associated at every n: for v in J'^n outside J'^(n+1), u^(n+1) v lies
+    in J^n outside J^(n+1), and a power of m takes it into J^(n+1).  In one
+    or two variables every J is one of these.  None of this depends on n."""
     used = used_variables(I)
     local: list[LocalIdeal] = []
     for k in range(1, len(used) + 1):
@@ -198,8 +228,20 @@ def _local_ideals(I: MonomialIdeal) -> list[LocalIdeal]:
             if not all(any(g[u - 1] for u in support) for g in I.generators):
                 continue
             J = _localize(I, support)
-            if len(used_variables(J)) == k:
-                local.append((support, None if is_pure_power(J) else J))
+            if len(used_variables(J)) < k:
+                continue
+            if len(J.generators) == 1:
+                if k == 1:
+                    local.append((support, None))
+                continue
+            gcd = tuple(map(min, zip(*J.generators)))
+            # the axes of the generators of J' that are pure powers
+            pure = {
+                axes[0]
+                for axes in ([i for i in range(k) if g[i] > gcd[i]] for g in J.generators)
+                if len(axes) == 1
+            }
+            local.append((support, None if len(pure) == k else J))
     return local
 
 
@@ -240,8 +282,8 @@ def _entries(
     method names.  The quotient route runs first, climbing one `Ladder` of
     I over ns, or `jobs` workers share its entries, each climbing from I to
     its own power.  The recursion route then takes the prime on S at n when
-    `_local_ideals` gives I_S as a pure power ideal, or when the maximal
-    ideal is associated to I_S^n/I_S^(n+1) on one `_power_walk` of I_S."""
+    `_local_ideals` settles it at every n, or when I_S^n/I_S^(n+1) has a
+    `_socle` cell on one `_power_walk` of I_S."""
     # a fork-started pool starts all its workers at the first submit, so no
     # more workers than tasks
     workers = min(jobs, len(ns))
@@ -260,7 +302,7 @@ def _entries(
         recursion = [None] * len(ns)
     else:
         flags = [
-            (S, None if J is None else [bool(_torsion(*t)) for t in _power_walk(J, ns)])
+            (S, None if J is None else [bool(_socle(*t)) for t in _power_walk(J, ns)])
             for S, J in _local_ideals(I)
         ]
         recursion = [frozenset(S for S, f in flags if f is None or f[k]) for k in range(len(ns))]

@@ -71,7 +71,7 @@ def h0_m_monomials(I: MonomialIdeal, n: int) -> H0Report:
     The torsion is I^n intersected with the (n+1)-st powers of every
     single-variable deletion of I, modulo I^(n+1).  Its monomials are the
     cells of `_torsion_cells`, read off one step of a power walk started at
-    I^n, the same cells `max_ideal_in_ass` tests, listed ascending
+    I^n, the step whose socle `max_ideal_in_ass` tests, listed ascending
     lexicographically.
     """
     # imported here: only this tool needs the power walk, so `rr` and `a0`

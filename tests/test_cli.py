@@ -42,6 +42,13 @@ def family_file(tmp_path):
 
 
 @pytest.fixture
+def cube_file(tmp_path):
+    path = tmp_path / "cubes.txt"
+    path.write_text("vars: 4\nx1^3\nx2^3\nx3^3\nx4^3\nx1 x2 x3 x4\n")
+    return str(path)
+
+
+@pytest.fixture
 def rr_file(tmp_path):
     I = minimize([(4, 0), (3, 1), (1, 3), (0, 4)], 2)
     path = tmp_path / "gap.txt"
@@ -119,17 +126,33 @@ class TestAssSingle:
         assert payload["primes"] == [[1, 2], [1, 2, 3]]
 
     @pytest.mark.parametrize("method", ["recursion", "both"])
-    def test_late_n_takes_one_step_from_the_power(self, capsys, tmp_path, monkeypatch, method):
-        # the recursion route starts at I_S^17 rather than walking up from
-        # I_S^0, so it stays inside the default budget
+    def test_late_n_takes_one_step_from_the_power(self, capsys, cube_file, monkeypatch, method):
+        # the quotient route climbs to I^18 alone; the recursion route
+        # settles the one localization, I itself, without a walk
         monkeypatch.delenv("BRODMANN_BUDGET", raising=False)
-        path = tmp_path / "cubes.txt"
-        path.write_text("vars: 4\nx1^3\nx2^3\nx3^3\nx4^3\nx1 x2 x3 x4\n")
-        argv = ["ass", "--ideal", str(path), "--n", "17"]
+        argv = ["ass", "--ideal", cube_file, "--n", "17"]
         code, out, err = run(capsys, *argv, "--method", method)
         assert (code, err) == (0, "")
         assert out.splitlines()[1] == "17\t{x1,x2,x3,x4}"
         assert out == run(capsys, *argv, "--method", "quotient")[1]
+
+    @pytest.mark.parametrize(
+        "argv, ns",
+        [
+            (["ass-profile", "--method", "recursion", "--n-max", "17"], range(18)),
+            (["ass-profile", "--method", "both", "--n-max", "17"], range(18)),
+            (["ass", "--n", "24", "--method", "recursion"], [24]),
+        ],
+    )
+    def test_cube_fits_the_default_budget(self, capsys, cube_file, monkeypatch, argv, ns):
+        # I is primary to the maximal ideal and every other support
+        # localizes it to the unit ideal, so the recursion route charges no
+        # box; a walk of I was refused here
+        monkeypatch.delenv("BRODMANN_BUDGET", raising=False)
+        code, out, err = run(capsys, *argv, "--ideal", cube_file)
+        assert (code, err) == (0, "")
+        rows = [line for line in out.splitlines() if not line.startswith("#")]
+        assert rows == [f"{n}\t{{x1,x2,x3,x4}}" for n in ns]
 
 
 class TestRatliffRush:
@@ -526,22 +549,22 @@ class TestExitCodes:
         assert "budget exceeded" in err
 
     def test_budget_covers_the_whole_call(self, capsys, family_file):
-        # 25 products and 432 lattice points on the quotient route and 968
+        # 25 products and 432 lattice points on the quotient route and 726
         # points on the recursion route, though no table alone needs more
         # than 432
         argv = ["ass", "--ideal", family_file, "--n", "1", "--method", "both"]
         code, out, err = run(capsys, *argv, "--budget", "500")
         assert (code, out) == (3, "")
         assert err == (
-            "budget exceeded: membership box needs 121 lattice points,"
+            "budget exceeded: membership box needs 363 lattice points,"
             " budget is 500, 457 already charged\n"
         )
-        assert run(capsys, *argv, "--budget", "1424")[0] == 3
-        assert run(capsys, *argv, "--budget", "1425")[0] == 0
-        assert run(capsys, *argv, "--budget", "1436") == run(capsys, *argv)
+        assert run(capsys, *argv, "--budget", "1182")[0] == 3
+        assert run(capsys, *argv, "--budget", "1183")[0] == 0
+        assert run(capsys, *argv, "--budget", "1194") == run(capsys, *argv)
 
     def test_budget_does_not_carry_over_between_calls(self, capsys, family_file):
-        # each call charges 1425 units, more than half the limit
+        # each call charges 1183 units, more than half the limit
         argv = ["ass", "--ideal", family_file, "--n", "1", "--method", "both", "--budget", "2000"]
         assert [run(capsys, *argv)[0] for _ in range(2)] == [0, 0]
 

@@ -30,17 +30,11 @@ _EXPORTS = {
     "monomials": (
         "Monomial",
         "MonomialIdeal",
-        "add",
         "colon_ideal",
-        "colon_monomial",
-        "contains_ideal",
         "delete_variable",
         "intersect",
-        "intersect_all",
         "minimize",
         "power",
-        "product",
-        "saturate",
         "unit_ideal",
         "zero_ideal",
     ),

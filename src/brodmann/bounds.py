@@ -13,14 +13,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import InputError
+from .errors import InputError, is_int
 from .monomials import MonomialIdeal, require_proper_nonzero
 from .radicals import ExactRadical, RadicalSum
 
 
 def _validate(r: int, s: int, d: int) -> None:
     for name, v in (("r", r), ("s", s), ("d", d)):
-        if not isinstance(v, int) or v < 1:
+        if not is_int(v) or v < 1:
             raise InputError(f"parameter {name} must be a positive integer, got {v!r}")
 
 

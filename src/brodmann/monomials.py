@@ -243,26 +243,6 @@ def _require_same_r(I: MonomialIdeal, J: MonomialIdeal) -> None:
         raise InputError(f"ambient mismatch: {I.r} vs {J.r} variables")
 
 
-def contains_ideal(I: MonomialIdeal, J: MonomialIdeal) -> bool:
-    """J is a subideal of I (every generator of J lies in I)."""
-    _require_same_r(I, J)
-    P = Packing(I.r, _top(I, J))
-    return P.covers(P.pack_ideal(I), P.pack_ideal(J))
-
-
-def product(I: MonomialIdeal, J: MonomialIdeal) -> MonomialIdeal:
-    _require_same_r(I, J)
-    if I.is_zero() or J.is_zero():
-        return zero_ideal(I.r)
-    if I.is_unit():
-        return J
-    if J.is_unit():
-        return I
-    P = Packing(I.r, _top(I) + _top(J))
-    B = P.pack_ideal(J)
-    return P.ideal(P.minimal(a + b for a in P.pack_ideal(I) for b in B))
-
-
 class Ladder:
     """The packed powers I^k of one request, climbed one at a time from
     I^0 and I^1.  Each higher power is the last one times the generators
@@ -330,42 +310,10 @@ def power(I: MonomialIdeal, n: int) -> MonomialIdeal:
 
 def intersect(I: MonomialIdeal, J: MonomialIdeal) -> MonomialIdeal:
     _require_same_r(I, J)
-    if I.is_zero() or J.is_zero():
-        return zero_ideal(I.r)
-    if I.is_unit():
-        return J
-    if J.is_unit():
-        return I
     P = Packing(I.r, _top(I, J))
     A, B = P.pack_ideal(I), P.pack_ideal(J)
     C = P.meet(A, B)
     return I if C is A else J if C is B else P.ideal(C)
-
-
-def intersect_all(ideals: Iterable[MonomialIdeal], r: int) -> MonomialIdeal:
-    acc = unit_ideal(r)
-    for J in ideals:
-        acc = intersect(acc, J)
-    return acc
-
-
-def add(I: MonomialIdeal, J: MonomialIdeal) -> MonomialIdeal:
-    """Ideal sum I + J."""
-    _require_same_r(I, J)
-    P = Packing(I.r, _top(I, J))
-    A, B = P.pack_ideal(I), P.pack_ideal(J)
-    if P.covers(A, B):
-        return I
-    if P.covers(B, A):
-        return J
-    return P.ideal(P.minimal(A + B))
-
-
-def colon_monomial(I: MonomialIdeal, m: Monomial) -> MonomialIdeal:
-    """I : m for a single monomial m."""
-    if len(m) != I.r or not all(is_int(e) and e >= 0 for e in m):
-        raise InputError(f"bad colon monomial {m} for ambient {I.r}")
-    return colon_ideal(I, MonomialIdeal(I.r, (tuple(m),)))
 
 
 def colon_ideal(I: MonomialIdeal, J: MonomialIdeal) -> MonomialIdeal:
@@ -423,19 +371,6 @@ def _colon_above(P: Packing, gens: list[int], qs: list[int], floor: Laid) -> lis
             return part
         met = part
     return met
-
-
-def saturate(I: MonomialIdeal, J: MonomialIdeal) -> MonomialIdeal:
-    """I : J^infinity by iterating the colon until it stops growing."""
-    _require_same_r(I, J)
-    if J.is_zero():
-        raise InputError("saturation by the zero ideal is undefined")
-    current = I
-    while True:
-        nxt = colon_ideal(current, J)
-        if nxt == current:
-            return current
-        current = nxt
 
 
 def _zero_coords(I: MonomialIdeal, positions: frozenset[int]) -> MonomialIdeal:

@@ -35,7 +35,7 @@ from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from math import comb, gcd
 
-from .errors import ED_MODES, InconsistencyError, InputError, charge_budget, require_count
+from .errors import ED_MODES, InconsistencyError, InputError, charge_budget, is_int, require_count
 from .monomials import MonomialIdeal, is_pure_power, require_proper_nonzero
 from .radicals import ExactRadical, RadicalSum
 
@@ -328,6 +328,8 @@ def module_generators(sys: ConstraintSystem, cap: int) -> list[IntVector]:
 def staircase_system(e: int, d: int) -> ConstraintSystem:
     """The chain of constraints d*x_k >= x_(k+1), whose cone has the ray
     (1, d, d^2, ..., d^(e-1))."""
+    if not (is_int(e) and is_int(d)):
+        raise InputError(f"need integer e and d, got {e!r} and {d!r}")
     if e < 1 or d < 1:
         raise InputError("need e >= 1 and d >= 1")
     rows = []

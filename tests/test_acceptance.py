@@ -29,7 +29,6 @@ from brodmann.cohomology import (
 from brodmann.errors import InputError
 from brodmann.monomials import (
     MonomialIdeal,
-    add,
     colon_ideal,
     delete_variable,
     minimize,
@@ -104,20 +103,17 @@ def test_criterion_2_method_agreement_and_localization_identity(corpus, profiles
 def test_criterion_3_ratliff_rush_unions_and_known_closure(corpus):
     n = 1
     for I in corpus:
-        by_powers = power(I, n)
-        by_generator_powers = power(I, n)
+        by_powers = [*power(I, n).generators]
+        by_generator_powers = [*power(I, n).generators]
         for m in range(5):
-            by_powers = add(by_powers, colon_ideal(power(I, n + m), power(I, m)))
-            by_generator_powers = add(
-                by_generator_powers,
-                colon_ideal(
-                    power(I, n + m), MonomialIdeal(I.r, generator_power_ref(I.generators, m))
-                ),
-            )
-        assert by_powers == by_generator_powers, I
+            by_powers += colon_ideal(power(I, n + m), power(I, m)).generators
+            by_generator_powers += colon_ideal(
+                power(I, n + m), MonomialIdeal(I.r, generator_power_ref(I.generators, m))
+            ).generators
+        assert minimize(by_powers, I.r) == minimize(by_generator_powers, I.r), I
     I = minimize([(4, 0), (3, 1), (1, 3), (0, 4)], 2)
     res = ratliff_rush(I, 1)
-    assert res.closure == add(I, minimize([(2, 2)], 2))
+    assert res.closure == minimize([*I.generators, (2, 2)], 2)
     assert res.certified
     print(
         f"PASS criterion 3: colon-union forms agree (m <= 4) on {len(corpus)} "

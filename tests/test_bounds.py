@@ -67,6 +67,11 @@ class TestIndividualBounds:
                 bound_b1(*bad)
             with pytest.raises(InputError):
                 bound_b2(*bad)
+        # a bool is refused by name, not read as 1 or passed on to the radicals
+        for bad, name in (((2, 2, True), "d"), ((True, 2, 2), "r")):
+            with pytest.raises(InputError) as exc:
+                bound_report(*bad)
+            assert str(exc.value) == f"parameter {name} must be a positive integer, got True"
 
 
 class TestBoundReport:

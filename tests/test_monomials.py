@@ -1,4 +1,5 @@
 import random
+from functools import reduce
 from math import prod
 
 import pytest
@@ -13,19 +14,13 @@ from brodmann.monomials import (
     MonomialIdeal,
     Packing,
     _top,
-    add,
     colon_ideal,
-    colon_monomial,
-    contains_ideal,
     delete_variable,
     intersect,
-    intersect_all,
     is_pure_power,
     max_exponents,
     minimize,
     power,
-    product,
-    saturate,
     unit_ideal,
     used_variables,
     zero_ideal,
@@ -134,23 +129,15 @@ class TestMembership:
         assert monomial_in((0, 0), unit_ideal(2).generators)
 
     def test_contains_ideal_reflexive_and_orders(self):
-        I = ideal(2, (2, 0), (1, 1))
-        J = ideal(2, (1, 0))
-        assert contains_ideal(I, I)
-        assert contains_ideal(J, I)
-        assert not contains_ideal(I, J)
+        P = Packing(2, 2)
+        I = P.pack_ideal(ideal(2, (2, 0), (1, 1)))
+        J = P.pack_ideal(ideal(2, (1, 0)))
+        assert P.covers(I, I)
+        assert P.covers(J, I)
+        assert not P.covers(I, J)
 
 
 class TestArithmetic:
-    def test_add_is_union(self):
-        I = ideal(2, (2, 0))
-        J = ideal(2, (0, 2))
-        assert add(I, J) == ideal(2, (2, 0), (0, 2))
-
-    def test_product_small(self):
-        I = ideal(2, (1, 0), (0, 1))
-        assert product(I, I) == ideal(2, (2, 0), (1, 1), (0, 2))
-
     def test_power_zero_is_unit(self):
         assert power(ideal(2, (3, 1)), 0) == unit_ideal(2)
 
@@ -200,8 +187,9 @@ class TestArithmetic:
 
     def test_intersect_all(self):
         parts = [ideal(2, (2, 0)), ideal(2, (0, 2)), ideal(2, (1, 1))]
-        assert intersect_all(parts, 2) == ideal(2, (2, 2))
-        assert intersect_all([], 2) == unit_ideal(2)
+        assert reduce(intersect, parts, unit_ideal(2)) == ideal(2, (2, 2))
+        assert intersect(unit_ideal(2), zero_ideal(2)) == zero_ideal(2)
+        assert intersect(unit_ideal(2), unit_ideal(2)) == unit_ideal(2)
 
     def test_colon_membership_property(self):
         rng = random.Random(404)
@@ -229,26 +217,12 @@ class TestArithmetic:
 
     def test_colon_specifics(self):
         I = ideal(2, (3, 0), (1, 2))
-        assert colon_monomial(I, (1, 0)) == ideal(2, (2, 0), (0, 2))
+        assert colon_ideal(I, ideal(2, (1, 0))) == ideal(2, (2, 0), (0, 2))
         assert colon_ideal(I, unit_ideal(2)) == I
         assert colon_ideal(I, zero_ideal(2)) == unit_ideal(2)
         # the zero ideal has no generators to take colons of
         Z = zero_ideal(2)
-        assert colon_ideal(Z, I) == colon_monomial(Z, (1, 0)) == Z
-
-    def test_saturate_removes_torsion(self):
-        # x^2(x, y) saturated by (x, y) recovers (x^2)
-        I = ideal(2, (3, 0), (2, 1))
-        J = ideal(2, (1, 0), (0, 1))
-        S = saturate(I, J)
-        assert S == ideal(2, (2, 0))
-        assert colon_ideal(S, J) == S
-
-    def test_saturate_fixed_point(self):
-        I = ideal(2, (2, 0), (0, 2))
-        J = ideal(2, (1, 1))
-        S = saturate(I, J)
-        assert colon_ideal(S, J) == S
+        assert colon_ideal(Z, I) == colon_ideal(Z, ideal(2, (1, 0))) == Z
 
 
 # Exponent caps, one drawn per exponent vector: 0 leaves every field zero,
@@ -325,8 +299,13 @@ class TestPackedKernelMatchesTupleReferences:
     @KERNEL_SETTINGS
     @given(ideal_pairs())
     def test_product(self, pair):
+        """A product of monomials is the sum of their packings (`Ladder`
+        forms each power so), here on two ideals of unequal widths."""
         I, J = pair
-        assert product(I, J).generators == ref.product_ref(I.generators, J.generators)
+        P = Packing(I.r, _top(I) + _top(J))
+        B = P.pack_ideal(J)
+        got = P.ideal(P.minimal(a + b for a in P.pack_ideal(I) for b in B))
+        assert got.generators == ref.product_ref(I.generators, J.generators)
 
     @KERNEL_SETTINGS
     @given(RANKS.flatmap(ideals), st.integers(0, 3))
@@ -340,16 +319,11 @@ class TestPackedKernelMatchesTupleReferences:
         assert intersect(I, J).generators == ref.intersect_ref(I.generators, J.generators)
 
     @KERNEL_SETTINGS
-    @given(ideal_pairs())
-    def test_add(self, pair):
-        I, J = pair
-        assert add(I, J).generators == ref.minimal(I.generators + J.generators)
-
-    @KERNEL_SETTINGS
     @given(RANKS.flatmap(lambda r: st.tuples(ideals(r), exponent_vectors(r))))
     def test_colon_monomial(self, case):
         I, m = case
-        assert colon_monomial(I, m).generators == ref.colon_monomial_ref(I.generators, m)
+        got = colon_ideal(I, MonomialIdeal(I.r, (m,)))
+        assert got.generators == ref.colon_monomial_ref(I.generators, m)
 
     @KERNEL_SETTINGS
     @given(ideal_pairs())
@@ -361,9 +335,12 @@ class TestPackedKernelMatchesTupleReferences:
     @KERNEL_SETTINGS
     @given(ideal_pairs())
     def test_contains_ideal(self, pair):
+        """`Packing.covers`, the inclusion test of the Ratliff-Rush chain."""
         I, J = pair
-        assert contains_ideal(I, J) == ref.contains_ideal_ref(I.generators, J.generators)
-        assert contains_ideal(I, I)
+        P = Packing(I.r, _top(I, J))
+        A, B = P.pack_ideal(I), P.pack_ideal(J)
+        assert P.covers(A, B) == ref.contains_ideal_ref(I.generators, J.generators)
+        assert P.covers(A, A)
 
     @KERNEL_SETTINGS
     @given(st.integers(2, 5).flatmap(lambda r: st.tuples(ideals(r), st.integers(1, r))))
@@ -382,11 +359,11 @@ class TestPackedKernelMatchesTupleReferences:
             I, J = minimize(gens[:3], r), minimize(gens[3:], r)
             A, B = I.generators, J.generators
             assert I.generators == ref.minimal(gens[:3])
-            assert product(I, J).generators == ref.product_ref(A, B)
             assert power(I, 2).generators == ref.power_ref(A, 2, r)
             assert intersect(I, J).generators == ref.intersect_ref(A, B)
             assert colon_ideal(I, J).generators == ref.colon_ideal_ref(A, B, r)
-            assert contains_ideal(I, J) == ref.contains_ideal_ref(A, B)
+            P = Packing(r, _top(I, J))
+            assert P.covers(P.pack_ideal(I), P.pack_ideal(J)) == ref.contains_ideal_ref(A, B)
             assert delete_variable(I, r).generators == ref.delete_variable_ref(A, r)
 
 
@@ -517,7 +494,7 @@ class TestFloorSieve:
         P = Packing(F.r, _top(F, A, B))
         floor = P.lay(P.pack_ideal(F))
         E_a, E_b = (P.outside(floor, P.pack_ideal(J)) for J in (A, B))
-        above = [add(F, J).generators for J in (A, B)]
+        above = [ref.minimal(F.generators + J.generators) for J in (A, B)]
         expected = [
             g for g in ref.intersect_ref(*above) if not monomial_in(g, F.generators)
         ]

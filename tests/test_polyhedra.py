@@ -9,7 +9,7 @@ from brodmann.errors import BudgetError, InputError, enumeration_budget
 from brodmann.cohomology import h0_m_monomials
 from brodmann.monomials import (
     MonomialIdeal,
-    intersect_all,
+    intersect,
     is_pure_power,
     max_exponents,
     minimize,
@@ -428,10 +428,9 @@ class TestEDSystems:
         I = ideal(2, (2, 0), (1, 1))
         sys_ = build_system(I, "ED1")
         for n in (1, 2):
-            member = intersect_all(
-                [power(delete_variable(I, j), n) for j in (1, 2)]
-                + [power(I, n - 1)],
-                2,
+            member = intersect(
+                intersect(power(delete_variable(I, 1), n), power(delete_variable(I, 2), n)),
+                power(I, n - 1),
             )
             for b1 in range(5):
                 for b2 in range(5):

@@ -193,6 +193,13 @@ _BOUND_TSV = (
 )
 
 
+def _tsv_bound(p: dict) -> str:
+    from .printing import decimal_str
+
+    cells = {k: decimal_str(v) if type(v) is int else v for k, v in p.items()}
+    return _BOUND_TSV.format_map(cells)
+
+
 def _cmd_cone(args: Args) -> dict:
     from .ioformats import load_system
     from .polyhedra import (
@@ -450,7 +457,7 @@ _COMMANDS = {
             ("--ideal", {"default": None, "help": "derive (r, s, d) from this ideal"}),
             _FORMAT,
         ),
-        {"func": _cmd_bound, "tsv": _BOUND_TSV.format_map},
+        {"func": _cmd_bound, "tsv": _tsv_bound},
     ),
     "cone": (
         "extreme rays and generator enumeration",
@@ -576,18 +583,23 @@ def _parse(argv: list[str]) -> Args:
 def _run(args: Args) -> int:
     """Build the subcommand's payload and print it as JSON or as its TSV.
 
-    Ints of any size print here (B2 passes Python's default limit of 4300
-    digits for `bound --r 6 --s 35 --d 45`); parsing input keeps the limit.
-    A payload that counts failed checks exits 4.  The call's enumerations
-    share one budget (`--budget`, where the subcommand has it).
+    Every int that can be long prints through `printing.decimal_str`, which
+    is subquadratic past its cutover, and at any length: here the int-to-str
+    limit is lifted (B2 has 4321 digits for `bound --r 6 --s 35 --d 45`),
+    while parsing input keeps it.  `printing.json_text` writes the bytes of
+    `json.dumps(payload, indent=2, default=str)`.  A payload that counts
+    failed checks exits 4.  The call's enumerations share one budget
+    (`--budget`, where the subcommand has it).
     """
+    from .printing import json_text
+
     with enumeration_budget(getattr(args, "budget", None)):
         payload = args.func(args)
     limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(0)
     try:
         if args.format == "json":
-            text = json.dumps(payload, indent=2, default=str)
+            text = json_text(payload)
         else:
             text = args.tsv(payload)
     finally:
@@ -622,7 +634,9 @@ def main(argv: list[str] | None = None) -> int:
     except InconsistencyError as exc:
         print(f"internal inconsistency: {exc}", file=sys.stderr)
         if exc.payload:
-            print(json.dumps(exc.payload, indent=2, default=str), file=sys.stderr)
+            from .printing import json_text
+
+            print(json_text(exc.payload), file=sys.stderr)
         return 4
 
 

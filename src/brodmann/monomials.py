@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache, reduce
+from itertools import chain
 from math import prod
 from operator import gt, le, mul
 from typing import Iterable, Iterator
@@ -42,6 +43,7 @@ class MonomialIdeal:
         # every check at once; only a failure walks the generators to name one
         if (
             set(map(len, gens)) == {self.r}
+            and {int}.issuperset(map(type, chain.from_iterable(gens)))
             and min(map(min, gens)) >= 0
             and all(map(gt, gens, gens[1:]))
         ):
@@ -50,6 +52,8 @@ class MonomialIdeal:
         for g in gens:
             if len(g) != self.r:
                 raise InputError(f"generator {g} does not have {self.r} exponents")
+            if not all(map(is_int, g)):
+                raise InputError(f"non-integer exponent in generator {g}")
             if any(e < 0 for e in g):
                 raise InputError(f"negative exponent in generator {g}")
             if prev is not None and not g < prev:

@@ -19,6 +19,7 @@ from functools import total_ordering
 from math import gcd, isqrt
 
 from .errors import InputError, require_count
+from .printing import decimal_str
 
 
 def split_square(n: int) -> tuple[int, int]:
@@ -106,7 +107,12 @@ class ExactRadical:
 
     def __lt__(self, other: "ExactRadical | Fraction | int") -> bool:
         if not isinstance(other, ExactRadical):
-            other = ExactRadical.of_fraction(Fraction(other))
+            try:
+                q = Fraction(other)
+            except (TypeError, ValueError):
+                # not a rational: a RadicalSum answers by its reflected operator
+                return NotImplemented
+            other = ExactRadical.of_fraction(q)
         return self.square() < other.square()
 
     # `RadicalSum`'s rounding and printing of one term, defined in this
@@ -280,10 +286,14 @@ class RadicalSum:
             return "0"
         parts = []
         for m, q in self.terms:
+            # str(q), with each integer written by decimal_str
+            q_str = decimal_str(q.numerator)
+            if q.denominator != 1:
+                q_str += "/" + decimal_str(q.denominator)
             if m == 1:
-                parts.append(str(q))
+                parts.append(q_str)
             elif q == 1:
-                parts.append(f"sqrt({m})")
+                parts.append(f"sqrt({decimal_str(m)})")
             else:
-                parts.append(f"{q}*sqrt({m})")
+                parts.append(f"{q_str}*sqrt({decimal_str(m)})")
         return " + ".join(parts).replace("+ -", "- ")

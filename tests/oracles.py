@@ -9,10 +9,12 @@ divisibility, boxed constraint solutions are tested at every box point,
 semigroup and module generators are the boxed solutions that no two boxed
 parts add up to, cone membership does exact Gaussian elimination over
 Fractions, the cone bounds come from their closed forms by isqrt and
-mpmath, and the Ratliff-Rush chain takes the whole colon of a fresh power
+mpmath, the stabilization thresholds from chains of exact radical products,
+and the Ratliff-Rush chain takes the whole colon of a fresh power
 at every step.
 """
 
+import sys
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, combinations_with_replacement, product as iproduct
@@ -58,11 +60,14 @@ def validate_minimal(gens):
 def ideal_check_message(r, gens):
     """The message MonomialIdeal(r, gens) raises for r >= 1, or None when
     it accepts: the generators checked one at a time, in order, for their
-    length, their signs and their place in strictly descending order."""
+    length, integer exponents (a bool is not one), their signs and their
+    place in strictly descending order."""
     prev = None
     for g in gens:
         if len(g) != r:
             return f"generator {g} does not have {r} exponents"
+        if not all(isinstance(e, int) and not isinstance(e, bool) for e in g):
+            return f"non-integer exponent in generator {g}"
         if any(e < 0 for e in g):
             return f"negative exponent in generator {g}"
         if prev is not None and not g < prev:
@@ -405,6 +410,39 @@ def cone_bound_ceils(rows, rhs):
                 assert abs(value - mpmath.nint(value)) > mpmath.mpf(10) ** -30
                 out["bound_a2"] = int(mpmath.ceil(value))
     return out
+
+
+def bound_report_ref(r, s, d):
+    """Every `bound_report` field for (r, s, d), b1 and the b3 bracket formed
+    as chains of `ExactRadical` products and every rounding taken by
+    `RadicalSum`, one threshold at a time."""
+    from brodmann.radicals import ExactRadical, RadicalSum
+
+    root2d = ExactRadical.sqrt_of(2) * d
+    b1 = ExactRadical.of_fraction(d * (r * s + s + d))
+    b1 = b1 * ExactRadical.sqrt_of(r) ** (r + 1)
+    b1 = b1 * root2d ** ((r + 1) * (s - 1))
+    b2 = s * (s + r) ** 4 * s ** (r + 2) * d * d * (2 * d * d) ** (s * s - s + 1)
+    bracket = ExactRadical.of_fraction((s + r) ** 2 * d)
+    bracket = bracket * root2d ** (s * s - s + 1)
+    bracket = bracket * ExactRadical.sqrt_of(s) ** (r + 2)
+    b3 = RadicalSum.of(bracket, -1)
+    b = b1 if b1 > b2 else ExactRadical.of_fraction(b2)
+    fields = {
+        "r": r, "s": s, "d": d,
+        "b1": b1, "b1_ceil": b1.ceil(), "b2": b2,
+        "b3": b3, "b3_ceil": b3.ceil(), "b3_floor_reading": bracket.floor() - 1,
+        "b4": RadicalSum.of(bracket * s, -s).ceil(),
+        "b_exact": b, "b_ceil": b.ceil(),
+    }  # fmt: skip
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        for name, key in (("b1", "b1_ceil"), ("b2", "b2"), ("b", "b_ceil")):
+            fields[f"digits_{name}"] = len(str(fields[key]))
+    finally:
+        sys.set_int_max_str_digits(limit)
+    return fields
 
 
 def _splits(v, first, second):

@@ -113,7 +113,7 @@ def test_removed_names_are_gone():
     # every module but __main__, which runs the CLI on import
     names = [m.name for m in pkgutil.iter_modules(brodmann.__path__)]
     modules = ["brodmann"] + [f"brodmann.{n}" for n in names if n != "__main__"]
-    assert len(modules) == 10
+    assert len(modules) == 11
     left = [
         (module, name)
         for module in modules

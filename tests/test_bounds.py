@@ -1,12 +1,16 @@
+import itertools
 import random
 import sys
 from fractions import Fraction
+from math import isqrt
 
+import oracles as ref
 import pytest
 
 from brodmann.bounds import (
     BoundReport,
     _decimal_digits,
+    _floor_times_root,
     bound_b1,
     bound_b2,
     bound_b3,
@@ -116,6 +120,38 @@ class TestBoundReport:
             rep = bound_report(r, s, d)
             assert rep.b_exact <= rep.b_ceil
             assert rep.b_exact > rep.b_ceil - 1
+
+    @pytest.mark.parametrize(
+        "rsd,b3_ceil,b4",
+        [((1, 2, 1), 71, 142), ((3, 2, 2), 6399, 12798), ((1, 8, 1), 695784701951, 5566277615608)],
+    )
+    def test_rational_bracket_readings(self, rsd, b3_ceil, b4):
+        """For odd r and s = 2k^2 the bracket of b3 is rational, so both
+        readings of b3 agree."""
+        rep = bound_report(*rsd)
+        assert rep.b3.is_rational()
+        assert (rep.b3_ceil, rep.b3_floor_reading, rep.b4) == (b3_ceil, b3_ceil, b4)
+
+    def test_floor_times_root_is_one_isqrt(self):
+        """floor(s * sqrt(n)) against isqrt(s^2 n), on random n and s and
+        on s past isqrt(n), where the first guess overshoots most."""
+        rng = random.Random(2)
+        cases = [(s, n) for s in range(1, 40) for n in range(1, 60)]
+        for _ in range(2000):
+            cases.append((rng.randint(1, 10**4), rng.getrandbits(rng.randint(1, 300)) + 1))
+        for s, n in cases:
+            assert _floor_times_root(s, n, isqrt(n)) == isqrt(s * s * n), (s, n)
+
+    def test_every_field_matches_the_radical_chains_on_the_grid(self):
+        """All 768 (r, s, d) with r <= 8, s <= 12, d <= 8, against the chains
+        of exact radical products in `oracles.bound_report_ref`, printed
+        forms included."""
+        for r, s, d in itertools.product(range(1, 9), range(1, 13), range(1, 9)):
+            got, want = vars(bound_report(r, s, d)), ref.bound_report_ref(r, s, d)
+            assert got == want, (r, s, d)
+            assert [str(got[k]) for k in ("b1", "b3", "b_exact")] == [
+                str(want[k]) for k in ("b1", "b3", "b_exact")
+            ], (r, s, d)
 
 
 class TestIdealParameters:

@@ -14,6 +14,7 @@ from hypothesis import example, given, settings, strategies as st
 import brodmann
 import oracles
 from brodmann.cli import (
+    _BOUND_TSV,
     _COMMANDS,
     INDEX_NOTE,
     _parse,
@@ -26,6 +27,7 @@ from brodmann.errors import InconsistencyError
 from brodmann.ioformats import ideal_to_text, parse_system_text, system_to_text
 from brodmann.monomials import minimize
 from brodmann.polyhedra import ConstraintSystem, staircase_system
+from brodmann.printing import CUTOVER_BITS
 
 
 def run(capsys, *argv):
@@ -246,6 +248,28 @@ class TestBound:
             "b2": str(len(payload["b2"])),
             "b": str(len(payload["b_ceil"])),
         }
+
+    def test_past_the_decimal_cutover_prints_what_str_prints(self, capsys, monkeypatch):
+        """B2 of `bound --r 1 --s 300 --d 2` has 81,029 digits and the b3
+        coefficient about 40,500, past `printing.CUTOVER_BITS`; both formats
+        print the bytes that str() and json.dumps print."""
+        argv = ["bound", "--r", "1", "--s", "300", "--d", "2"]
+        code, tsv, _ = run(capsys, *argv)
+        assert code == 0
+        code, js, _ = run(capsys, *argv, "--format", "json")
+        assert code == 0
+        args = _parse(argv)
+        payload = args.func(args)
+        assert payload["b3"].terms[1][1].numerator.bit_length() > CUTOVER_BITS
+        monkeypatch.setattr(brodmann.radicals, "decimal_str", str)
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            assert len(str(payload["b2"])) == 81029
+            assert js == json.dumps(payload, indent=2, default=str) + "\n"
+            assert tsv == _BOUND_TSV.format_map(payload) + "\n"
+        finally:
+            sys.set_int_max_str_digits(limit)
 
 
 class TestCone:

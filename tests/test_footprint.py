@@ -68,13 +68,16 @@ print(json.dumps({LOADED}))
     "argv,extra",
     [
         (["--help"], []),
-        (["bound", "--r", "2", "--s", "2", "--d", "2"], ["bounds", "monomials", "radicals"]),
+        (["bound", "--r", "2", "--s", "2", "--d", "2"],
+         ["bounds", "monomials", "printing", "radicals"]),
         (["rr", "--ideal", "two.txt", "--n", "1"],
-         ["cohomology", "ioformats", "monomials"]),
-        (["cone", "--system", "stair.txt"], ["ioformats", "monomials", "polyhedra", "radicals"]),
+         ["cohomology", "ioformats", "monomials", "printing"]),
+        (["cone", "--system", "stair.txt"],
+         ["ioformats", "monomials", "polyhedra", "printing", "radicals"]),
         (["ass-profile", "--ideal", "two.txt", "--n-max", "2"],
-         ["assprimes", "ioformats", "monomials"]),
-        (["a0", "--ideal", "two.txt", "--n-max", "2"], ["cohomology", "ioformats", "monomials"]),
+         ["assprimes", "ioformats", "monomials", "printing"]),
+        (["a0", "--ideal", "two.txt", "--n-max", "2"],
+         ["cohomology", "ioformats", "monomials", "printing"]),
     ],
     ids=["help", "bound", "rr", "cone", "ass-profile", "a0"],
 )  # fmt: skip

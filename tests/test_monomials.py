@@ -285,6 +285,17 @@ class TestConstructorChecks:
                 MonomialIdeal(r, gens)
             assert str(exc.value) == message
 
+    @pytest.mark.parametrize("bad", [1.5, 2.0, float("nan"), True, False, "2", None])
+    @pytest.mark.parametrize("at", [0, 1, 2])
+    def test_refuses_non_integer_exponents(self, bad, at):
+        gens = [(3, 0), (1, 2), (0, 4)]
+        gens[at] = (bad, 0) if at == 0 else (gens[at][0], bad)
+        gens = tuple(gens)
+        with pytest.raises(InputError) as exc:
+            MonomialIdeal(2, gens)
+        assert str(exc.value) == f"non-integer exponent in generator {gens[at]}"
+        assert str(exc.value) == ref.ideal_check_message(2, gens)
+
 
 class TestPackedKernelMatchesTupleReferences:
     """The packed-int kernel against `oracles`, which minimizes by pairwise

@@ -98,6 +98,17 @@ class TestExactRadical:
         assert r2 <= r2
         assert ExactRadical.sqrt_of(3) > r2
 
+    def test_comparisons_with_radical_sums_both_ways(self):
+        r2, r3 = ExactRadical.sqrt_of(2), ExactRadical.sqrt_of(3)
+        s3 = RadicalSum.of(r3)
+        assert (r2 < s3, r2 <= s3, r2 > s3, r2 >= s3) == (True, True, False, False)
+        assert (s3 < r2, s3 <= r2, s3 > r2, s3 >= r2) == (False, False, True, True)
+        assert (r3 < s3, r3 <= s3, r3 > s3, r3 >= s3) == (False, True, False, True)
+        assert (s3 < r3, s3 <= r3, s3 > r3, s3 >= r3) == (False, True, False, True)
+        assert sorted([s3, r2]) == [r2, s3] and sorted([r2, s3]) == [r2, s3]
+        with pytest.raises(TypeError):
+            r2 < "sqrt(3)"  # noqa: B015
+
     def test_floor_ceil(self):
         assert ExactRadical.sqrt_of(2).floor() == 1
         assert ExactRadical.sqrt_of(2).ceil() == 2

@@ -51,52 +51,39 @@ VariablePrime = tuple[int, ...]
 def ass_witnesses(J: MonomialIdeal) -> dict[VariablePrime, Monomial]:
     """One explicit witness monomial per associated prime of R/J.
 
-    A monomial m witnesses the prime on support P exactly when m is outside
-    J, multiplying m by any variable of P lands in J, and the restriction of
-    m to P is outside the restriction of J to P (so no monomial supported
-    off P can push m into J).  Witnesses are scanned over the box bounded
-    componentwise by the maximum generator exponents; a clamping argument
-    shows every prime has a witness there.
+    A monomial m witnesses the prime on support P when J : m = P.  The
+    scan reads J's table on the box 0..caps + 1, caps being J's largest
+    exponents, and takes the cells outside J that step into J along every
+    axis of P and sit at the top, caps_j + 1, of every axis j off P.  Every
+    associated prime has such a cell, and every such cell is a witness:
+    - a witness m has m_i < caps_i on P, for otherwise m * x_i in J would
+      force m in J;
+    - raising its coordinates off P to caps + 1 keeps m outside J, since
+      m is not in J : x_j^inf, and keeps m * x_i in J;
+    - at the top of an axis, m * x_j lies in J exactly when m does, since
+      no generator asks for more, so J : m = P.
+    The witness of each prime is its lexicographically first such cell,
+    and the primes come in the order of their witnesses.
     """
     require_proper_nonzero(J)
-    r = J.r
-    caps = max_exponents(J)
-    bounds = tuple(c + 1 for c in caps)
-    table = BoxTable(J.generators, bounds)
-    scan = table.sub_box(caps)
-    # split the scanned cells outside J by the prime {i : m * x_i in J}
-    groups: list[tuple[VariablePrime, int]] = [((), scan & ~table.bits)]
-    for i, s in enumerate(table.strides):
-        up = (table.bits >> s) & scan
+    table = BoxTable(J.generators, tuple(c + 1 for c in max_exponents(J)))
+    bits, total = table.bits, prod(table.dims)
+    # split the cells outside J by the prime {i : m * x_i in J}, one axis at
+    # a time, keeping off the prime only the cells at the top of the axis
+    groups: list[tuple[VariablePrime, int]] = [((), ((1 << total) - 1) & ~bits)]
+    for i, (s, d) in enumerate(zip(table.strides, table.dims)):
+        top = table.masks[total, s, d, d - 1]
+        up = (bits >> s) & ~top
         groups = [
             group
             for prime, cells in groups
-            for group in ((prime, cells & ~up), (prime + (i + 1,), cells & up))
+            for group in ((prime, cells & top), (prime + (i + 1,), cells & up))
             if group[1]
         ]
-    found: list[tuple[Monomial, VariablePrime]] = []
-    # J restricted to a support is J saturated by the variables off it, in
-    # ascending order.  chain[j] is J saturated by the first j variables of
-    # `done`; taking the supports by their variables off in lexicographic
-    # order forms each saturation once, from the one without its last variable
-    chain, done = [table.bits], ()
-    for off, prime, cells in sorted(
-        (tuple(i for i in range(r) if i + 1 not in prime), prime, cells)
-        for prime, cells in groups
-        if prime
-    ):
-        keep = 0
-        while keep < min(len(done), len(off)) and done[keep] == off[keep]:
-            keep += 1
-        del chain[keep + 1 :]
-        for i in off[keep:]:
-            chain.append(table.saturate(chain[-1], i))
-        done = off
-        cells &= ~chain[-1]
-        if cells:
-            # the lowest set bit is the lexicographically first cell
-            found.append((table.point((cells & -cells).bit_length() - 1), prime))
-    return {prime: m for m, prime in sorted(found)}
+    # the lowest set bit is the lexicographically first cell; the all-top
+    # cell is in J, so no cell is left for the empty prime
+    found = sorted(((cells & -cells).bit_length() - 1, prime) for prime, cells in groups)
+    return {prime: table.point(idx) for idx, prime in found}
 
 
 def ass_of_quotient(J: MonomialIdeal) -> frozenset[VariablePrime]:

@@ -554,12 +554,3 @@ class BoxTable:
         while idx >= 0:
             yield self.point(idx)
             idx = digits.find("1", idx + 1)
-
-    def sub_box(self, caps: tuple[int, ...]) -> int:
-        """The bitset of the cells v with v <= caps componentwise."""
-        total = prod(self.dims)
-        cells = (1 << total) - 1
-        for s, d, c in zip(self.strides, self.dims, caps):
-            if c + 1 < d:
-                cells &= ~self.masks[total, s, d, c + 1]
-        return cells

@@ -214,17 +214,17 @@ def _zeroed(gens, positions):
 def scan_ass_witnesses(J):
     """The witness scan of `assprimes.ass_witnesses`, cell by cell.
 
-    Cells run over the box bounded by the generator exponents in ascending
-    lexicographic order; a cell outside J names the prime {i : m * x_i in J}
-    and witnesses it unless its restriction to that support lies in the
-    restriction of J.  Returns the first witness of each prime, in the order
-    the witnesses are met.
+    Cells run over the box 0..caps + 1, caps being the largest generator
+    exponents, in ascending lexicographic order; a cell m outside J names
+    the prime P = {i : m * x_i in J} and witnesses it when every coordinate
+    off P is at caps + 1.  Returns the first witness of each prime, in the
+    order the witnesses are met.
     """
     r = J.r
     gens = J.generators
     caps = tuple(max(g[i] for g in gens) for i in range(r))
     found = {}
-    for m in iproduct(*(range(c + 1) for c in caps)):
+    for m in iproduct(*(range(c + 2) for c in caps)):
         if monomial_in(m, gens):
             continue
         prime = tuple(
@@ -234,10 +234,8 @@ def scan_ass_witnesses(J):
         )
         if not prime or prime in found:
             continue
-        off_support = {i for i in range(r) if (i + 1) not in prime}
-        if monomial_in(m, _zeroed(gens, off_support)):
-            continue
-        found[prime] = m
+        if all(m[i] == caps[i] + 1 for i in range(r) if i + 1 not in prime):
+            found[prime] = m
     return found
 
 

@@ -343,6 +343,44 @@ class TestBitsetScansMatchCellScans:
         assert list(got.items()) == list(scan_ass_witnesses(J).items())
 
     @ORACLE_SETTINGS
+    @given(proper_ideals(), st.integers(1, 3))
+    def test_witnesses_certify_their_primes(self, I, k):
+        """On J = I^k, the primes are those of the colon definition and each
+        witness w has J : w generated by the variables of its prime, both
+        read by reference code that builds no box."""
+        J = minimize(power_ref(I.generators, k, I.r), I.r)
+        got = ass_witnesses(J)
+        assert frozenset(got) == brute_ass(J)
+        for prime, w in got.items():
+            variables = {tuple(int(j + 1 == i) for j in range(J.r)) for i in prime}
+            assert set(colon_by_monomial(J.generators, w)) == variables, (prime, w)
+
+    @pytest.mark.parametrize(
+        "J",
+        [
+            power(example_ideal(6), 4),
+            ideal(4, (3, 0, 0, 1), (0, 3, 0, 0), (0, 0, 3, 0), (1, 1, 1, 1)),
+        ],
+        ids=["worked_family", "four_variables"],
+    )
+    def test_witness_scan_builds_one_table_and_saturates_nothing(self, monkeypatch, J):
+        """One `ass_witnesses` call builds one table, closes it once along
+        each axis (the table's own build) and calls no `saturate`: a count
+        of the scan's work that does not depend on the machine."""
+        calls = []
+        for name in ("__init__", "close", "saturate"):
+            original = getattr(monomials.BoxTable, name)
+
+            def counting(self, *args, _name=name, _original=original):
+                calls.append(_name)
+                return _original(self, *args)
+
+            monkeypatch.setattr(monomials.BoxTable, name, counting)
+        ass_witnesses(J)
+        counts = [calls.count(name) for name in ("__init__", "close", "saturate")]
+        assert counts == [1, J.r, 0]
+
+    @ORACLE_SETTINGS
     @given(proper_ideals(max_r=3), st.integers(0, 2))
     def test_max_ideal_boolean(self, I, n):
         assert max_ideal_in_ass(I, n) == scan_max_ideal_in_ass(I, n)
@@ -384,8 +422,8 @@ class TestBitsetScansMatchCellScans:
         builds each of its axis masks once; a second call builds them
         again (no cache outlives a call).  Per axis only two masks are
         kept: the first doubling mask of `close`, which derives the others
-        and the walk's masks of `BoxTable.above`, and the top one of
-        `saturate` and `sub_box`."""
+        and the walk's masks of `BoxTable.above`, and the top one, which
+        `saturate`, `_socle` and the witness scan read."""
         built = []
         original = monomials._axis_mask
 

@@ -26,7 +26,7 @@ from brodmann.monomials import (
     zero_ideal,
 )
 
-from oracles import divides, in_power, iter_box, monomial_in
+from oracles import in_power, iter_box, monomial_in
 
 
 def ideal(r, *gens):
@@ -661,12 +661,6 @@ class TestBoxTable:
         assert t.bits == 0
         t = check_box([(5, 0), (1, 2)], (3, 3))
         assert list(t.points(t.bits)) == [(1, 2), (1, 3), (2, 2), (2, 3), (3, 2), (3, 3)]
-
-    def test_sub_box(self):
-        t = BoxTable([], (3, 2, 4))
-        for caps in [(3, 2, 4), (0, 0, 0), (1, 2, 0), (2, 0, 3)]:
-            cells = list(t.points(t.sub_box(caps)))
-            assert cells == [m for m in iter_box((3, 2, 4)) if divides(m, caps)]
 
     def test_budget_refusal(self):
         with enumeration_budget(100), pytest.raises(BudgetError):

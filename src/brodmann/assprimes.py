@@ -14,8 +14,9 @@ read one core, `_entries`, over a range of n: the one n asked for, or
 n = 0..n_max.  The supports and their localizations do not depend on n, so
 they are formed once per request.  Every power either route needs comes
 off a packed `monomials.Ladder`, charged as "power walk" products on every
-call.  The quotient route climbs one ladder of I over the range; only a
-`--jobs` worker task reads `power`, a fresh ladder, for its one entry.  The
+call.  The quotient route climbs one ladder of I over the range and builds
+each power's table straight from its packed generators; only a `--jobs`
+worker task reads `power`, a fresh ladder, for its one entry.  The
 recursion route walks the powers of each localization it does not settle
 outright up as bitsets over the range (`_power_walk`), from I_S^n at its
 first n, which a ladder climbs to: a profile walks from I_S^0, and one n
@@ -48,25 +49,21 @@ from .monomials import (
 VariablePrime = tuple[int, ...]
 
 
-def ass_witnesses(J: MonomialIdeal) -> dict[VariablePrime, Monomial]:
-    """One explicit witness monomial per associated prime of R/J.
+def _prime_cells(table: BoxTable) -> list[tuple[VariablePrime, int]]:
+    """The associated primes of R/J, each with its witness cells, from J's
+    table on the box 0..caps + 1, caps being J's largest exponents.
 
-    A monomial m witnesses the prime on support P when J : m = P.  The
-    scan reads J's table on the box 0..caps + 1, caps being J's largest
-    exponents, and takes the cells outside J that step into J along every
-    axis of P and sit at the top, caps_j + 1, of every axis j off P.  Every
-    associated prime has such a cell, and every such cell is a witness:
+    The witness cells of P are the cells outside J that step into J along
+    every axis of P and sit at the top, caps_j + 1, of every axis j off P.
+    Every associated prime has such a cell, and every such cell m has
+    J : m = P:
     - a witness m has m_i < caps_i on P, for otherwise m * x_i in J would
       force m in J;
     - raising its coordinates off P to caps + 1 keeps m outside J, since
       m is not in J : x_j^inf, and keeps m * x_i in J;
     - at the top of an axis, m * x_j lies in J exactly when m does, since
-      no generator asks for more, so J : m = P.
-    The witness of each prime is its lexicographically first such cell,
-    and the primes come in the order of their witnesses.
+      no generator asks for more.
     """
-    require_proper_nonzero(J)
-    table = BoxTable(J.generators, tuple(c + 1 for c in max_exponents(J)))
     bits, total = table.bits, prod(table.dims)
     # split the cells outside J by the prime {i : m * x_i in J}, one axis at
     # a time, keeping off the prime only the cells at the top of the axis
@@ -80,8 +77,22 @@ def ass_witnesses(J: MonomialIdeal) -> dict[VariablePrime, Monomial]:
             for group in ((prime, cells & top), (prime + (i + 1,), cells & up))
             if group[1]
         ]
-    # the lowest set bit is the lexicographically first cell; the all-top
-    # cell is in J, so no cell is left for the empty prime
+    # the all-top cell is in J, so no cell is left for the empty prime
+    return groups
+
+
+def ass_witnesses(J: MonomialIdeal) -> dict[VariablePrime, Monomial]:
+    """One explicit witness monomial per associated prime of R/J.
+
+    A monomial m witnesses the prime on support P when J : m = P.  The
+    witnesses are read off J's table on the box 0..caps + 1 by
+    `_prime_cells`.  The witness of each prime is its lexicographically
+    first witness cell, the lowest set bit of its cells, and the primes
+    come in the order of their witnesses.
+    """
+    require_proper_nonzero(J)
+    table = BoxTable(J.generators, tuple(c + 1 for c in max_exponents(J)))
+    groups = _prime_cells(table)
     found = sorted(((cells & -cells).bit_length() - 1, prime) for prime, cells in groups)
     return {prime: table.point(idx) for idx, prime in found}
 
@@ -241,6 +252,20 @@ def _quotient_entry(I: MonomialIdeal, n: int) -> frozenset[VariablePrime]:
     return ass_of_quotient(power(I, n + 1))
 
 
+def _ladder_entry(ladder: Ladder, k: int) -> frozenset[VariablePrime]:
+    """Ass(R/J) for J = I^k of the ladder, whose table is built straight
+    from the packed generators on the box of `ass_witnesses`.  With one
+    byte per field, a generator's bytes are its exponents."""
+    ladder.drop_below(k)
+    P = ladder.P
+    if P.width == 8:
+        gens = [p.to_bytes(P.r, "big") for p in ladder[k]]
+    else:
+        gens = list(map(P.unpack, ladder[k]))
+    table = BoxTable(gens, tuple(c + 1 for c in map(max, zip(*gens))))
+    return frozenset(prime for prime, _ in _prime_cells(table))
+
+
 def _agreed(
     n: int,
     via_quotient: frozenset[VariablePrime] | None,
@@ -267,10 +292,13 @@ def _entries(
 ) -> tuple[frozenset[VariablePrime], ...]:
     """Ass(I^n/I^(n+1)) for each n of ns, a range of step 1, by the routes
     method names.  The quotient route runs first, climbing one `Ladder` of
-    I over ns, or `jobs` workers share its entries, each climbing from I to
-    its own power.  The recursion route then takes the prime on S at n when
-    `_local_ideals` settles it at every n, or when I_S^n/I_S^(n+1) has a
-    `_socle` cell on one `_power_walk` of I_S."""
+    I over ns and building the table of each I^(n+1) straight from its
+    packed generators (`_ladder_entry`), with no `MonomialIdeal` or witness
+    point formed; or `jobs` workers share its entries, each climbing from I
+    to its own power and calling `ass_of_quotient`.  Both read the primes
+    off `_prime_cells` on the same box.  The recursion route then takes the
+    prime on S at n when `_local_ideals` settles it at every n, or when
+    I_S^n/I_S^(n+1) has a `_socle` cell on one `_power_walk` of I_S."""
     # a fork-started pool starts all its workers at the first submit, so no
     # more workers than tasks
     workers = min(jobs, len(ns))
@@ -278,7 +306,7 @@ def _entries(
         quotient = [None] * len(ns)
     elif workers == 1:
         ladder = Ladder(I)
-        quotient = [ass_of_quotient(ladder.ideal(n + 1)) for n in ns]
+        quotient = [_ladder_entry(ladder, n + 1) for n in ns]
     else:
         # imported here: multiprocessing is slow to load and rarely needed
         from concurrent.futures import ProcessPoolExecutor

@@ -19,7 +19,6 @@ command line goes to the full argparse parser, built from the same table
 
 from __future__ import annotations
 
-import json
 import sys
 from types import SimpleNamespace
 from typing import TYPE_CHECKING
@@ -251,24 +250,21 @@ def _tsv_cone(p: dict) -> str:
 
 
 def _cmd_build_system(args: Args) -> dict:
-    from .ioformats import load_ideal, system_to_json
+    from .ioformats import load_ideal, system_payload
     from .polyhedra import build_system, designated_generator
 
     I = load_ideal(args.ideal)
     system = build_system(I, args.mode)
     gen = I.generators[designated_generator(I)]
-    return {
-        **json.loads(system_to_json(system)),
-        "mode": args.mode,
-        "designated_generator": gen,
-    }
+    return {**system_payload(system), "mode": args.mode, "designated_generator": gen}
 
 
 def _tsv_build_system(p: dict) -> str:
-    from .ioformats import monomial_str, parse_system_json, system_to_text
+    from .ioformats import monomial_str, system_to_text
+    from .polyhedra import ConstraintSystem
 
     # the payload holds the system in its JSON form, extra keys aside
-    system = parse_system_json(json.dumps(p))
+    system = ConstraintSystem(p["e"], p["rows"], p["rhs"], p.get("labels"))
     return (
         f"# mode: {p['mode']}\n"
         f"# designated generator: {monomial_str(p['designated_generator'])}\n"

@@ -284,7 +284,8 @@ def parse_system_json(text: str, source: str = "<string>") -> "ConstraintSystem"
     return ConstraintSystem(e, tuple(parsed_rows), tuple(rhs), labels)
 
 
-def system_to_json(sys: "ConstraintSystem") -> str:
+def system_payload(sys: "ConstraintSystem") -> dict:
+    """The JSON form of a constraint system as a dict of lists."""
     obj = {
         "e": sys.e,
         "rows": [list(row) for row in sys.rows],
@@ -292,7 +293,11 @@ def system_to_json(sys: "ConstraintSystem") -> str:
     }
     if sys.labels:
         obj["labels"] = list(sys.labels)
-    return json.dumps(obj)
+    return obj
+
+
+def system_to_json(sys: "ConstraintSystem") -> str:
+    return json.dumps(system_payload(sys))
 
 
 def load_system(path: str | Path) -> "ConstraintSystem":

@@ -16,7 +16,7 @@ from functools import lru_cache, reduce
 from itertools import chain
 from math import prod
 from operator import gt, le, mul
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 from .errors import InputError, charge_budget, is_int, require_count
 
@@ -432,10 +432,18 @@ def _axis_mask(total: int, stride: int, dim: int, k: int) -> int:
 class _AxisMasks(dict):
     """`_axis_mask` by its arguments, each built on first use.  Each table
     holds its own and drops it with the table: nothing caches masks across
-    calls, since a mask holds one bit per cell of the box."""
+    calls, since a mask holds one bit per cell of the box.  The top mask
+    (k = dim - 1) is read off the k = 1 mask: the cells one step below a
+    cell >= 1 are exactly the cells below the top, so each axis builds
+    only its k = 1 mask."""
 
     def __missing__(self, key: tuple[int, int, int, int]) -> int:
-        mask = self[key] = _axis_mask(*key)
+        total, stride, dim, k = key
+        if k == dim - 1 > 1:
+            mask = ((1 << total) - 1) ^ (self[total, stride, dim, 1] >> stride)
+        else:
+            mask = _axis_mask(*key)
+        self[key] = mask
         return mask
 
 
@@ -457,7 +465,7 @@ class BoxTable:
 
     __slots__ = ("dims", "strides", "bits", "masks", "_table")
 
-    def __init__(self, gens: Iterable[Monomial], bounds: tuple[int, ...]):
+    def __init__(self, gens: Iterable[Sequence[int]], bounds: tuple[int, ...]):
         dims = tuple(b + 1 for b in bounds)
         total = prod(dims)
         charge_budget(total, "membership box")
@@ -466,10 +474,14 @@ class BoxTable:
         for i in range(e - 2, -1, -1):
             strides[i] = strides[i + 1] * dims[i + 1]
         cells = bytearray((total + 7) // 8)
+        gens = list(gens)
+        # one test for the whole list; only a generator past the box sends
+        # each one through its own
+        if not all(map(le, map(max, zip(*gens)), bounds)):
+            gens = [g for g in gens if all(map(le, g, bounds))]
         for g in gens:
-            if all(map(le, g, bounds)):
-                idx = sum(map(mul, g, strides))
-                cells[idx >> 3] |= 1 << (idx & 7)
+            idx = sum(map(mul, g, strides))
+            cells[idx >> 3] |= 1 << (idx & 7)
         self.dims = dims
         self.strides = tuple(strides)
         self.masks = _AxisMasks()

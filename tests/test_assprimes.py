@@ -391,11 +391,11 @@ class TestBitsetScansMatchCellScans:
         assert h0_m_monomials(I, n).witnesses == scan_h0_witnesses(I, n)
 
     def test_table_count_on_worked_family(self, monkeypatch):
-        """One table per Ass(R/J) call and one per box of a power walk, the
-        others coming from saturations and the walk's steps: 11 tables of
-        27278 cells in all for d = 6, n = 0..6, both methods (7 for the
-        quotient route, 4 boxes for the walk of S = {1, 2, 3}; S = {1, 2}
-        is settled without one)."""
+        """One table per power of the quotient route and one per box of a
+        power walk, whose steps give the other powers on that box: 11
+        tables of 27278 cells in all for d = 6, n = 0..6, both methods (7
+        for the quotient route, 4 boxes for the walk of S = {1, 2, 3};
+        S = {1, 2} is settled without one)."""
         built = []
         original = assprimes.BoxTable
 
@@ -420,10 +420,11 @@ class TestBitsetScansMatchCellScans:
     def test_axis_masks_built_once_per_box(self, monkeypatch, call):
         """Each box (one per call, or one per two powers of a power walk)
         builds each of its axis masks once; a second call builds them
-        again (no cache outlives a call).  Per axis only two masks are
-        kept: the first doubling mask of `close`, which derives the others
-        and the walk's masks of `BoxTable.above`, and the top one, which
-        `saturate`, `_socle` and the witness scan read."""
+        again (no cache outlives a call).  Per axis only one mask is built
+        with `_axis_mask`: the first doubling mask of `close` (k = 1), from
+        which the table derives the others, the walk's masks of
+        `BoxTable.above` and the top one that `saturate`, `_socle` and the
+        witness scan read."""
         built = []
         original = monomials._axis_mask
 
@@ -435,9 +436,52 @@ class TestBitsetScansMatchCellScans:
         call()
         first = list(built)
         assert first and len(set(first)) == len(first)
-        assert [k for _, _, d, k in first if k not in (1, d - 1)] == []
+        assert [k for *_, k in first if k != 1] == []
         call()
         assert built == first + first
+
+
+class TestLadderFedQuotientRoute:
+    """The quotient route of `_entries` builds each power's table straight
+    from the ladder's packed generators."""
+
+    @ORACLE_SETTINGS
+    @given(proper_ideals(), st.integers(0, 4))
+    @example(ideal(2, (64, 0), (1, 1), (0, 3)), 4)
+    @example(ideal(3, (64, 0, 1), (1, 1, 0), (0, 3, 0)), 3)
+    def test_entries_match_the_public_route(self, I, n_max):
+        """The packed route gives the entries of `ass_of_quotient` on each
+        power.  The examples, with an exponent of 64, re-pack the ladder to
+        two-byte fields at I^2, whose exponents are then unpacked."""
+        entries = assprimes._entries(I, range(n_max + 1), "quotient")
+        assert entries == tuple(ass_of_quotient(power(I, n + 1)) for n in range(n_max + 1))
+
+    def test_builds_no_ideal_and_only_first_axis_masks(self, monkeypatch):
+        """On the worked family for d = 6, n = 0..6, the quotient route
+        constructs no `MonomialIdeal`, and each of its 7 tables builds one
+        axis mask per axis, the k = 1 mask that `close` reads: the top masks
+        of the scan are derived from it."""
+        I = example_ideal(6)
+        ideals, masks, tables = [], [], []
+        monkeypatch.setattr(
+            monomials.MonomialIdeal, "__post_init__", lambda self: ideals.append(self)
+        )
+        original_mask = monomials._axis_mask
+        monkeypatch.setattr(
+            monomials, "_axis_mask", lambda *args: masks.append(args) or original_mask(*args)
+        )
+        original_init = monomials.BoxTable.__init__
+
+        def counting(self, *args):
+            tables.append(self)
+            original_init(self, *args)
+
+        monkeypatch.setattr(monomials.BoxTable, "__init__", counting)
+        assprimes._entries(I, range(7), "quotient")
+        assert ideals == []
+        assert len(tables) == 7
+        assert [k for *_, k in masks] == [1] * (I.r * len(tables))
+        assert len(set(masks)) == len(masks)
 
 
 class TestLocalizationLoop:

@@ -193,10 +193,11 @@ _BOUND_TSV = (
 
 
 def _tsv_bound(p: dict) -> str:
-    from .printing import decimal_str
+    from .printing import decimal_str, each_int_once
 
-    cells = {k: decimal_str(v) if type(v) is int else v for k, v in p.items()}
-    return _BOUND_TSV.format_map(cells)
+    with each_int_once():
+        cells = {k: decimal_str(v) if type(v) is int else v for k, v in p.items()}
+        return _BOUND_TSV.format_map(cells)
 
 
 def _cmd_cone(args: Args) -> dict:
@@ -290,8 +291,8 @@ def _parse_fix(pairs: list[str]) -> dict[str | int, int]:
             raise
         except ValueError:
             raise InputError(f"--fix value must be an integer, got {_excerpt(raw)!r}")
-        # isdecimal, not isdigit: int() rejects digits such as superscripts
-        key = _parse_int(key, "--fix", None) if key.isdecimal() else key
+        # ASCII decimals only, as in the input files: anything else is a label
+        key = _parse_int(key, "--fix", None) if key.isascii() and key.isdecimal() else key
         if fixed.setdefault(key, value) != value:
             what = f"index {key}" if isinstance(key, int) else f"label {key!r}"
             raise InputError(f"conflicting assignments for variable {_excerpt(what)}")

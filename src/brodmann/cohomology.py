@@ -3,9 +3,11 @@
 Three tools: the degreewise maximal-ideal torsion of I^n/I^(n+1) with an
 explicit finite witness list, read off one step of a bitset power walk
 of `assprimes`; Ratliff-Rush closures computed through the colon chain by
-generator powers, with an honest stabilization certificate; and the scanner
-for the top degree where the Rees-irrelevant torsion of the graded ring is
-nonzero (reported as None when every scanned degree vanishes).
+generator powers, stopped at the first observed plateau (observed, not
+proved: `certified` says only that the chain stopped before its cap); and
+the scanner for the top degree where the Rees-irrelevant torsion of the
+graded ring is nonzero (reported as None when every scanned degree
+vanishes).
 
 The colon chain runs packed from start to end.  Its powers come from one
 `monomials.Ladder` per request, which climbs from I: each power is the
@@ -13,14 +15,17 @@ previous one times the generators of I, formed and charged to the budget
 once, so the chains of every degree `a0_observed` scans share them, and
 `ratliff_rush` lets go of the powers below I^n on its way up to it.  Each
 colon is formed above I^n, which lies in every step of the chain, so only
-the generators outside I^n are met, compared and collected.  Every colon
-and lcm candidate in I^n is dropped before it is minimized, which is exact
-since a divisor of a monomial outside I^n lies outside it too.
+the generators outside I^n are met and compared.  Every colon and lcm
+candidate in I^n is dropped before it is minimized, which is exact since a
+divisor of a monomial outside I^n lies outside it too.  The chain ascends,
+so its union is the last step formed, and a chain whose plateau is at 0
+forms one colon, C_2.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 from .errors import DEFAULT_M_CAP, require_count
 from .monomials import Ladder, Monomial, MonomialIdeal, _colon_above, require_proper_nonzero
@@ -40,8 +45,11 @@ class RRResult:
     """A computed Ratliff-Rush closure of I^n together with its certificate.
 
     stabilized_at_m is the first chain index of the observed plateau when
-    certified, and the scan cap when not.  chain_monotone records whether
-    every consecutive chain step was an inclusion (expected always true).
+    certified, and the scan cap when not; certified says only that a
+    plateau was observed below the cap.  chain_monotone records whether
+    C_(m-1) lay in C_m for each pair of consecutive steps the chain formed
+    (C_0 and C_2 alone when it stops at 0 or the cap is 2).  The chain
+    ascends, so it is always true unless the computation is at fault.
     """
 
     closure: MonomialIdeal
@@ -87,33 +95,43 @@ def h0_m_monomials(I: MonomialIdeal, n: int) -> H0Report:
 
 def _chain(ladder: Ladder, n: int, m_cap: int) -> tuple[list[int], int, bool, bool]:
     """The colon chain of I^n on the ladder, as (union, stabilized_at_m,
-    certified, chain_monotone) of `RRResult`.  The union and each C_m are
-    kept as their generators outside I^n, packed by the ladder's packing,
-    and I^n is laid into slots (`Packing.lay`) once per packing."""
+    certified, chain_monotone) of `RRResult`.
+
+    The chain ascends (see `ratliff_rush`), so its union is the last C_m
+    formed, and C_j = C_(j+2) already makes C_(j+1), which lies between
+    them, equal to both.  C_0 = I^n, so C_2 is formed first: when it is
+    I^n too, the plateau is at 0 and C_1 is never formed.  Otherwise C_1,
+    C_3, C_4, ... follow in order (C_1 only when the cap reaches C_3, the
+    first C it is compared with) until the first C_(j+2) = C_j, and
+    chain_monotone checks that C_(m-1) lies in C_m for each such pair of
+    C's formed.  Each C_m is kept as its generators outside I^n, packed by
+    the ladder's packing, and I^n is laid into slots (`Packing.lay`) once
+    per packing."""
     P = ladder.P
     laid = P.lay(ladder[n])
-    # on entry to step m: C_(m-2), C_(m-1) and the union of the chain so
-    # far, each C as its generators outside I^n (C_0 has none)
-    before, last, union = [], [], []
+    # the C_m formed and still to be compared, each as its generators
+    # outside I^n (C_0 = I^n has none)
+    C: dict[int, list[int]] = {}
     monotone = True
-    for m in range(1, m_cap + 1):
+    for m in chain((2, 1) if m_cap > 2 else (2,), range(3, m_cap + 1)):
         high = ladder[n + m]
         if ladder.P is not P:
-            before, last, union = [ladder.repack(P, xs) for xs in (before, last, union)]
+            C = {k: ladder.repack(P, xs) for k, xs in C.items()}
             P = ladder.P
             laid = P.lay(ladder[n])
         qs = [m * g for g in ladder.gens]
-        c_m = _colon_above(P, high, qs, laid)
+        C[m] = c_m = _colon_above(P, high, qs, laid)
         # the generators in the order the kernel left qs: m * g packs m·g
         ladder.gens = [q // m for q in qs]
-        if not P.covers(c_m, last):
-            monotone = False
-        if not P.covers(union, c_m):
-            union = P.minimal(union + c_m)
-        if m >= 2 and before == last == c_m:
-            return union, m - 2, True, monotone
-        before, last = last, c_m
-    return union, m_cap, False, monotone
+        if m == 2 and not c_m:
+            return c_m, 0, True, True
+        if m == 1:
+            monotone = P.covers(C[2], c_m)
+        elif m > 2:
+            monotone = monotone and P.covers(c_m, C[m - 1])
+            if c_m == C.pop(m - 2):
+                return c_m, m - 2, True, monotone
+    return c_m, m_cap, False, monotone
 
 
 def ratliff_rush(
@@ -121,17 +139,20 @@ def ratliff_rush(
 ) -> RRResult:
     """Ratliff-Rush closure of I^n through the generator-power colon chain.
 
-    The chain C_m = I^(n+m) : (g_1^m, ..., g_s^m) ascends to the closure; the
-    scan stops at the first m with C_m = C_(m+1) = C_(m+2) (a width-2 plateau)
-    and reports certified=True, or returns the partial union with
-    certified=False once m_cap is exhausted.
+    The chain C_m = I^(n+m) : (g_1^m, ..., g_s^m) ascends to the closure:
+    if u g_i^m lies in I^(n+m), then u g_i^(m+1) lies in I^(n+m+1), so C_m
+    lies in C_(m+1).  The scan stops at the first j with C_j = C_(j+2),
+    which makes C_(j+1), lying between them, equal too (a width-2
+    plateau), and reports certified=True; or, once C_(m_cap) is formed, it
+    returns that last C, the union of the chain so far, with
+    certified=False.
 
     Every C_m contains I^n, since g_i^m I^n lies in I^(n+m), and C_0 is I^n.
     The chain (`_chain`) therefore runs on the generators of each C_m
     outside I^n.  Its powers come from a `Ladder` of I, which climbs to
     I^n letting go of the powers below it, then forms I^(n+1), I^(n+2), ...
-    as the chain reaches them, charging every product to the budget; only
-    the closure is unpacked.
+    as the chain reaches them (I^(n+2) at least, for C_2), charging every
+    product to the budget; only the closure is unpacked.
     """
     require_proper_nonzero(I)
     require_count(n, 1, "power index")

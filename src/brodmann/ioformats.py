@@ -26,9 +26,10 @@ from .monomials import Monomial, MonomialIdeal, minimize
 if TYPE_CHECKING:
     from .polyhedra import ConstraintSystem
 
-_VAR_TOKEN = re.compile(r"^x(\d+)(?:\^(\d+))?$")
-# what int() reads as a decimal integer
-_INT_TOKEN = re.compile(r"\s*[+-]?\d+(?:_\d+)*\s*")
+# digits are ASCII only: \d and int() would read other scripts' digits too
+_VAR_TOKEN = re.compile(r"^x([0-9]+)(?:\^([0-9]+))?$")
+# what int() reads as a decimal integer of ASCII digits
+_INT_TOKEN = re.compile(r"\s*[+-]?[0-9]+(?:_[0-9]+)*\s*")
 
 
 def monomial_str(m: Monomial) -> str:
@@ -53,10 +54,15 @@ def _excerpt(text: str, width: int = 60) -> str:
 
 
 def _parse_int(token: str, source: str, lineno: int | None) -> int:
-    """int(token), with a ParseError for a decimal past Python's int-from-str limit.
+    """int(token) for an ASCII token, with a ParseError for a decimal past
+    Python's int-from-str limit.
 
-    Any other ValueError propagates for the caller to word.
+    Any other ValueError, also for a token with other than ASCII characters
+    (int() reads the digits of every script), propagates for the caller to
+    word.
     """
+    if not token.isascii():
+        raise ValueError(f"not an ASCII integer: {_excerpt(token)!r}")
     try:
         return int(token)
     except ValueError:
@@ -103,7 +109,7 @@ def _load_json(text: str, source: str):
         # json raises a plain ValueError for an integer past the int-from-str
         # limit; find the first such digit run to name its line
         limit = sys.get_int_max_str_digits()
-        for m in re.finditer(r"\d+", text):
+        for m in re.finditer(r"[0-9]+", text):
             if len(m.group()) > limit:
                 _parse_int(m.group(), source, text.count("\n", 0, m.start()) + 1)
         raise
@@ -123,7 +129,7 @@ def _parse_header(text: str, source: str) -> tuple[int, list[tuple[int, str]]]:
     if not lines:
         raise ParseError("empty input, expected `vars: <count>` header", source=source)
     lineno, header = lines[0]
-    m = re.match(r"^vars:\s*(\d+)$", header)
+    m = re.match(r"^vars:\s*([0-9]+)$", header)
     if not m:
         raise ParseError("expected header `vars: <count>`", source=source, line=lineno)
     n = _parse_int(m.group(1), source, lineno)
@@ -193,10 +199,11 @@ def ideal_to_json(I: MonomialIdeal) -> str:
 
 
 def _load(path: str | Path, parse_json, parse_text):
-    """Parse a UTF-8 file as JSON if its name ends in `.json`, else as text."""
+    """Parse a UTF-8 file, with or without a byte order mark, as JSON if
+    its name ends in `.json`, else as text."""
     path = Path(path)
     try:
-        text = path.read_text(encoding="utf-8")
+        text = path.read_text(encoding="utf-8-sig")
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc.strerror}", source=str(path)) from exc
     except UnicodeDecodeError as exc:

@@ -13,6 +13,8 @@ from __future__ import annotations
 
 import json
 import sys
+from contextlib import contextmanager
+from contextvars import ContextVar
 from json.encoder import encode_basestring_ascii as _quote
 
 # 15,000 digits.  On a 2-vCPU Xeon host with CPython 3.11.7 (best of 7), str()
@@ -24,13 +26,40 @@ CUTOVER_BITS = 49_829
 _LEAF_BITS = 1024
 
 
+# the texts of the ints converted so far inside `each_int_once`, else None
+_texts: ContextVar[dict[int, str] | None] = ContextVar("_texts", default=None)
+
+
+@contextmanager
+def each_int_once():
+    """Within the block, `decimal_str` converts each distinct int once and
+    hands out the same text for it again.  `bound` prints B2 three times:
+    as b2, as b_ceil and inside the radical b.  Nothing is kept past the
+    block."""
+    token = _texts.set({})
+    try:
+        yield
+    finally:
+        _texts.reset(token)
+
+
 def decimal_str(n: int) -> str:
     """str(n), in subquadratic time past `CUTOVER_BITS`.  Like str(), it
     raises past `sys.get_int_max_str_digits()`, which 0 lifts."""
+    texts = _texts.get()
+    if texts is None:
+        return _decimal_str(n)
+    text = texts.get(n)
+    if text is None:
+        text = texts[n] = _decimal_str(n)
+    return text
+
+
+def _decimal_str(n: int) -> str:
     if n.bit_length() <= CUTOVER_BITS:
         return str(n)
     if n < 0:
-        return "-" + decimal_str(-n)
+        return "-" + _decimal_str(-n)
     import decimal
 
     D = decimal.Decimal
@@ -64,8 +93,10 @@ def decimal_str(n: int) -> str:
 
 def json_text(payload) -> str:
     """json.dumps(payload, indent=2, default=str), byte for byte, with every
-    int written by `decimal_str` (the json encoder calls int.__repr__)."""
-    return _json(payload, "\n")
+    int written by `decimal_str` (the json encoder calls int.__repr__), each
+    distinct one converted once."""
+    with each_int_once():
+        return _json(payload, "\n")
 
 
 def _json(v, newline: str) -> str:

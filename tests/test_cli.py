@@ -496,6 +496,14 @@ class TestFeasible:
         )
         assert (code, err) == (2, "input error: unknown variable label '²'\n")
 
+    def test_non_ascii_decimal_is_a_label_or_a_bad_value(self, capsys, membership_file):
+        # "١" (Arabic-Indic one) is decimal and int() reads it, but the
+        # input formats read ASCII digits only, and so does --fix
+        argv = ["feasible", "--system", membership_file, "--box", "2", "--fix"]
+        assert run(capsys, *argv, "١=1") == (2, "", "input error: unknown variable label '١'\n")
+        message = "input error: --fix value must be an integer, got '١'\n"
+        assert run(capsys, *argv, "a1=١") == (2, "", message)
+
 
 class TestExitCodes:
     def test_missing_file_is_parse_error(self, capsys):

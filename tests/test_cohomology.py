@@ -10,6 +10,8 @@ from brodmann.assprimes import ass_power, max_ideal_in_ass
 from brodmann.cli import example_ideal
 from brodmann.cohomology import (
     DEFAULT_M_CAP,
+    A0Result,
+    RRResult,
     a0_observed,
     h0_m_monomials,
     ratliff_rush,
@@ -341,6 +343,145 @@ class TestChainMatchesReference:
         assert (res.certified, len(res.warnings)) == (not uncertified, len(uncertified))
 
 
+def spread_ideal(d, *mixed):
+    """x1^d and x2^d with x1^a x2^(d-a) for each a of mixed: with a gap in
+    the middle, C_1 can be I^n while C_2 is not."""
+    return ideal(2, (d, 0), (0, d), *((a, d - a) for a in mixed))
+
+
+# C_1 = I^n at n = 1, but C_2 is not, and the plateau is at 2
+LATE_PLATEAU = [
+    spread_ideal(8, 5, 3, 1),
+    ideal(3, (6, 3, 0), (4, 5, 0), (4, 3, 3), (2, 6, 1), (1, 3, 6), (0, 5, 4)),
+]
+
+
+# chains that climb: at n = 1, rr_example() (which is gapped_ideal(2, 4))
+# and gapped_ideal(3, 3) stop at 1, gapped_ideal(2, 5) and LATE_PLATEAU[0]
+# at 2 and gapped_ideal(2, 6) at 3; each one step lower per step of n,
+# down to 0
+CLIMBING = {
+    2: [rr_example(), gapped_ideal(2, 5), gapped_ideal(2, 6), LATE_PLATEAU[0]],
+    3: [gapped_ideal(3, 3)],
+}
+
+
+@st.composite
+def plateau_cases(draw):
+    """(I, n, m_cap) with r = 2..3, n = 1..3 and m_cap in {2, 3, 6}.  I is
+    one of CLIMBING, whose chains mostly stop past 0, so that the caps 2
+    and 3 cut some of them short, or has up to four random generators with
+    exponents up to 4, whose chains mostly stop at 0."""
+    r = draw(st.integers(2, 3))
+    if draw(st.booleans()):
+        I = draw(st.sampled_from(CLIMBING[r]))
+    else:
+        vector = st.tuples(*[st.integers(0, 4)] * r).filter(any)
+        I = ideal(r, *draw(st.lists(vector, min_size=1, max_size=4)))
+    return I, draw(st.integers(1, 3)), draw(st.sampled_from((2, 3, 6)))
+
+
+def plateau_examples(test):
+    """The chains that stop past 0 or hit the cap: rr_example() stops at
+    1, gapped_ideal(2, 6) at 3, each of LATE_PLATEAU at 2 after C_1 = I^n,
+    and gapped_ideal(3, 3) at 1; each under every cap."""
+    for I in (rr_example(), gapped_ideal(2, 6), *LATE_PLATEAU, gapped_ideal(3, 3)):
+        for m_cap in (2, 3, 6):
+            test = example((I, 1, m_cap))(test)
+    return test
+
+
+class TestPlateausPastZero:
+    """The chain forms C_2 first and then C_1, C_3, C_4, ...: every field
+    of `ratliff_rush` and `a0_observed` against the reference chain, on
+    chains that stop past 0 and chains the cap cuts short."""
+
+    @CHAIN_SETTINGS
+    @given(plateau_cases())
+    @plateau_examples
+    def test_ratliff_rush(self, case):
+        I, n, m_cap = case
+        res = ratliff_rush(I, n, m_cap)
+        closure, stabilized_at_m, certified, monotone = ratliff_rush_ref(
+            I.generators, n, m_cap, I.r
+        )
+        assert res == RRResult(MonomialIdeal(I.r, closure), n, stabilized_at_m, certified, monotone)
+
+    @CHAIN_SETTINGS
+    @given(plateau_cases())
+    @plateau_examples
+    def test_a0_observed(self, case):
+        I, n_max, m_cap = case
+        res = a0_observed(I, n_max, m_cap)
+        value, flags, uncertified = a0_ref(I.generators, n_max, m_cap, I.r)
+        warnings = tuple(
+            f"closure of power {n} not certified within chain cap {m_cap}" for n in uncertified
+        )
+        assert res == A0Result(value, flags, not uncertified, warnings)
+
+    def test_the_climbing_chains_stop_past_zero(self):
+        """CLIMBING, which the cases draw from, stops at 1, 2 and 3, and
+        the caps cut some of its chains short."""
+        stops = {
+            res.stabilized_at_m if res.certified else ("cap", m_cap)
+            for chains in CLIMBING.values()
+            for I in chains
+            for n in (1, 2, 3)
+            for m_cap in (2, 3, 6)
+            for res in [ratliff_rush(I, n, m_cap)]
+        }
+        assert {1, 2, 3, ("cap", 2), ("cap", 3)} <= stops
+
+    @pytest.mark.parametrize("I", LATE_PLATEAU)
+    def test_c1_at_the_floor_is_no_plateau(self, I):
+        assert not colon_above(I, 1, 1) and colon_above(I, 1, 2)
+        res = ratliff_rush(I, 1)
+        assert (res.stabilized_at_m, res.certified) == (2, True)
+
+
+class TestColonCount:
+    """How many colons a chain forms: one when it stops at 0, and from
+    there on C_1, then one per step up to the plateau's C_(j+2) or the cap."""
+
+    @staticmethod
+    def counting(monkeypatch):
+        calls = []
+
+        def spy(*args):
+            calls.append(True)
+            return _colon_above(*args)
+
+        monkeypatch.setattr(cohomology, "_colon_above", spy)
+        return calls
+
+    @pytest.mark.parametrize(
+        "I", [ideal(2, (2, 0), (1, 1), (0, 3)), ideal(3, (3, 0, 0), (1, 1, 1), (0, 2, 2))]
+    )
+    def test_a_chain_that_stops_at_zero_forms_one_colon(self, monkeypatch, I):
+        calls = self.counting(monkeypatch)
+        for n in range(1, 5):
+            res = ratliff_rush(I, n)
+            assert (res.stabilized_at_m, res.certified) == (0, True)
+        assert len(calls) == 4
+        assert a0_observed(I, 4).certified
+        assert len(calls) == 4 + 4
+
+    @pytest.mark.parametrize(
+        "I,n,m_cap,count",
+        [
+            (rr_example(), 1, 6, 3),
+            (gapped_ideal(2, 6), 1, 6, 5),
+            (LATE_PLATEAU[0], 1, 6, 4),
+            (gapped_ideal(2, 6), 1, 4, 4),
+            (gapped_ideal(2, 6), 1, 2, 1),
+        ],
+    )
+    def test_a_longer_chain(self, monkeypatch, I, n, m_cap, count):
+        calls = self.counting(monkeypatch)
+        ratliff_rush(I, n, m_cap)
+        assert len(calls) == count
+
+
 def colon_above_ref(I, n, m):
     """The generators of C_m = I^(n+m) : (g_1^m, ..., g_s^m) outside I^n,
     by the tuple reference of the colon."""
@@ -376,10 +517,16 @@ def colon_steps(draw):
     return ideal(r, *gens), draw(st.integers(1, 3)), draw(st.integers(1, 4))
 
 
-def widening_ideal():
-    """gapped_ideal(2, 6) with x1 raised to the 8th power: its chain at
-    n = 1 climbs to m = 3, and from m = 2 the powers need two-byte fields."""
-    return ideal(2, *((8 * a, b) for a, b in gapped_ideal(2, 6).generators))
+def widening_ideal(scale=8):
+    """gapped_ideal(2, 6) with x1 raised to the scale-th power: its chain at
+    n = 1 stops at m = 3.  With scale 8 the powers need two-byte fields from
+    I^3 on, where C_2 is formed, and with scale 6 from I^4 on, where C_3 is."""
+    return ideal(2, *((scale * a, b) for a, b in gapped_ideal(2, 6).generators))
+
+
+def chain_order(count):
+    """The m of the first count colons a chain forms: C_2, then C_1, C_3, C_4, ..."""
+    return [2, 1, *range(3, count + 1)][:count]
 
 
 class TestColonAboveTheFloor:
@@ -414,8 +561,13 @@ class TestColonAboveTheFloor:
         record()
         assert sum(outside) >= len(outside) / 10
 
-    def test_a_chain_that_widens_its_packing(self, monkeypatch):
-        I, n = widening_ideal(), 1
+    @staticmethod
+    def widths_of_a_widening_chain(monkeypatch, scale):
+        """The packing width of each colon the chain of widening_ideal(scale)
+        forms at n = 1, in order, after checking each colon against the
+        reference for its m (C_2, C_1, C_3, C_4, C_5) and the result
+        against the reference chain."""
+        I, n = widening_ideal(scale), 1
         steps = []
 
         def spy(P, gens, qs, floor):
@@ -425,8 +577,7 @@ class TestColonAboveTheFloor:
 
         monkeypatch.setattr(cohomology, "_colon_above", spy)
         res = ratliff_rush(I, n)
-        assert [width for width, _ in steps] == [8] + [16] * (len(steps) - 1)
-        expected = [colon_above_ref(I, n, m) for m in range(1, len(steps) + 1)]
+        expected = [colon_above_ref(I, n, m) for m in chain_order(len(steps))]
         assert [c for _, c in steps] == expected
         assert all(c for _, c in steps[:3])
         closure, stabilized_at_m, certified, monotone = ratliff_rush_ref(
@@ -434,6 +585,16 @@ class TestColonAboveTheFloor:
         )
         assert (res.closure.generators, res.stabilized_at_m) == (closure, stabilized_at_m)
         assert (res.certified, res.chain_monotone) == (certified, monotone)
+        return [width for width, _ in steps]
+
+    def test_a_chain_that_widens_its_packing(self, monkeypatch):
+        """The climb to C_2 widens the packing, before any colon is formed."""
+        assert self.widths_of_a_widening_chain(monkeypatch, 8) == [16] * 5
+
+    def test_a_chain_that_widens_past_c2(self, monkeypatch):
+        """The climb to C_3 widens the packing after C_2 and C_1 are
+        formed, so the chain re-packs them before comparing."""
+        assert self.widths_of_a_widening_chain(monkeypatch, 6) == [8, 8, 16, 16, 16]
 
     @pytest.mark.parametrize(
         "I,n", [(widening_ideal(), 1), (gapped_ideal(3, 4), 2), (example_ideal(6), 2)]

@@ -247,3 +247,54 @@ class TestFileLoading:
     def test_load_missing_file_is_parse_error(self, tmp_path):
         with pytest.raises(ParseError):
             load_ideal(tmp_path / "absent.txt")
+
+    @pytest.mark.parametrize(
+        "load, name, text, expected",
+        [
+            (load_ideal, "ideal.txt", "vars: 2\nx1^2\n", minimize([(2, 0)], 2)),
+            (load_ideal, "ideal.json", '{"r": 2, "generators": [[2, 0]]}', minimize([(2, 0)], 2)),
+            (load_system, "sys.txt", "vars: 2\n1 -1 >= 0\n", ConstraintSystem(2, ((1, -1),), (0,))),
+            (
+                load_system,
+                "sys.json",
+                '{"e": 2, "rows": [[1, -1]], "rhs": [0]}',
+                ConstraintSystem(2, ((1, -1),), (0,)),
+            ),
+        ],
+    )
+    def test_a_byte_order_mark_is_skipped(self, tmp_path, load, name, text, expected):
+        p = tmp_path / name
+        p.write_bytes(b"\xef\xbb\xbf" + text.encode())
+        assert load(p) == expected
+
+
+# U+0662 and U+0661, Arabic-Indic two and one: int() reads them as 2 and 1
+TWO, ONE = "٢", "١"
+
+
+class TestAsciiDigitsOnly:
+    """The text formats read ASCII digits only, where a regex \\d and int()
+    would take the digits of other scripts too."""
+
+    @pytest.mark.parametrize(
+        "load, name, text, line, message",
+        [
+            (load_ideal, "ideal.txt", f"vars: {TWO}\nx1\n", 1, "expected header `vars: <count>`"),
+            (load_ideal, "ideal.txt", f"vars: 2\nx{ONE}^2\n", 2, "bad monomial token"),
+            (load_ideal, "ideal.txt", f"vars: 2\nx1^{TWO}\n", 2, "bad monomial token"),
+            (load_system, "sys.txt", f"vars: {TWO}\n1 1 >= 0\n", 1, "expected header"),
+            (load_system, "sys.txt", f"vars: 2\n1 {ONE} >= 0\n", 2, "non-integer entry in row"),
+            (load_system, "sys.txt", f"vars: 2\n1 1 >= {ONE}\n", 2, "non-integer entry in row"),
+        ],
+    )
+    def test_other_digits_are_parse_errors(self, tmp_path, load, name, text, line, message):
+        p = tmp_path / name
+        p.write_text(text, encoding="utf-8")
+        with pytest.raises(ParseError) as info:
+            load(p)
+        assert str(info.value).startswith(f"{p}:{line}: {message}")
+
+    def test_ascii_digits_with_underscores_still_parse(self, tmp_path):
+        p = tmp_path / "sys.txt"
+        p.write_text("vars: 2\n1_0 -1 >= +2\n")
+        assert load_system(p) == ConstraintSystem(2, ((10, -1),), (2,))

@@ -6,6 +6,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import brodmann.printing as printing
+from brodmann import cli
 from brodmann.printing import CUTOVER_BITS, decimal_str, json_text
 from brodmann.radicals import ExactRadical, RadicalSum
 
@@ -97,3 +99,28 @@ def test_json_text_refuses_keys_json_refuses():
         json_text({(1, 2): 0})
     with pytest.raises(TypeError):
         json.dumps({(1, 2): 0})
+
+
+@pytest.mark.parametrize("fmt", ["json", "tsv"])
+def test_bound_converts_each_int_once_per_call(monkeypatch, no_digit_limit, fmt):
+    """B2 is printed as b2, as b_ceil and inside the radical b; one `json_text`
+    or `_tsv_bound` call converts it once, and the next call converts it
+    again, since nothing is kept between calls."""
+    args = cli._parse(["bound", "--r", "6", "--s", "35", "--d", "45", "--format", fmt])
+    payload = args.func(args)
+    write = json_text if fmt == "json" else args.tsv
+    expected = write(payload)
+    assert payload["b_ceil"] == payload["b2"] and str(payload["b"]) == str(payload["b2"])
+    converted = []
+    convert = printing._decimal_str
+
+    def spy(n):
+        converted.append(n)
+        return convert(n)
+
+    monkeypatch.setattr(printing, "_decimal_str", spy)
+    for calls in (1, 2):
+        assert write(payload) == expected
+        assert converted.count(payload["b2"]) == calls
+        assert len(converted) == calls * len(set(converted))
+        assert printing._texts.get() is None

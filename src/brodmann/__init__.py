@@ -80,13 +80,8 @@ _EXPORTS = {
     ),
     "bounds": (
         "BoundReport",
-        "bound_b1",
-        "bound_b2",
-        "bound_b3",
-        "bound_b4",
         "bound_report",
         "ideal_parameters",
-        "stabilization_bound",
     ),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}

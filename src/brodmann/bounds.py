@@ -6,46 +6,21 @@ of the maximal-ideal torsion module of the associated graded ring, b2
 bounds the top nonvanishing torsion degree with respect to the Rees
 irrelevant ideal, b3/b4 are the intermediate quantities behind b2, and the
 stabilization threshold is B = max(b1, b2).  Everything is exact: a
-radical c*sqrt(m) is formed as the integer pair (c, m), and its floor and
-ceiling come from one isqrt.  `bound_report` forms them all in one pass, and
-the single-threshold functions read its fields.
+radical c*sqrt(m) is the integer pair (c, m), reduced by the product rule
+of `ExactRadical` (`radicals._product`), and rounded by one isqrt.
+`bound_report` is the only entry point: it forms every threshold in one
+pass, as a field of its `BoundReport`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, isqrt
+from math import isqrt
 
 from .errors import InputError, is_int
 from .monomials import MonomialIdeal, require_proper_nonzero
-from .radicals import ExactRadical, RadicalSum, split_square
-
-
-def _validate(r: int, s: int, d: int) -> None:
-    for name, v in (("r", r), ("s", s), ("d", d)):
-        if not is_int(v) or v < 1:
-            raise InputError(f"parameter {name} must be a positive integer, got {v!r}")
-
-
-def _product(c: int, *factors: tuple[int, int]) -> tuple[int, int]:
-    """c times the factors (q, m), each q*sqrt(m), as the pair (coefficient,
-    radicand) that the same chain of `ExactRadical` products gives: each
-    step divides both radicands by their gcd g, takes g into the
-    coefficient, and moves the product left over into the coefficient when
-    it is a perfect square.  So every printed q*sqrt(m) is the same."""
-    m = 1
-    for q, m2 in factors:
-        g = gcd(m, m2)
-        root, m = split_square((m // g) * (m2 // g))
-        c *= q * g * root
-    return c, m
-
-
-def _power(q: int, m: int, n: int) -> tuple[int, int]:
-    """(q*sqrt(m))^n as `ExactRadical.__pow__` writes it."""
-    c = q**n * m ** (n // 2)
-    return (c, m) if n % 2 else (c, 1)
+from .radicals import ExactRadical, RadicalSum, _power, _product, split_square
 
 
 def _floor_times_root(s: int, n: int, f: int) -> int:
@@ -61,40 +36,6 @@ def _floor_times_root(s: int, n: int, f: int) -> int:
     return s * f + j
 
 
-def bound_b1(r: int, s: int, d: int) -> ExactRadical:
-    """d(rs+s+d) * sqrt(r)^(r+1) * (sqrt(2)d)^((r+1)(s-1)), exact."""
-    return bound_report(r, s, d).b1
-
-
-def bound_b2(r: int, s: int, d: int) -> int:
-    """s(s+r)^4 s^(r+2) d^2 (2d^2)^(s^2-s+1), an exact integer."""
-    return bound_report(r, s, d).b2
-
-
-def bound_b3(r: int, s: int, d: int) -> RadicalSum:
-    """(s+r)^2 d (sqrt(2)d)^(s^2-s+1) sqrt(s)^(r+2) minus one, exact.
-
-    The minus-one reading treats the whole product as a grouped factor; the
-    alternative floor reading is exposed separately.
-    """
-    return bound_report(r, s, d).b3
-
-
-def bound_b3_floor_reading(r: int, s: int, d: int) -> int:
-    """Integer alternative reading: floor of the grouped product, minus one."""
-    return bound_report(r, s, d).b3_floor_reading
-
-
-def bound_b4(r: int, s: int, d: int) -> int:
-    """ceiling(s * b3), the generator-count multiple of b3."""
-    return bound_report(r, s, d).b4
-
-
-def stabilization_bound(r: int, s: int, d: int) -> ExactRadical:
-    """B = max(b1, b2) in exact form; Ass(I^n/I^(n+1)) is constant for n >= B."""
-    return bound_report(r, s, d).b_exact
-
-
 def _decimal_digits(n: int) -> int:
     """Decimal digits of n >= 0, like len(str(n)) but by integer arithmetic,
     since str() refuses ints past Python's int-to-str limit (4300 digits)."""
@@ -108,7 +49,18 @@ def _decimal_digits(n: int) -> int:
 
 @dataclass(frozen=True)
 class BoundReport:
-    """All thresholds for one (r, s, d), exact and with integer ceilings."""
+    """All thresholds for one (r, s, d), exact and with integer ceilings.
+
+    b1 = d(rs+s+d) * sqrt(r)^(r+1) * (sqrt(2)d)^((r+1)(s-1)).
+    b2 = s(s+r)^4 s^(r+2) d^2 (2d^2)^(s^2-s+1), an exact integer.
+    b3 = (s+r)^2 d (sqrt(2)d)^(s^2-s+1) sqrt(s)^(r+2) minus one: this reading
+    treats the whole product as a grouped factor, and b3_floor_reading is the
+    integer alternative, the floor of the grouped product minus one.
+    b4 = ceiling(s * b3), the generator-count multiple of b3.
+    b_exact = B = max(b1, b2): Ass(I^n/I^(n+1)) is constant for n >= B.
+    Each *_ceil field is a ceiling, and digits_b1, digits_b2 and digits_b
+    count the decimal digits of b1_ceil, b2 and b_ceil.
+    """
 
     r: int
     s: int
@@ -135,12 +87,14 @@ def bound_report(r: int, s: int, d: int) -> BoundReport:
     isqrt of c^2 * m for its floor, and b4 = ceil(s * bracket) - s follows
     from the bracket's (`_floor_times_root`).
     """
-    _validate(r, s, d)
+    for name, v in (("r", r), ("s", s), ("d", d)):
+        if not is_int(v) or v < 1:
+            raise InputError(f"parameter {name} must be a positive integer, got {v!r}")
     c1, m1 = _product(
-        d * (r * s + s + d), _power(*split_square(r), r + 1), _power(d, 2, (r + 1) * (s - 1))
+        d * (r * s + s + d), 1, _power(*split_square(r), r + 1), _power(d, 2, (r + 1) * (s - 1))
     )
     c3, m3 = _product(
-        (s + r) ** 2 * d, _power(d, 2, s * s - s + 1), _power(*split_square(s), r + 2)
+        (s + r) ** 2 * d, 1, _power(d, 2, s * s - s + 1), _power(*split_square(s), r + 2)
     )
     b1 = ExactRadical(Fraction(c1), m1)
     b1c = c1 if m1 == 1 else isqrt(c1 * c1 * m1) + 1
@@ -154,23 +108,8 @@ def bound_report(r: int, s: int, d: int) -> BoundReport:
     db1, db2 = _decimal_digits(b1c), _decimal_digits(b2)
     # b1 > b2 exactly when ceil(b1) > b2, b2 being an integer
     b, bc, db = (b1, b1c, db1) if b1c > b2 else (ExactRadical.of_fraction(b2), b2, db2)
-    return BoundReport(
-        r=r,
-        s=s,
-        d=d,
-        b1=b1,
-        b1_ceil=b1c,
-        b2=b2,
-        b3=RadicalSum.of(ExactRadical(Fraction(c3), m3), -1),
-        b3_ceil=b3c,
-        b3_floor_reading=f3 - 1,
-        b4=s_ceil - s,
-        b_exact=b,
-        b_ceil=bc,
-        digits_b1=db1,
-        digits_b2=db2,
-        digits_b=db,
-    )
+    b3 = RadicalSum.of(ExactRadical(Fraction(c3), m3), -1)
+    return BoundReport(r, s, d, b1, b1c, b2, b3, b3c, f3 - 1, s_ceil - s, b, bc, db1, db2, db)
 
 
 def ideal_parameters(I: MonomialIdeal) -> tuple[int, int, int]:

@@ -5,8 +5,9 @@ Ratliff-Rush closures, the torsion-degree scan, stabilization thresholds,
 cone generators, ED constraint-system construction, bounded feasibility
 search, and a self-checking examples runner.
 
-Exit codes: 0 success, 2 malformed input or arguments, 3 enumeration budget
-exceeded, 4 internal inconsistency (both conflicting answers are dumped).
+Exit codes: 0 success, 1 stdout closed early by its reader (no traceback),
+2 malformed input or arguments, 3 enumeration budget exceeded, 4 internal
+inconsistency (both conflicting answers are dumped).
 
 Each command imports the library functions it calls when it runs, so that
 building the parser loads no computing module and a call loads only what
@@ -19,6 +20,7 @@ command line goes to the full argparse parser, built from the same table
 
 from __future__ import annotations
 
+import os
 import sys
 from types import SimpleNamespace
 from typing import TYPE_CHECKING
@@ -610,6 +612,7 @@ def _run(args: Args) -> int:
             raise InputError(f"cannot write {args.out}: {exc.strerror}") from exc
     else:
         sys.stdout.write(text)
+        sys.stdout.flush()
     return 4 if payload.get("failed") else 0
 
 
@@ -635,6 +638,10 @@ def main(argv: list[str] | None = None) -> int:
 
             print(json_text(exc.payload), file=sys.stderr)
         return 4
+    except BrokenPipeError:
+        # point the closed stdout at devnull, so the flush at exit is silent
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
 
 
 if __name__ == "__main__":

@@ -106,9 +106,8 @@ def _chain(ladder: Ladder, n: int, m_cap: int) -> tuple[list[int], int, bool, bo
     chain_monotone checks that C_(m-1) lies in C_m for each such pair of
     C's formed.  Each C_m is kept as its generators outside I^n, packed by
     the ladder's packing, and I^n is laid into slots (`Packing.lay`) once
-    per packing."""
-    P = ladder.P
-    laid = P.lay(ladder[n])
+    per packing that a colon runs under, after the climb that may re-pack."""
+    P, laid = ladder.P, None
     # the C_m formed and still to be compared, each as its generators
     # outside I^n (C_0 = I^n has none)
     C: dict[int, list[int]] = {}
@@ -117,8 +116,8 @@ def _chain(ladder: Ladder, n: int, m_cap: int) -> tuple[list[int], int, bool, bo
         high = ladder[n + m]
         if ladder.P is not P:
             C = {k: ladder.repack(P, xs) for k, xs in C.items()}
-            P = ladder.P
-            laid = P.lay(ladder[n])
+            P, laid = ladder.P, None
+        laid = laid or P.lay(ladder[n])
         qs = [m * g for g in ladder.gens]
         C[m] = c_m = _colon_above(P, high, qs, laid)
         # the generators in the order the kernel left qs: m * g packs m·g

@@ -17,6 +17,7 @@ from __future__ import annotations
 import json
 import re
 import sys
+from json.scanner import NUMBER_RE
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -30,6 +31,8 @@ if TYPE_CHECKING:
 _VAR_TOKEN = re.compile(r"^x([0-9]+)(?:\^([0-9]+))?$")
 # what int() reads as a decimal integer of ASCII digits
 _INT_TOKEN = re.compile(r"\s*[+-]?[0-9]+(?:_[0-9]+)*\s*")
+# a JSON string, escapes included, so that scans of JSON text skip its contents
+_JSON_STRING = r'"(?:[^"\\]|\\.)*"'
 
 
 def monomial_str(m: Monomial) -> str:
@@ -82,7 +85,7 @@ def _deepest_nesting(text: str) -> tuple[int, int]:
     first bracket that reaches it; brackets inside strings do not count."""
     depth = deepest = 0
     at = 0
-    for m in re.finditer(r'"(?:[^"\\]|\\.)*"|[][{}]', text):
+    for m in re.finditer(_JSON_STRING + "|[][{}]", text):
         c = m.group()[0]
         if c in "[{":
             depth += 1
@@ -107,11 +110,12 @@ def _load_json(text: str, source: str):
         ) from None
     except ValueError:
         # json raises a plain ValueError for an integer past the int-from-str
-        # limit; find the first such digit run to name its line
+        # limit: name the line of the first such number outside strings
         limit = sys.get_int_max_str_digits()
-        for m in re.finditer(r"[0-9]+", text):
-            if len(m.group()) > limit:
-                _parse_int(m.group(), source, text.count("\n", 0, m.start()) + 1)
+        for m in re.finditer(f"{_JSON_STRING}|{NUMBER_RE.pattern}", text):
+            integer, frac, exp = m.groups()
+            if integer and not (frac or exp) and len(integer.lstrip("-")) > limit:
+                _parse_int(integer, source, text.count("\n", 0, m.start()) + 1)
         raise
 
 

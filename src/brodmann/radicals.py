@@ -30,6 +30,25 @@ def split_square(n: int) -> tuple[int, int]:
     return (a, 1) if a * a == n else (1, n)
 
 
+def _product(c: Fraction | int, m: int, *factors: tuple[Fraction | int, int]) -> tuple:
+    """c*sqrt(m) times the factors (q, m2), each q*sqrt(m2), as the pair
+    (coefficient, radicand): each step divides both radicands by their gcd
+    g, takes g into the coefficient, and moves the product left over into
+    the coefficient when it is a perfect square.  The one reduction rule of
+    radical products, for `ExactRadical` and for `bounds.bound_report`."""
+    for q, m2 in factors:
+        g = gcd(m, m2)
+        root, m = split_square((m // g) * (m2 // g))
+        c *= q * g * root
+    return c, m
+
+
+def _power(q: Fraction | int, m: int, n: int) -> tuple:
+    """(q*sqrt(m))^n as the pair (coefficient, radicand)."""
+    c = q**n * m ** (n // 2)
+    return (c, m) if n % 2 else (c, 1)
+
+
 @total_ordering
 @dataclass(frozen=True)
 class ExactRadical:
@@ -82,18 +101,14 @@ class ExactRadical:
             return ExactRadical.of_fraction(Fraction(other)) * self
         if self.is_zero() or other.is_zero():
             return ExactRadical(Fraction(0), 1)
-        g = gcd(self.radicand, other.radicand)
-        a, m = split_square((self.radicand // g) * (other.radicand // g))
-        return ExactRadical(self.coeff * other.coeff * g * a, m)
+        return ExactRadical(*_product(self.coeff, self.radicand, (other.coeff, other.radicand)))
 
     __rmul__ = __mul__
 
     def __pow__(self, n: int) -> "ExactRadical":
         require_count(n, 0, "power exponent")
-        q = self.coeff**n * Fraction(self.radicand) ** (n // 2)
-        if n % 2:
-            return ExactRadical(q, self.radicand) if q else ExactRadical(Fraction(0), 1)
-        return ExactRadical.of_fraction(q)
+        c, m = _power(self.coeff, self.radicand, n)
+        return ExactRadical(c, m if c else 1)
 
     def __eq__(self, other) -> bool:
         if isinstance(other, ExactRadical):

@@ -13,13 +13,7 @@ from fractions import Fraction
 import pytest
 
 from brodmann.assprimes import ass_power, ass_profile, max_ideal_in_ass
-from brodmann.bounds import (
-    bound_b2,
-    bound_b3,
-    bound_b4,
-    bound_report,
-    ideal_parameters,
-)
+from brodmann.bounds import bound_report, ideal_parameters
 from brodmann.cli import example_ideal
 from brodmann.cohomology import (
     a0_observed,
@@ -262,10 +256,10 @@ def test_criterion_8_stabilization_bounds(corpus, profiles4):
     for r in range(1, 7):
         for s in range(1, 7):
             for d in range(1, 11):
-                bracket = bound_b3(r, s, d) + RadicalSum.of(1)
+                grid = bound_report(r, s, d)
+                bracket = grid.b3 + RadicalSum.of(1)
                 # B4 >= 1, so B4 (B3 + 1) < B2 reads B3 + 1 < B2 / B4
-                ratio = Fraction(bound_b2(r, s, d), bound_b4(r, s, d))
-                assert bracket.compare(ratio) < 0, (r, s, d)
+                assert bracket.compare(Fraction(grid.b2, grid.b4)) < 0, (r, s, d)
 
     stabilized = 0
     for I, profile in zip(corpus, profiles4):

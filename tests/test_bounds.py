@@ -11,14 +11,8 @@ from brodmann.bounds import (
     BoundReport,
     _decimal_digits,
     _floor_times_root,
-    bound_b1,
-    bound_b2,
-    bound_b3,
-    bound_b3_floor_reading,
-    bound_b4,
     bound_report,
     ideal_parameters,
-    stabilization_bound,
 )
 from brodmann.cli import example_ideal
 from brodmann.errors import InputError
@@ -27,50 +21,53 @@ from brodmann.radicals import ExactRadical, RadicalSum
 
 
 class TestIndividualBounds:
+    """Each threshold, read off its field of `bound_report`."""
+
     def test_b1_oracle(self):
-        assert bound_b1(2, 2, 2) == 1024
+        assert bound_report(2, 2, 2).b1 == 1024
         # r=2, s=3, d=3: 3*(6+3+3)*sqrt(2)^3*(3 sqrt(2))^6 = 419904 sqrt(2)
-        v = bound_b1(2, 3, 3)
-        assert v == ExactRadical(Fraction(419904), 2)
-        assert v.ceil() == 593834
+        rep = bound_report(2, 3, 3)
+        assert rep.b1 == ExactRadical(Fraction(419904), 2)
+        assert rep.b1.ceil() == rep.b1_ceil == 593834
 
     def test_b2_oracle(self):
-        assert bound_b2(2, 2, 2) == 16777216
+        assert bound_report(2, 2, 2).b2 == 16777216
         expected = 5 * (5 + 3) ** 4 * 5 ** (3 + 2) * 5**2 * (2 * 25) ** (25 - 5 + 1)
-        assert bound_b2(3, 5, 5) == expected
+        assert bound_report(3, 5, 5).b2 == expected
 
     def test_b3_readings(self):
-        b3 = bound_b3(2, 2, 2)
-        assert b3 == RadicalSum.of(ExactRadical(Fraction(2048), 2), -1)
-        assert b3.ceil() == 2896
-        assert bound_b3_floor_reading(2, 2, 2) == 2895
+        rep = bound_report(2, 2, 2)
+        assert rep.b3 == RadicalSum.of(ExactRadical(Fraction(2048), 2), -1)
+        assert rep.b3.ceil() == rep.b3_ceil == 2896
+        assert rep.b3_floor_reading == 2895
 
     def test_b4_oracle(self):
-        assert bound_b4(2, 2, 2) == 5791
+        assert bound_report(2, 2, 2).b4 == 5791
 
     def test_b4_dominated_by_b2_on_grid(self):
         for r in range(1, 7):
             for s in range(1, 7):
                 for d in range(1, 11):
-                    b2 = bound_b2(r, s, d)
-                    b4 = bound_b4(r, s, d)
-                    bracket = bound_b3(r, s, d) + RadicalSum.of(1)
+                    rep = bound_report(r, s, d)
+                    bracket = rep.b3 + RadicalSum.of(1)
                     # b4 >= 1, so b4 (b3 + 1) < b2 reads b3 + 1 < b2 / b4
-                    assert bracket.compare(Fraction(b2, b4)) < 0, (r, s, d)
+                    assert bracket.compare(Fraction(rep.b2, rep.b4)) < 0, (r, s, d)
 
     def test_stabilization_is_max(self):
-        assert stabilization_bound(2, 2, 2) == 16777216
-        # tiny parameters where the radical side wins
-        b1, b2 = bound_b1(1, 1, 1), bound_b2(1, 1, 1)
-        b = stabilization_bound(1, 1, 1)
-        assert b == (b1 if b1 > b2 else ExactRadical.of_fraction(b2))
+        assert bound_report(2, 2, 2).b_exact == 16777216
+        # many variables and one generator: the radical side wins
+        rep = bound_report(8, 1, 1)
+        assert rep.b1 == ExactRadical(Fraction(40960), 8) and rep.b1 > rep.b2
+        assert rep.b_exact == rep.b1 and rep.b_ceil == rep.b1_ceil
+        for r, s, d in itertools.product(range(1, 13), range(1, 4), range(1, 4)):
+            rep = bound_report(r, s, d)
+            assert rep.b_exact == max(rep.b1, ExactRadical.of_fraction(rep.b2)), (r, s, d)
 
     def test_validation(self):
-        for bad in ((0, 2, 2), (2, 0, 2), (2, 2, 0), (-1, 1, 1)):
-            with pytest.raises(InputError):
-                bound_b1(*bad)
-            with pytest.raises(InputError):
-                bound_b2(*bad)
+        bads = (((0, 2, 2), "r"), ((2, 0, 2), "s"), ((2, 2, 0), "d"), ((-1, 1, 1), "r"))
+        for bad, name in bads:
+            with pytest.raises(InputError, match=f"parameter {name} must be a positive integer"):
+                bound_report(*bad)
         # a bool is refused by name, not read as 1 or passed on to the radicals
         for bad, name in (((2, 2, True), "d"), ((True, 2, 2), "r")):
             with pytest.raises(InputError) as exc:

@@ -601,10 +601,12 @@ class TestColonAboveTheFloor:
     )
     def test_the_floor_stays_out_of_minimal(self, monkeypatch, I, n):
         """No colon or lcm candidate in I^n reaches `minimal` from the
-        kernel, and each packing of the chain lays I^n out once.  The
-        chains at n = 2 meet parts whose lcms fall in I^n."""
+        kernel, and I^n is laid out once for each packing that a colon runs
+        under, and for no other.  The chains at n = 2 meet parts whose lcms
+        fall in I^n.  The widening chain at n = 1 re-packs on its climb to
+        I^3, before its first colon, so its entry packing lays nothing."""
         floor = power(I, n).generators
-        packings, floor_lays, kernel = [], [], []
+        packings, floor_lays, kernel, used = [], [], [], []
         init, lay, minimal = Packing.__init__, Packing.lay, Packing.minimal
 
         def spy_init(self, r, top):
@@ -623,6 +625,8 @@ class TestColonAboveTheFloor:
             return minimal(self, cands)
 
         def spy_kernel(*args):
+            if args[0] not in used:
+                used.append(args[0])
             kernel.append(True)
             try:
                 return _colon_above(*args)
@@ -634,8 +638,10 @@ class TestColonAboveTheFloor:
         monkeypatch.setattr(Packing, "minimal", spy_minimal)
         monkeypatch.setattr(cohomology, "_colon_above", spy_kernel)
         res = ratliff_rush(I, n)
-        assert res.stabilized_at_m >= 1 and packings
-        assert floor_lays == packings
+        assert res.stabilized_at_m >= 1 and used
+        assert floor_lays == used
+        if I == widening_ideal():
+            assert len(packings) > len(used)
 
 
 def chain_reach(res):

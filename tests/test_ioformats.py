@@ -199,6 +199,15 @@ class TestOversizedIntegers:
             f"big:{line}: integer of 4301 digits exceeds the 4300-digit limit"
         )
 
+    @pytest.mark.parametrize("first", [f'"{"7" * 5000}"', f"{'7' * 5000}.5", f"-{'7' * 5000}e1"])
+    def test_json_names_the_integer_not_an_earlier_digit_run(self, first):
+        """A longer digit run on line 1, in a string label or in a number
+        that json reads as a float, does not take the line of the error."""
+        text = f'{{"e": 2, "labels": [{first}, "y"],\n "rows": [[1, {"7" * 5000}]], "rhs": [0]}}'
+        with pytest.raises(ParseError) as info:
+            parse_system_json(text, source="s")
+        assert str(info.value) == "s:2: integer of 5000 digits exceeds the 4300-digit limit"
+
     def test_just_under_the_limit_parses(self):
         I = parse_ideal_text(f"vars: 1\nx1^{LONG[1:]}\n")
         assert I.generators == ((int(LONG[1:]),),)

@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from math import isqrt
+from math import gcd, isqrt
 
 import mpmath
 import pytest
@@ -258,6 +258,30 @@ def _sum(terms, factored: bool) -> RadicalSum:
     return total
 
 
+# a factor q * sqrt(n) for products and powers: n = 1..200 meets every kind of
+# radicand (squares, square-free, and square factors kept in the radicand)
+FACTORS = st.tuples(
+    st.builds(Fraction, st.integers(0, 10**4), st.integers(1, 60)), st.integers(1, 200)
+)
+
+
+def _factor(q: Fraction, n: int) -> ExactRadical:
+    """q * sqrt(n), built without the product rule."""
+    k = isqrt(n)
+    if not q or k * k == n:
+        return ExactRadical(q * k, 1)
+    return ExactRadical(q, n)
+
+
+def _product_radicand(m1: int, m2: int) -> int:
+    """The radicand of sqrt(m1) * sqrt(m2) for radicands m1 and m2, reduced
+    here by gcd and isqrt: the common factor g leaves the square root, and
+    the rest stays under it unless it is a perfect square."""
+    g = gcd(m1, m2)
+    rest = (m1 // g) * (m2 // g)
+    return 1 if isqrt(rest) ** 2 == rest else rest
+
+
 def _enclosure_floor(total: RadicalSum) -> int:
     """The floor of an irrational sum by refining its enclosure until both
     ends share one."""
@@ -320,6 +344,21 @@ class TestRadicalProperties:
             mp.delattr(RadicalSum, "bounds")  # the exact route refines no enclosure
             assert total.floor() == refined == expected, str(total)
             assert total.ceil() == expected + 1, str(total)
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(FACTORS, FACTORS, st.integers(0, 7))
+    def test_products_and_powers_reduce_their_radicands(self, x, y, n):
+        """Products and powers on radicands 1..200: the square of the result
+        is the product of the squares, and the radicand is the one reduced
+        here, or 1 for a zero result."""
+        a, b = _factor(*x), _factor(*y)
+        ab = a * b
+        assert ab.square() == a.square() * b.square()
+        zero = not (x[0] and y[0])
+        assert ab.radicand == (1 if zero else _product_radicand(a.radicand, b.radicand))
+        p = a**n
+        assert p.square() == a.square() ** n
+        assert p.radicand == (a.radicand if n % 2 and x[0] else 1)
 
     @RADICAL_SETTINGS
     @given(TERMS)

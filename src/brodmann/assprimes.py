@@ -9,19 +9,22 @@ the variables off S to 1, and tests whether the maximal ideal is associated
 there: outright when the localization is principal, or the gcd of its
 generators times an ideal primary to the maximal ideal, and otherwise by a
 socle cell of each power's quotient.  The two routes must agree, and method
-"both" checks them against each other.  Both `ass_power` and `ass_profile`
+"both" checks them against each other; alone, the quotient route is checked
+against the supports settled outright.  Both `ass_power` and `ass_profile`
 read one core, `_entries`, over a range of n: the one n asked for, or
 n = 0..n_max.  The supports and their localizations do not depend on n, so
-they are formed once per request.  Every power either route needs comes
-off a packed `monomials.Ladder`, charged as "power walk" products on every
-call.  The quotient route climbs one ladder of I over the range and builds
-each power's table straight from its packed generators; only a `--jobs`
-worker task reads `power`, a fresh ladder, for its one entry.  The
-recursion route walks the powers of each localization it does not settle
-outright up as bitsets over the range (`_power_walk`), from I_S^n at its
-first n, which a ladder climbs to: a profile walks from I_S^0, and one n
-(`ass_power`, `max_ideal_in_ass`, `h0_m_monomials`) takes one step from
-I_S^n.  The two routes share no table.
+they are formed once per request, on one packing of I.  Every power either
+route needs comes off a packed `monomials.Ladder`, charged as "power walk"
+products on every call.  The quotient route climbs one ladder of I over
+the range and builds each power's table straight from its packed
+generators; only a `--jobs` worker task reads `power`, a fresh ladder, for
+its one entry.  The recursion route walks the powers of each localization
+it does not settle outright and that lies in no larger such one up as
+bitsets over the range (`_power_walk`), from I_S^n at its first n, which a
+ladder climbs to: a profile walks from I_S^0, and one n (`ass_power`,
+`max_ideal_in_ass`, `h0_m_monomials`) takes one step from I_S^n.  Each
+smaller walked localization is read off the top slices of a walk that
+holds it.  The two routes share no table.
 """
 
 from __future__ import annotations
@@ -116,18 +119,27 @@ def _torsion(table: BoxTable, upper: int, lower: int) -> int:
     return cells
 
 
-def _socle(table: BoxTable, upper: int, lower: int) -> int:
+def _socle(table: BoxTable, upper: int, lower: int, axes: range | set[int]) -> int:
     """The cells of `upper`, the table of I^n, outside `lower`, that of
-    I^(n+1), whose one step up along each axis lies in `lower` inside the
-    box: the socle of I^n/I^(n+1), which is nonzero exactly when its
+    I^(n+1), whose one step up along each axis of `axes` lies in `lower`
+    inside the box, and that sit at the top of every other axis: with every
+    axis, the socle of I^n/I^(n+1), which is nonzero exactly when its
     maximal-ideal torsion is.  Exact on a box that reaches the exponents of
     I^(n+1): a cell outside I^(n+1) at the top of an axis stays outside
-    after any step up along it, so every socle cell lies below the top."""
+    after any step up along it, so every socle cell lies below the top.
+
+    With S the axes of `axes`, the cells at the top of every axis off S are
+    the table of I_S, I with the variables off S set to 1: at a top at or
+    past I's exponents of x_j, membership is membership in I : x_j^inf.
+    The box also reaches the exponents of I_S^(n+1), each generator of which
+    is one of I^(n+1) with the variables off S dropped; so on that slice
+    the cells are the socle of I_S^n/I_S^(n+1), read off I's walk."""
     total = prod(table.dims)
     cells = upper & ~lower
-    for s, d in zip(table.strides, table.dims):
+    for i, (s, d) in enumerate(zip(table.strides, table.dims)):
+        top = table.masks[total, s, d, d - 1]
         if cells:
-            cells &= (lower >> s) & ~table.masks[total, s, d, d - 1]
+            cells &= (lower >> s) & ~top if i in axes else top
     return cells
 
 
@@ -191,23 +203,17 @@ def max_ideal_in_ass(I: MonomialIdeal, n: int) -> bool:
     """
     require_proper_nonzero(I)
     require_count(n, 0, "power index")
-    return bool(_socle(*next(_power_walk(I, range(n, n + 1)))))
+    return bool(_socle(*next(_power_walk(I, range(n, n + 1))), range(I.r)))
 
 
-def _localize(I: MonomialIdeal, support: tuple[int, ...]) -> MonomialIdeal:
-    """I_S, the localization of I at the prime on S (a 1-based index list):
-    I with every variable off S set to 1, written in the subring on S."""
-    cols = [u - 1 for u in support]
-    P = Packing(len(cols), _top(I))
-    return P.ideal(P.minimal(P.pack(g[c] for c in cols) for g in I.generators))
-
-
-LocalIdeal = tuple[VariablePrime, MonomialIdeal | None]
+LocalIdeal = tuple[VariablePrime, tuple[Monomial, ...] | None]
 
 
 def _local_ideals(I: MonomialIdeal) -> list[LocalIdeal]:
     """The supports S whose prime can be associated to some I^n/I^(n+1),
-    each with J = I_S, or None when its prime is associated at every n.
+    each with the generators of J = I_S, in the canonical order of a
+    `MonomialIdeal` on the variables of S, or None when its prime is
+    associated at every n.
     The prime on S is associated exactly when the maximal ideal m is
     associated to J^n/J^(n+1) (Herzog-Hibi, Monomial Ideals, ch. 1).  That
     needs J proper and using every variable of S.  Write J = u J', u the
@@ -217,26 +223,36 @@ def _local_ideals(I: MonomialIdeal) -> list[LocalIdeal]:
     (so it is primary to m; J' = J when u = 1) and J is not principal, m is
     associated at every n: for v in J'^n outside J'^(n+1), u^(n+1) v lies
     in J^n outside J^(n+1), and a power of m takes it into J^(n+1).  In one
-    or two variables every J is one of these.  None of this depends on n."""
+    or two variables every J is one of these.  None of this depends on n.
+
+    I is packed once, and I_S is its generators with the fields off S
+    masked to 0, minimized in the same packing.  No `MonomialIdeal` is
+    formed and no box laid, so a quotient-only request forms them too."""
     used = used_variables(I)
+    P = Packing(I.r, _top(I))
+    gens = P.pack_ideal(I)
+    fields = {u: P.field << (I.r - u) * P.width for u in used}
     local: list[LocalIdeal] = []
     for k in range(1, len(used) + 1):
         for support in combinations(used, k):
+            mask = sum(map(fields.get, support))
+            masked = [g & mask for g in gens]
             # a generator with no variable in S localizes I to the unit ideal
-            if not all(any(g[u - 1] for u in support) for g in I.generators):
+            if not all(masked):
                 continue
-            J = _localize(I, support)
-            if len(used_variables(J)) < k:
+            kept = P.minimal(masked)
+            if not all(any(g & fields[u] for g in kept) for u in support):
                 continue
-            if len(J.generators) == 1:
+            if len(kept) == 1:
                 if k == 1:
                     local.append((support, None))
                 continue
-            gcd = tuple(map(min, zip(*J.generators)))
+            J = tuple(tuple(m[u - 1] for u in support) for m in map(P.unpack, reversed(kept)))
+            gcd = tuple(map(min, zip(*J)))
             # the axes of the generators of J' that are pure powers
             pure = {
                 axes[0]
-                for axes in ([i for i in range(k) if g[i] > gcd[i]] for g in J.generators)
+                for axes in ([i for i in range(k) if g[i] > gcd[i]] for g in J)
                 if len(axes) == 1
             }
             local.append((support, None if len(pure) == k else J))
@@ -266,6 +282,28 @@ def _ladder_entry(ladder: Ladder, k: int) -> frozenset[VariablePrime]:
     return frozenset(prime for prime, _ in _prime_cells(table))
 
 
+def _walked_flags(
+    walked: dict[VariablePrime, tuple[Monomial, ...]], ns: range
+) -> dict[VariablePrime, list[bool]]:
+    """For each walked support S, given with the generators of I_S, whether
+    I_S^n/I_S^(n+1) has a `_socle` cell, for each n of ns.  Only a support
+    T in no larger walked support is walked, by one `_power_walk` of I_T,
+    the only I_S formed as a `MonomialIdeal`; every walked S inside T is
+    read off that walk, by `_socle` on the axes of S at the top of the
+    others, so no box is laid for it."""
+    flags: dict[VariablePrime, list[bool]] = {}
+    for T in sorted(walked, key=len, reverse=True):
+        if T in flags:
+            continue
+        nested = {S: {T.index(u) for u in S} for S in walked if S not in flags and set(S) <= set(T)}
+        for S in nested:
+            flags[S] = []
+        for t in _power_walk(MonomialIdeal(len(T), walked[T]), ns):
+            for S, axes in nested.items():
+                flags[S].append(bool(_socle(*t, axes)))
+    return flags
+
+
 def _agreed(
     n: int,
     via_quotient: frozenset[VariablePrime] | None,
@@ -287,6 +325,27 @@ def _agreed(
     return via_quotient
 
 
+def _check_settled(
+    n: int,
+    via_quotient: frozenset[VariablePrime],
+    settled: frozenset[VariablePrime],
+    walked: dict[VariablePrime, tuple[Monomial, ...]],
+) -> None:
+    """An inconsistency error unless the quotient route's entry at n holds
+    every prime `_local_ideals` settles and no prime on a support it drops:
+    the check of a quotient-only request, which lays no box for it."""
+    if not settled <= via_quotient <= settled.union(walked):
+        raise InconsistencyError(
+            f"settled supports disagree with the quotient route at n={n}",
+            payload={
+                "n": n,
+                "quotient": sorted(via_quotient),
+                "settled": sorted(settled),
+                "walked": sorted(walked),
+            },
+        )
+
+
 def _entries(
     I: MonomialIdeal, ns: range, method: str, jobs: int = 1
 ) -> tuple[frozenset[VariablePrime], ...]:
@@ -296,9 +355,13 @@ def _entries(
     packed generators (`_ladder_entry`), with no `MonomialIdeal` or witness
     point formed; or `jobs` workers share its entries, each climbing from I
     to its own power and calling `ass_of_quotient`.  Both read the primes
-    off `_prime_cells` on the same box.  The recursion route then takes the
-    prime on S at n when `_local_ideals` settles it at every n, or when
-    I_S^n/I_S^(n+1) has a `_socle` cell on one `_power_walk` of I_S."""
+    off `_prime_cells` on the same box.  Every method then forms the
+    supports of `_local_ideals`, which lays no box.  The recursion route
+    takes the prime on S at n when `_local_ideals` settles it at every n,
+    or when I_S^n/I_S^(n+1) has a `_socle` cell, read off one walk per
+    maximal walked support (`_walked_flags`).  Alone, the quotient route's
+    entries are checked against the settled and dropped supports
+    (`_check_settled`); with both routes, the recursion route checks them."""
     # a fork-started pool starts all its workers at the first submit, so no
     # more workers than tasks
     workers = min(jobs, len(ns))
@@ -313,14 +376,16 @@ def _entries(
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
             quotient = list(pool.map(_quotient_entry, repeat(I), ns))
+    local = _local_ideals(I)
+    settled = frozenset(S for S, J in local if J is None)
+    walked = {S: J for S, J in local if J is not None}
     if method == "quotient":
+        for n, entry in zip(ns, quotient):
+            _check_settled(n, entry, settled, walked)
         recursion = [None] * len(ns)
     else:
-        flags = [
-            (S, None if J is None else [bool(_socle(*t)) for t in _power_walk(J, ns)])
-            for S, J in _local_ideals(I)
-        ]
-        recursion = [frozenset(S for S, f in flags if f is None or f[k]) for k in range(len(ns))]
+        flags = _walked_flags(walked, ns).items()
+        recursion = [settled.union(S for S, f in flags if f[k]) for k in range(len(ns))]
     return tuple(map(_agreed, ns, quotient, recursion))
 
 

@@ -619,8 +619,14 @@ def _run(args: Args) -> int:
 def main(argv: list[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    args = _parse(argv)
     try:
+        try:
+            args = _parse(argv)
+        except SystemExit:
+            # argparse wrote help or usage and exits: flush it here, so that
+            # a closed stdout meets the handler below and not the exit
+            sys.stdout.flush()
+            raise
         return _run(args)
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)

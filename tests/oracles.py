@@ -10,8 +10,9 @@ semigroup and module generators are the boxed solutions that no two boxed
 parts add up to, cone membership does exact Gaussian elimination over
 Fractions, the cone bounds come from their closed forms by isqrt and
 mpmath, the stabilization thresholds from chains of exact radical products,
-and the Ratliff-Rush chain takes the whole colon of a fresh power
-at every step.
+the Ratliff-Rush chain takes the whole colon of a fresh power
+at every step, and the irreducible components come from the Alexander
+dual, an intersection of pure-power ideals.
 """
 
 import sys
@@ -336,6 +337,39 @@ def contains_ideal_ref(A, B):
 
 def delete_variable_ref(A, j):
     return minimal(_zeroed(A, {j - 1}))
+
+
+def localize_ref(A, support):
+    """I_S for the 1-based variable indices of S: every variable off S set
+    to 1, written in the subring on S."""
+    return minimal(tuple(g[u - 1] for u in support) for g in A)
+
+
+def irreducible_components(A, r):
+    """The irredundant irreducible components of the ideal of A, each as
+    the exponent vector c of m^c = (x_i^c_i : c_i > 0), by Alexander
+    duality (Miller-Sturmfels, Combinatorial Commutative Algebra, ch. 5):
+    with t the largest exponents of A, the dual J^[t] is the intersection
+    over the generators g of the m^(t - g + 1) on the support of g, and
+    each minimal generator b of the dual gives the component m^(t - b + 1)
+    on the support of b.  Ass(R/J) is the set of the components' supports."""
+    top = tuple(max(g[i] for g in A) for i in range(r))
+
+    def corner(v):
+        return tuple(t + 1 - e if e else 0 for t, e in zip(top, v))
+
+    dual = unit(r)
+    for g in A:
+        pure = [tuple(e if j == i else 0 for j, e in enumerate(corner(g))) for i in range(r) if g[i]]
+        dual = intersect_ref(dual, pure)
+    return [corner(b) for b in dual]
+
+
+def component_supports(A, r):
+    """The supports of `irreducible_components`, as 1-based index tuples."""
+    return frozenset(
+        tuple(i + 1 for i, e in enumerate(c) if e) for c in irreducible_components(A, r)
+    )
 
 
 def generator_power_ref(A, m):

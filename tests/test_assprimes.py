@@ -41,13 +41,16 @@ from conftest import random_ideal
 from oracles import (
     brute_ass,
     colon_by_monomial,
+    component_supports,
     divides,
     full_support_prime,
+    localize_ref,
     monomial_in,
     power_ref,
     scan_ass_witnesses,
     scan_h0_witnesses,
     scan_max_ideal_in_ass,
+    unit,
 )
 
 
@@ -496,49 +499,46 @@ class TestLocalizationLoop:
         assert ass_power(I, 0, "recursion") == brute_ass(I)
 
     @staticmethod
-    def localized(monkeypatch, I):
+    def localized(I):
         """ass_power(I, n, "recursion") for n = 0..2, checked against both
-        oracles, and every (support, I_S) the loop formed."""
-        seen = {}
-        original = assprimes._localize
-
-        def spy(J, support):
-            seen[support] = original(J, support)
-            return seen[support]
-
-        monkeypatch.setattr(assprimes, "_localize", spy)
+        oracles, and the supports `_local_ideals` keeps: each with I_S's
+        generators, or None when it is settled."""
         for n in range(3):
             got = ass_power(I, n, "recursion")
             assert got == ass_of_quotient(power(I, n + 1)), (I, n)
         assert ass_power(I, 0, "recursion") == brute_ass(I)
-        return seen
+        local = dict(assprimes._local_ideals(I))
+        for S, gens in local.items():
+            assert gens in (None, localize_ref(I.generators, S)), (I, S)
+        return local
 
-    def test_support_localizing_to_the_unit_ideal_is_skipped(self, monkeypatch):
+    def test_support_localizing_to_the_unit_ideal_is_skipped(self):
         # x3*x4 has no variable in {1, 2}: there I_S is the unit ideal
         I = ideal(4, (2, 0, 0, 0), (1, 1, 0, 0), (0, 0, 1, 1))
-        assert assprimes._localize(I, (1, 2)).is_unit()
-        seen = self.localized(monkeypatch, I)
-        assert (1, 2) not in seen and (1, 2, 3) in seen
+        assert localize_ref(I.generators, (1, 2)) == unit(2)
+        local = self.localized(I)
+        assert (1, 2) not in local and (1, 2, 3) in local
         assert ass_power(I, 0, "recursion") == {(1, 3), (1, 4), (1, 2, 3), (1, 2, 4)}
 
     def test_pure_power_localization_adds_its_support(self, monkeypatch):
-        # at {1, 2}, x1*x3*x4 becomes x1: I_S = (x1, x2^3)
+        # at {1, 2}, x1*x3*x4 becomes x1: I_S = (x1, x2^3), settled
         I = ideal(4, (2, 0, 0, 0), (0, 3, 0, 0), (1, 0, 1, 1))
         tested = []
         walk = assprimes._power_walk
         monkeypatch.setattr(
             assprimes, "_power_walk", lambda J, *at: tested.append(J) or walk(J, *at)
         )
-        seen = self.localized(monkeypatch, I)
-        assert seen[(1, 2)] == ideal(2, (1, 0), (0, 3))
-        assert tested and seen[(1, 2)] not in tested
+        local = self.localized(I)
+        assert localize_ref(I.generators, (1, 2)) == ideal(2, (1, 0), (0, 3)).generators
+        assert local[(1, 2)] is None
+        assert tested and ideal(2, (1, 0), (0, 3)) not in tested
         assert ass_power(I, 0, "recursion") == {(1, 2), (1, 2, 3), (1, 2, 4)}
 
-    def test_support_with_an_unused_variable_is_not_associated(self, monkeypatch):
+    def test_support_with_an_unused_variable_is_not_associated(self):
         # at {1, 2, 3}, x1*x4 becomes x1, which swallows x1*x2: x2 drops out
         I = ideal(4, (1, 0, 0, 1), (1, 1, 0, 0), (0, 0, 2, 0))
-        seen = self.localized(monkeypatch, I)
-        assert seen[(1, 2, 3)] == ideal(3, (1, 0, 0), (0, 0, 2))
+        assert localize_ref(I.generators, (1, 2, 3)) == ideal(3, (1, 0, 0), (0, 0, 2)).generators
+        assert (1, 2, 3) not in self.localized(I)
         for n in range(3):
             assert (1, 2, 3) not in ass_power(I, n, "recursion")
 
@@ -552,40 +552,136 @@ class TestLocalizationLoop:
         agrees with the cell scan at n = 0..3: kept with None, the maximal
         ideal is associated at every n; left out, at none.  The examples
         are a primary non-pure-power I_S, one that is x1 times a primary
-        ideal, and a principal I_S on two variables."""
+        ideal, and a principal I_S on two variables.  Walked supports come
+        with the generators of I_S."""
         local = dict(assprimes._local_ideals(I))
         used = used_variables(I)
         for k in range(1, len(used) + 1):
             for S in combinations(used, k):
-                J = assprimes._localize(I, S)
-                if J.is_unit() or local.get(S) is not None:
+                J = MonomialIdeal(k, localize_ref(I.generators, S))
+                if J.is_unit():
+                    continue
+                if local.get(S) is not None:
+                    assert local[S] == J.generators, (I, S)
                     continue
                 for n in range(4):
                     assert scan_max_ideal_in_ass(J, n) == (S in local), (I, S, n)
 
     def test_localizes_once_per_profile(self, monkeypatch):
         """The supports and their localizations do not depend on n: a
-        longer profile forms them no more often."""
-        calls = []
-        original = assprimes._localize
-
-        def spy(J, support):
-            calls.append(support)
-            return original(J, support)
-
-        monkeypatch.setattr(assprimes, "_localize", spy)
+        longer profile forms them no more often, and forms a
+        `MonomialIdeal` only for the one support it walks."""
+        calls, formed = [], []
+        original = assprimes._local_ideals
+        monkeypatch.setattr(
+            assprimes, "_local_ideals", lambda I: calls.append(I) or original(I)
+        )
+        monkeypatch.setattr(
+            assprimes, "MonomialIdeal", lambda *args: formed.append(args) or MonomialIdeal(*args)
+        )
         counts = []
         for n_max in (1, 6):
             calls.clear()
+            formed.clear()
             ass_profile(example_ideal(5), n_max, "recursion")
-            counts.append(len(calls))
-        assert counts[0] > 0 and counts[0] == counts[1]
+            counts.append((len(calls), len(formed)))
+        assert counts == [(1, 1), (1, 1)]
 
     @ORACLE_SETTINGS
     @given(proper_ideals(max_r=3), st.integers(1, 3), st.sampled_from(METHODS))
     def test_entries_equal_ass_power(self, I, n_max, method):
         entries = ass_profile(I, n_max, method).entries
         assert entries == tuple(ass_power(I, n, method) for n in range(n_max + 1))
+
+
+@st.composite
+def wide_ideals(draw):
+    """Ideals in 1..5 variables, mostly four or five, with 2..6 generators
+    of exponents up to 3: about a third of them have a walked support
+    inside another."""
+    r = draw(st.sampled_from((1, 2, 3, 4, 4, 5, 5, 5)))
+    exponent_lists = st.lists(st.integers(0, 3), min_size=r, max_size=r).filter(any)
+    return minimize(draw(st.lists(exponent_lists, min_size=2, max_size=6)), r)
+
+
+# at {1, 2, 3, 4} every 3-subset is walked too, and all five are read off
+# the one walk of the full support
+NESTED = ideal(4, (3, 2, 3, 0), (2, 1, 3, 3), (1, 3, 2, 0), (3, 0, 3, 1), (2, 2, 1, 2))
+
+
+class TestNestedSupports:
+    """The recursion route walks only the supports in no larger walked
+    support, and reads every walked support inside one off its walk."""
+
+    @settings(ORACLE_SETTINGS, max_examples=100)
+    @given(wide_ideals(), st.integers(1, 4))
+    @example(NESTED, 3)
+    def test_flags_match_a_walk_of_their_own(self, I, n_max):
+        """For every walked S, the flags read off its containing walk are
+        those of `_socle` over a walk of I_S alone, and the profile charges
+        no more than those separate walks."""
+        ns = range(n_max + 1)
+        walked = {S: J for S, J in assprimes._local_ideals(I) if J is not None}
+        flags = assprimes._walked_flags(walked, ns)
+        assert flags.keys() == walked.keys()
+        with enumeration_budget() as separate:
+            for S, gens in walked.items():
+                J = MonomialIdeal(len(S), gens)
+                alone = [bool(assprimes._socle(*t, range(J.r))) for t in assprimes._power_walk(J, ns)]
+                assert flags[S] == alone, (I, S)
+        with enumeration_budget() as shared:
+            ass_profile(I, n_max, "recursion")
+        assert shared.used <= separate.used
+
+    def test_one_walk_for_five_walked_supports(self, monkeypatch):
+        """The full support and its four 3-subsets are walked supports of
+        NESTED; one walk decides all five, and n_max = 3 charges 92,886
+        units, against 115,986 for five walks."""
+        walks = []
+        original = assprimes._power_walk
+        monkeypatch.setattr(
+            assprimes, "_power_walk", lambda J, ns: walks.append(J) or original(J, ns)
+        )
+        walked = [S for S, J in assprimes._local_ideals(NESTED) if J is not None]
+        assert walked == [(1, 2, 3), (1, 2, 4), (1, 3, 4), (2, 3, 4), (1, 2, 3, 4)]
+        with enumeration_budget() as meter:
+            entries = ass_profile(NESTED, 3, "recursion").entries
+        assert walks == [NESTED]
+        assert meter.used == 92886
+        assert entries == ass_profile(NESTED, 3, "quotient").entries
+
+    @settings(ORACLE_SETTINGS, max_examples=100)
+    @given(wide_ideals(), st.integers(0, 2))
+    @example(NESTED, 2)
+    def test_irreducible_components_give_the_primes(self, I, n):
+        """The supports of the irreducible components of I^(n+1), from the
+        Alexander dual, are Ass(I^n/I^(n+1)) on both routes: an oracle that
+        builds no box and reaches five variables."""
+        J = power_ref(I.generators, n + 1, I.r)
+        want = component_supports(J, I.r)
+        assert ass_power(I, n, "quotient") == ass_power(I, n, "recursion") == want
+
+    @pytest.mark.parametrize("mutant", ["settle_a_walked_support", "drop_a_settled_support"])
+    def test_quotient_route_checks_the_settled_supports(self, monkeypatch, mutant):
+        """A quotient-only request checks its entries against the supports
+        `_local_ideals` settles or drops: on the worked family, a rule that
+        settles the walked {1, 2, 3}, associated only up to n = 1, or drops
+        the settled {1, 2}, fails with both answers."""
+        original = assprimes._local_ideals
+
+        def broken(I):
+            local = original(I)
+            if mutant == "settle_a_walked_support":
+                return [(S, None) for S, _ in local]
+            return [(S, J) for S, J in local if S != (1, 2)]
+
+        want = ass_profile(example_ideal(5), 3, "quotient")
+        monkeypatch.setattr(assprimes, "_local_ideals", broken)
+        with pytest.raises(InconsistencyError, match="settled supports disagree") as info:
+            ass_profile(example_ideal(5), 3, "quotient")
+        assert set(info.value.payload) == {"n", "quotient", "settled", "walked"}
+        monkeypatch.setattr(assprimes, "_local_ideals", original)
+        assert ass_profile(example_ideal(5), 3, "quotient") == want
 
 
 @st.composite
@@ -662,7 +758,7 @@ class TestPowerWalk:
         """On every step of a walk, the socle cells are torsion cells, and
         there are some exactly when there is torsion."""
         for table, upper, lower in assprimes._power_walk(J, ns):
-            socle = assprimes._socle(table, upper, lower)
+            socle = assprimes._socle(table, upper, lower, range(J.r))
             torsion = assprimes._torsion(table, upper, lower)
             assert bool(socle) == bool(torsion), (J, ns)
             assert socle & ~torsion == 0, (J, ns)

@@ -622,24 +622,29 @@ class TestExitCodes:
     @pytest.mark.parametrize("unbuffered", ["1", ""], ids=["unbuffered", "buffered"])
     def test_closed_stdout_exits_1_without_a_traceback(self, tmp_path, unbuffered):
         """A reader that closed stdout before any output: the CLI ends with
-        exit 1 and an empty stderr, whether the write or the flush at exit
-        meets the closed pipe."""
+        an empty stderr, for a command's output and for the help argparse
+        prints before any command runs, and with exit 1 whenever a write or
+        a flush meets the closed pipe.  Unbuffered, argparse's own write of
+        the help meets it and argparse drops the error, so the help exits
+        0 there, as argparse does."""
         ideal = tmp_path / "f.txt"
         ideal.write_text(ideal_to_text(minimize([(2, 0), (1, 1), (0, 3)], 2)))
         env = dict(os.environ, PYTHONPATH=str(Path(brodmann.__file__).resolve().parents[1]))
         env["PYTHONUNBUFFERED"] = unbuffered
-        read, write = os.pipe()
-        os.close(read)
-        try:
-            done = subprocess.run(
-                [sys.executable, "-m", "brodmann", "rr", "--ideal", str(ideal), "--n", "40"],
-                stdout=write,
-                stderr=subprocess.PIPE,
-                env=env,
-            )
-        finally:
-            os.close(write)
-        assert (done.returncode, done.stderr) == (1, b"")
+        for argv in (["rr", "--ideal", str(ideal), "--n", "40"], ["--help"], ["rr", "--help"]):
+            read, write = os.pipe()
+            os.close(read)
+            try:
+                done = subprocess.run(
+                    [sys.executable, "-m", "brodmann", *argv],
+                    stdout=write,
+                    stderr=subprocess.PIPE,
+                    env=env,
+                )
+            finally:
+                os.close(write)
+            code = 0 if unbuffered and "--help" in argv else 1
+            assert (done.returncode, done.stderr) == (code, b""), argv
 
     def test_unknown_subcommand_exits_2(self, capsys):
         with pytest.raises(SystemExit) as info:

@@ -12,26 +12,26 @@ socle cell of each power's quotient.  The two routes must agree, and method
 "both" checks them against each other; alone, the quotient route is checked
 against the supports settled outright.  Both `ass_power` and `ass_profile`
 read one core, `_entries`, over a range of n: the one n asked for, or
-n = 0..n_max.  The supports and their localizations do not depend on n, so
+n = 0..n_max, in the calling process and under the caller's one budget
+meter.  The supports and their localizations do not depend on n, so
 they are formed once per request, on one packing of I.  Every power either
 route needs comes off a packed `monomials.Ladder`, charged as "power walk"
 products on every call.  The quotient route climbs one ladder of I over
 the range and builds each power's table straight from its packed
-generators; only a `--jobs` worker task reads `power`, a fresh ladder, for
-its one entry.  The recursion route walks the powers of each localization
+generators.  The recursion route walks the powers of each localization
 it does not settle outright and that lies in no larger such one up as
-bitsets over the range (`_power_walk`), from I_S^n at its first n, which a
-ladder climbs to: a profile walks from I_S^0, and one n (`ass_power`,
-`max_ideal_in_ass`, `h0_m_monomials`) takes one step from I_S^n.  Each
-smaller walked localization is read off the top slices of a walk that
-holds it.  The two routes share no table.
+bitsets over the range (`_power_walk`), from I_S^n at its first n, read
+off `power`, a fresh ladder: a profile walks from I_S^0, and one n
+(`ass_power`, `max_ideal_in_ass`, `h0_m_monomials`) takes one step from
+I_S^n.  Each smaller walked localization is read off the top slices of a
+walk that holds it.  The two routes share no table.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterator
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
-from itertools import combinations, repeat
+from itertools import combinations
 from math import prod
 from operator import mul
 
@@ -52,9 +52,16 @@ from .monomials import (
 VariablePrime = tuple[int, ...]
 
 
+def _witness_table(gens: Sequence[Sequence[int]]) -> BoxTable:
+    """The table of J, the ideal of the generators gens, on the box
+    0..caps + 1, caps being J's largest exponents: the box `_prime_cells`
+    reads, whose top on each axis lies past every generator."""
+    return BoxTable(gens, tuple(c + 1 for c in map(max, zip(*gens))))
+
+
 def _prime_cells(table: BoxTable) -> list[tuple[VariablePrime, int]]:
     """The associated primes of R/J, each with its witness cells, from J's
-    table on the box 0..caps + 1, caps being J's largest exponents.
+    `_witness_table`.
 
     The witness cells of P are the cells outside J that step into J along
     every axis of P and sit at the top, caps_j + 1, of every axis j off P.
@@ -88,13 +95,13 @@ def ass_witnesses(J: MonomialIdeal) -> dict[VariablePrime, Monomial]:
     """One explicit witness monomial per associated prime of R/J.
 
     A monomial m witnesses the prime on support P when J : m = P.  The
-    witnesses are read off J's table on the box 0..caps + 1 by
-    `_prime_cells`.  The witness of each prime is its lexicographically
-    first witness cell, the lowest set bit of its cells, and the primes
-    come in the order of their witnesses.
+    witnesses are read off J's `_witness_table` by `_prime_cells`.  The
+    witness of each prime is its lexicographically first witness cell, the
+    lowest set bit of its cells, and the primes come in the order of their
+    witnesses.
     """
     require_proper_nonzero(J)
-    table = BoxTable(J.generators, tuple(c + 1 for c in max_exponents(J)))
+    table = _witness_table(J.generators)
     groups = _prime_cells(table)
     found = sorted(((cells & -cells).bit_length() - 1, prime) for prime, cells in groups)
     return {prime: table.point(idx) for idx, prime in found}
@@ -158,13 +165,13 @@ def _power_walk(J: MonomialIdeal, ns: range) -> Iterator[tuple[BoxTable, int, in
     J^k plus those of J.  So every `steps` steps, two or the one step of a single
     n, the walk moves to a box reaching the exponents of J^k plus `steps`
     times those of J, seeded from the minimal generators of J^k: those of
-    a `Ladder` of J at the start, then the cells of the table with no cell
-    one step below on any axis.  Each box charges one table when seeded
+    `power` at the start, then the cells of the table with no cell one
+    step below on any axis.  Each box charges one table when seeded
     and one per step, and the walk stops after len(ns) steps.
     """
     caps = max_exponents(J)
     steps = min(2, len(ns))
-    gens = Ladder(J).ideal(ns[0]).generators
+    gens = power(J, ns[0]).generators
     for left in range(len(ns), 0, -steps):
         bounds = tuple(e + steps * c for e, c in zip(map(max, zip(*gens)), caps))
         table = BoxTable(gens, bounds)
@@ -264,22 +271,17 @@ def _require_method(method: str) -> None:
         raise InputError(f"method must be one of {METHODS}, got {method!r}")
 
 
-def _quotient_entry(I: MonomialIdeal, n: int) -> frozenset[VariablePrime]:
-    return ass_of_quotient(power(I, n + 1))
-
-
 def _ladder_entry(ladder: Ladder, k: int) -> frozenset[VariablePrime]:
-    """Ass(R/J) for J = I^k of the ladder, whose table is built straight
-    from the packed generators on the box of `ass_witnesses`.  With one
-    byte per field, a generator's bytes are its exponents."""
+    """Ass(R/J) for J = I^k of the ladder, whose `_witness_table` is built
+    straight from the packed generators.  With one byte per field, a
+    generator's bytes are its exponents."""
     ladder.drop_below(k)
     P = ladder.P
     if P.width == 8:
         gens = [p.to_bytes(P.r, "big") for p in ladder[k]]
     else:
         gens = list(map(P.unpack, ladder[k]))
-    table = BoxTable(gens, tuple(c + 1 for c in map(max, zip(*gens))))
-    return frozenset(prime for prime, _ in _prime_cells(table))
+    return frozenset(prime for prime, _ in _prime_cells(_witness_table(gens)))
 
 
 def _walked_flags(
@@ -346,36 +348,23 @@ def _check_settled(
         )
 
 
-def _entries(
-    I: MonomialIdeal, ns: range, method: str, jobs: int = 1
-) -> tuple[frozenset[VariablePrime], ...]:
+def _entries(I: MonomialIdeal, ns: range, method: str) -> tuple[frozenset[VariablePrime], ...]:
     """Ass(I^n/I^(n+1)) for each n of ns, a range of step 1, by the routes
-    method names.  The quotient route runs first, climbing one `Ladder` of
-    I over ns and building the table of each I^(n+1) straight from its
-    packed generators (`_ladder_entry`), with no `MonomialIdeal` or witness
-    point formed; or `jobs` workers share its entries, each climbing from I
-    to its own power and calling `ass_of_quotient`.  Both read the primes
-    off `_prime_cells` on the same box.  Every method then forms the
+    method names, in the calling process.  The quotient route runs first,
+    climbing one `Ladder` of I over ns and building the table of each
+    I^(n+1) straight from its packed generators (`_ladder_entry`), with no
+    `MonomialIdeal` or witness point formed.  Every method then forms the
     supports of `_local_ideals`, which lays no box.  The recursion route
     takes the prime on S at n when `_local_ideals` settles it at every n,
     or when I_S^n/I_S^(n+1) has a `_socle` cell, read off one walk per
     maximal walked support (`_walked_flags`).  Alone, the quotient route's
     entries are checked against the settled and dropped supports
     (`_check_settled`); with both routes, the recursion route checks them."""
-    # a fork-started pool starts all its workers at the first submit, so no
-    # more workers than tasks
-    workers = min(jobs, len(ns))
     if method == "recursion":
         quotient = [None] * len(ns)
-    elif workers == 1:
+    else:
         ladder = Ladder(I)
         quotient = [_ladder_entry(ladder, n + 1) for n in ns]
-    else:
-        # imported here: multiprocessing is slow to load and rarely needed
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            quotient = list(pool.map(_quotient_entry, repeat(I), ns))
     local = _local_ideals(I)
     settled = frozenset(S for S, J in local if J is None)
     walked = {S: J for S, J in local if J is not None}
@@ -420,19 +409,13 @@ class AssProfile:
     method: str
 
 
-def ass_profile(
-    I: MonomialIdeal,
-    n_max: int,
-    method: str = "quotient",
-    jobs: int = 1,
-) -> AssProfile:
-    """Profile of Ass(I^n/I^(n+1)) over n = 0..n_max, from `_entries`;
-    `jobs` worker processes share the quotient route's entries."""
+def ass_profile(I: MonomialIdeal, n_max: int, method: str = "quotient") -> AssProfile:
+    """Profile of Ass(I^n/I^(n+1)) over n = 0..n_max, from one call of
+    `_entries` over the whole range."""
     require_proper_nonzero(I)
     require_count(n_max, 1, "scan bound")
-    require_count(jobs, 1, "parallelism degree")
     _require_method(method)
-    entries = _entries(I, range(n_max + 1), method, jobs)
+    entries = _entries(I, range(n_max + 1), method)
     stable_at: int | None = n_max
     while stable_at > 0 and entries[stable_at - 1] == entries[n_max]:
         stable_at -= 1

@@ -34,6 +34,7 @@ from .errors import (
     InputError,
     ParseError,
     enumeration_budget,
+    require_count,
 )
 
 if TYPE_CHECKING:
@@ -64,7 +65,8 @@ def _cmd_ass_profile(args: Args) -> dict:
     from .ioformats import load_ideal
 
     I = load_ideal(args.ideal)
-    profile = ass_profile(I, args.n_max, method=args.method, jobs=args.jobs)
+    require_count(args.jobs, 1, "parallelism degree")
+    profile = ass_profile(I, args.n_max, method=args.method)
     stable = profile.observed_stable_at
     return {
         "r": profile.ideal.r,
@@ -400,6 +402,7 @@ _BUDGET = ("--budget", {"type": int, "default": None, "help": _BUDGET_HELP})
 _FIX_HELP = "fix a variable by label or 0-based index (repeatable)"
 _FIX = ("--fix", {"action": "append", "default": [], "metavar": "VAR=VALUE", "help": _FIX_HELP})
 _M_CAP = ("--m-cap", {"type": int, "default": DEFAULT_M_CAP, "dest": "m_cap"})
+_JOBS_HELP = "ignored: one process computes every entry"
 
 # subcommand -> (help line, its options, the defaults it sets: the payload
 # builder, the TSV renderer and, where there is no --format, the format)
@@ -410,7 +413,7 @@ _COMMANDS = {
             ("--ideal", {"required": True, "help": "ideal file (text or .json)"}),
             ("--n-max", {"type": int, "required": True, "dest": "n_max"}),
             ("--method", {"choices": METHODS, "default": "quotient"}),
-            ("--jobs", {"type": int, "default": 1, "help": "parallel workers per power"}),
+            ("--jobs", {"type": int, "default": 1, "help": _JOBS_HELP}),
             _BUDGET,
             _FORMAT,
         ),

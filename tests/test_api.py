@@ -263,7 +263,6 @@ STAIRCASE = polyhedra.staircase_system(2, 2)
         lambda: brodmann.ass_power(I2, True),
         lambda: brodmann.max_ideal_in_ass(I2, 1.5),
         lambda: brodmann.ass_profile(I2, 2.5),
-        lambda: brodmann.ass_profile(I2, 2, jobs=1.5),
         lambda: brodmann.h0_m_monomials(I2, 1.5),
         lambda: brodmann.ratliff_rush(I2, 1.5),
         lambda: brodmann.ratliff_rush(I2, 1, m_cap=2.5),
@@ -281,7 +280,7 @@ STAIRCASE = polyhedra.staircase_system(2, 2)
     ],
     ids=[
         "ideal_r", "power", "delete_variable", "ass_power", "ass_power_bool",
-        "max_ideal_in_ass", "ass_profile", "ass_profile_jobs", "h0_m_monomials", "ratliff_rush",
+        "max_ideal_in_ass", "ass_profile", "h0_m_monomials", "ratliff_rush",
         "ratliff_rush_m_cap", "a0_observed", "split_square", "radical_pow", "system_e",
         "hilbert_generators", "module_generators", "solve_feasible", "bound_report_d_bool",
         "bound_report_r_bool", "staircase_d", "staircase_e",

@@ -271,35 +271,6 @@ class TestProfile:
         with pytest.raises(InputError):
             ass_profile(ideal(2, (2, 0), (1, 1)), 0)
 
-    def test_parallel_equals_serial(self):
-        I = example_ideal(5)
-        for method in METHODS:
-            assert ass_profile(I, 4, method, jobs=2) == ass_profile(I, 4, method, jobs=1)
-
-    def test_pool_has_no_more_workers_than_powers(self, monkeypatch):
-        import concurrent.futures
-
-        started = []
-
-        class FakePool:
-            def __init__(self, max_workers):
-                started.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            map = staticmethod(map)
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
-        I = example_ideal(5)
-        serial = ass_profile(I, 2)
-        assert ass_profile(I, 2, jobs=5000) == serial
-        assert ass_profile(I, 2, jobs=2) == serial
-        assert started == [3, 2]
-
     def test_method_recorded(self):
         prof = ass_profile(ideal(2, (1, 1)), 2, method="recursion")
         assert prof.method == "recursion"
@@ -771,27 +742,40 @@ class TestPowerWalk:
 
     def test_recursion_route_forms_no_power(self, monkeypatch):
         """The two routes share no power: the recursion route walks its
-        own, so it answers with `power` made to fail, and so do the two
-        torsion tools, whose walks start from I^n on a ladder, and every
-        `ass` and `ass-profile` request, whose quotient route climbs one
-        ladder of I.  Only a `--jobs` worker's entry reads `power`."""
+        own, so it answers with the quotient route's `_ladder_entry` made
+        to fail, and so do the two torsion tools.  `power` keeps nothing,
+        and the only powers read from it are the seeds of walks: I_T^0 for
+        a profile and I_T^n for one n.  A quotient-only request reads
+        none, its one ladder of I climbing every power it needs."""
         ideals = [example_ideal(5), ideal(4, (2, 1, 0, 1), (0, 2, 2, 0), (1, 0, 1, 2))]
         want = [ass_profile(I, 6).entries for I in ideals]
         torsion = [scan_h0_witnesses(I, 3) for I in ideals]
+        seeds = []
+
+        def spy(J, n):
+            seeds.append(n)
+            return power(J, n)
 
         def refuse(*args):
-            raise AssertionError("power called on the recursion route")
+            raise AssertionError("quotient route called")
 
-        monkeypatch.setattr(monomials, "power", refuse)
-        monkeypatch.setattr(assprimes, "power", refuse)
+        monkeypatch.setattr(assprimes, "power", spy)
+        for I, entries in zip(ideals, want):
+            assert ass_profile(I, 6, "quotient").entries == entries
+            assert ass_power(I, 3, "quotient") == entries[3]
+        assert seeds == []
+        monkeypatch.setattr(assprimes, "_ladder_entry", refuse)
         for I, entries, cells in zip(ideals, want, torsion):
-            for method in METHODS:
-                assert ass_profile(I, 6, method).entries == entries
-            assert ass_power(I, 3, "recursion") == ass_power(I, 3, "both") == entries[3]
+            seeds.clear()
+            assert ass_profile(I, 6, "recursion").entries == entries
+            assert seeds and set(seeds) == {0}
+            seeds.clear()
+            assert ass_power(I, 3, "recursion") == entries[3]
             assert max_ideal_in_ass(I, 3) == (full_support_prime(I.r) in entries[3])
             assert h0_m_monomials(I, 3).witnesses == cells
-        with pytest.raises(AssertionError, match="power called"):
-            assprimes._quotient_entry(ideals[0], 3)
+            assert seeds and set(seeds) == {3}
+        with pytest.raises(AssertionError, match="quotient route called"):
+            ass_profile(ideals[0], 6, "both")
 
     def test_pure_power_ideal_walks_nothing(self):
         """An m-primary pure power ideal is associated at every n without a

@@ -595,6 +595,15 @@ class TestExitCodes:
         assert run(capsys, *argv, "--budget", "1183")[0] == 0
         assert run(capsys, *argv, "--budget", "1194") == run(capsys, *argv)
 
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_one_meter_covers_a_profile_at_any_jobs(self, capsys, family_file, jobs):
+        # the profile charges 15,995 units in all, every one of them in the
+        # calling process, so --jobs moves no refusal
+        argv = ["ass-profile", "--ideal", family_file, "--n-max", "4", "--method", "both"]
+        argv += ["--jobs", jobs]
+        assert run(capsys, *argv, "--budget", "15994")[0] == 3
+        assert run(capsys, *argv, "--budget", "15995")[0] == 0
+
     def test_budget_does_not_carry_over_between_calls(self, capsys, family_file):
         # each call charges 1183 units, more than half the limit
         argv = ["ass", "--ideal", family_file, "--n", "1", "--method", "both", "--budget", "2000"]

@@ -17,6 +17,8 @@ from pathlib import Path
 import pytest
 
 import brodmann
+from brodmann.cli import example_ideal
+from brodmann.ioformats import ideal_to_text
 
 PACKAGE = Path(brodmann.__file__).parent
 
@@ -89,6 +91,16 @@ def test_a_command_loads_only_what_it_runs(tmp_path, argv, extra):
     assert loaded == sorted(BASE + [f"brodmann.{m}" for m in extra])
     # a well-formed call is read off the option table; only help needs argparse
     assert argparse_loaded == (argv == ["--help"])
+
+
+def test_ass_profile_runs_in_one_process(tmp_path):
+    """`--jobs` is accepted and starts no worker: the call loads neither
+    process-pool module."""
+    (tmp_path / "family5.txt").write_text(ideal_to_text(example_ideal(5)))
+    pools = "[code, 'concurrent.futures' in sys.modules, 'multiprocessing' in sys.modules]"
+    code = RUN_COMMAND + f"print(json.dumps({pools}))\n"
+    argv = ["ass-profile", "--ideal", "family5.txt", "--n-max", "4", "--jobs", "2"]
+    assert fresh(code, *argv, cwd=tmp_path) == [0, False, False]
 
 
 def _defining_modules() -> dict[str, list[str]]:

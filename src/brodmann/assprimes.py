@@ -32,7 +32,6 @@ from __future__ import annotations
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from itertools import combinations
-from math import prod
 from operator import mul
 
 from .errors import METHODS, InconsistencyError, InputError, charge_budget, require_count
@@ -64,9 +63,9 @@ def _prime_cells(table: BoxTable) -> list[tuple[VariablePrime, int]]:
     `_witness_table`.
 
     The witness cells of P are the cells outside J that step into J along
-    every axis of P and sit at the top, caps_j + 1, of every axis j off P.
-    Every associated prime has such a cell, and every such cell m has
-    J : m = P:
+    every axis of P and sit at the top, caps_j + 1, of every axis j off P:
+    in the table's `top[j]`.  Every associated prime has such a cell, and
+    every such cell m has J : m = P:
     - a witness m has m_i < caps_i on P, for otherwise m * x_i in J would
       force m in J;
     - raising its coordinates off P to caps + 1 keeps m outside J, since
@@ -74,12 +73,11 @@ def _prime_cells(table: BoxTable) -> list[tuple[VariablePrime, int]]:
     - at the top of an axis, m * x_j lies in J exactly when m does, since
       no generator asks for more.
     """
-    bits, total = table.bits, prod(table.dims)
+    bits = table.bits
     # split the cells outside J by the prime {i : m * x_i in J}, one axis at
-    # a time, keeping off the prime only the cells at the top of the axis
-    groups: list[tuple[VariablePrime, int]] = [((), ((1 << total) - 1) & ~bits)]
-    for i, (s, d) in enumerate(zip(table.strides, table.dims)):
-        top = table.masks[total, s, d, d - 1]
+    # a time, keeping off the prime only the cells of the axis's top mask
+    groups: list[tuple[VariablePrime, int]] = [((), ((1 << table.total) - 1) & ~bits)]
+    for i, (s, top) in enumerate(zip(table.strides, table.top)):
         up = (bits >> s) & ~top
         groups = [
             group
@@ -128,9 +126,9 @@ def _torsion(table: BoxTable, upper: int, lower: int) -> int:
 
 def _socle(table: BoxTable, upper: int, lower: int, axes: range | set[int]) -> int:
     """The cells of `upper`, the table of I^n, outside `lower`, that of
-    I^(n+1), whose one step up along each axis of `axes` lies in `lower`
-    inside the box, and that sit at the top of every other axis: with every
-    axis, the socle of I^n/I^(n+1), which is nonzero exactly when its
+    I^(n+1), whose step up each axis of `axes` lies in `lower` inside the
+    box, and that lie in `table.top` of every other axis: with every axis,
+    the socle of I^n/I^(n+1), which is nonzero exactly when its
     maximal-ideal torsion is.  Exact on a box that reaches the exponents of
     I^(n+1): a cell outside I^(n+1) at the top of an axis stays outside
     after any step up along it, so every socle cell lies below the top.
@@ -141,10 +139,8 @@ def _socle(table: BoxTable, upper: int, lower: int, axes: range | set[int]) -> i
     The box also reaches the exponents of I_S^(n+1), each generator of which
     is one of I^(n+1) with the variables off S dropped; so on that slice
     the cells are the socle of I_S^n/I_S^(n+1), read off I's walk."""
-    total = prod(table.dims)
     cells = upper & ~lower
-    for i, (s, d) in enumerate(zip(table.strides, table.dims)):
-        top = table.masks[total, s, d, d - 1]
+    for i, (s, top) in enumerate(zip(table.strides, table.top)):
         if cells:
             cells &= (lower >> s) & ~top if i in axes else top
     return cells
@@ -175,12 +171,11 @@ def _power_walk(J: MonomialIdeal, ns: range) -> Iterator[tuple[BoxTable, int, in
     for left in range(len(ns), 0, -steps):
         bounds = tuple(e + steps * c for e, c in zip(map(max, zip(*gens)), caps))
         table = BoxTable(gens, bounds)
-        total = prod(table.dims)
         offsets = (sum(map(mul, g, table.strides)) for g in J.generators)
         shifts = list(zip(offsets, table.above(J.generators)))
         bits = table.bits
         for _ in range(min(steps, left)):
-            charge_budget(total, "membership box")
+            charge_budget(table.total, "membership box")
             step = 0
             for offset, above in shifts:
                 step |= (bits << offset) & above
@@ -238,23 +233,22 @@ def _local_ideals(I: MonomialIdeal) -> list[LocalIdeal]:
     used = used_variables(I)
     P = Packing(I.r, _top(I))
     gens = P.pack_ideal(I)
-    fields = {u: P.field << (I.r - u) * P.width for u in used}
     local: list[LocalIdeal] = []
     for k in range(1, len(used) + 1):
         for support in combinations(used, k):
-            mask = sum(map(fields.get, support))
+            mask = P.mask(u - 1 for u in support)
             masked = [g & mask for g in gens]
             # a generator with no variable in S localizes I to the unit ideal
             if not all(masked):
                 continue
             kept = P.minimal(masked)
-            if not all(any(g & fields[u] for g in kept) for u in support):
-                continue
             if len(kept) == 1:
                 if k == 1:
                     local.append((support, None))
                 continue
             J = tuple(tuple(m[u - 1] for u in support) for m in map(P.unpack, reversed(kept)))
+            if not all(map(any, zip(*J))):
+                continue
             gcd = tuple(map(min, zip(*J)))
             # the axes of the generators of J' that are pure powers
             pure = {
@@ -273,14 +267,9 @@ def _require_method(method: str) -> None:
 
 def _ladder_entry(ladder: Ladder, k: int) -> frozenset[VariablePrime]:
     """Ass(R/J) for J = I^k of the ladder, whose `_witness_table` is built
-    straight from the packed generators.  With one byte per field, a
-    generator's bytes are its exponents."""
+    straight from the exponent rows of the packed generators."""
     ladder.drop_below(k)
-    P = ladder.P
-    if P.width == 8:
-        gens = [p.to_bytes(P.r, "big") for p in ladder[k]]
-    else:
-        gens = list(map(P.unpack, ladder[k]))
+    gens = ladder.P.rows(ladder[k])
     return frozenset(prime for prime, _ in _prime_cells(_witness_table(gens)))
 
 

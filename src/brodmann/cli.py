@@ -508,7 +508,17 @@ def build_parser() -> argparse.ArgumentParser:
     """The argument parser with every subcommand."""
     import argparse
 
-    parser = argparse.ArgumentParser(
+    class Parser(argparse.ArgumentParser):
+        """argparse's parser, but a write to stdout may raise: argparse drops
+        an `OSError` there, and help into a closed pipe would exit 0."""
+
+        def _print_message(self, message: str, file=None) -> None:
+            if file is sys.stdout:
+                file.write(message)
+            else:
+                super()._print_message(message, file)
+
+    parser = Parser(
         prog="brodmann",
         description="Associated primes of monomial ideal powers, Ratliff-Rush "
         "closures, polyhedral generator enumeration, and stabilization bounds.",

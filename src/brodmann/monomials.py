@@ -97,16 +97,20 @@ class Packing:
     guard of field i survives exactly when a_i >= b_i.
     """
 
-    __slots__ = ("r", "width", "guard", "field", "_bytes")
+    __slots__ = ("r", "width", "guard", "_bytes")
 
     def __init__(self, r: int, top: int):
         n = (top.bit_length() + 8) // 8
         self.r = r
         self.width = 8 * n
         self.guard = int.from_bytes(b"\x80".ljust(n, b"\0") * r, "big")
-        # the value bits of one field
-        self.field = (1 << (8 * n - 1)) - 1
         self._bytes = n
+
+    def mask(self, positions: Iterable[int]) -> int:
+        """The value bits of the fields at the given 0-based exponent
+        positions: AND it with a packed monomial to zero the other fields."""
+        w = self.width
+        return sum(((1 << w - 1) - 1) << (self.r - 1 - i) * w for i in set(positions))
 
     def pack(self, m: Iterable[int]) -> int:
         n = self._bytes
@@ -120,6 +124,13 @@ class Packing:
         if n == 1:
             return tuple(raw)
         return tuple([int.from_bytes(raw[i : i + n], "big") for i in range(0, len(raw), n)])
+
+    def rows(self, xs: Iterable[int]) -> list[Sequence[int]]:
+        """The exponent vectors of packed monomials, for a `BoxTable`:
+        with one byte per field, a monomial's bytes are its exponents."""
+        if self._bytes == 1:
+            return [x.to_bytes(self.r, "big") for x in xs]
+        return list(map(self.unpack, xs))
 
     def pack_ideal(self, I: MonomialIdeal) -> list[int]:
         """I's generators packed, in ascending order."""
@@ -380,7 +391,7 @@ def _colon_above(P: Packing, gens: list[int], qs: list[int], floor: Laid) -> lis
 def _zero_coords(I: MonomialIdeal, positions: frozenset[int]) -> MonomialIdeal:
     """Set the given 0-based exponent positions to zero in every generator."""
     P = Packing(I.r, _top(I))
-    keep = P.pack(0 if i in positions else P.field for i in range(I.r))
+    keep = P.mask(set(range(I.r)) - positions)
     return P.ideal(P.minimal(g & keep for g in P.pack_ideal(I)))
 
 
@@ -418,9 +429,9 @@ def max_exponents(I: MonomialIdeal) -> tuple[int, ...]:
     return tuple(map(max, zip(*I.generators)))
 
 
-def _axis_mask(total: int, stride: int, dim: int, k: int) -> int:
-    """Cells of a row-major box whose coordinate on the axis (stride, dim) is >= k."""
-    mask = ((1 << (dim - k) * stride) - 1) << (k * stride)
+def _axis_mask(total: int, stride: int, dim: int) -> int:
+    """Cells of a row-major box whose coordinate on the axis (stride, dim) is >= 1."""
+    mask = ((1 << (dim - 1) * stride) - 1) << stride
     period = stride * dim
     # the pattern repeats every period cells: copy it up to the whole box
     while period < total:
@@ -429,41 +440,23 @@ def _axis_mask(total: int, stride: int, dim: int, k: int) -> int:
     return mask & ((1 << total) - 1)
 
 
-class _AxisMasks(dict):
-    """`_axis_mask` by its arguments, each built on first use.  Each table
-    holds its own and drops it with the table: nothing caches masks across
-    calls, since a mask holds one bit per cell of the box.  The top mask
-    (k = dim - 1) is read off the k = 1 mask: the cells one step below a
-    cell >= 1 are exactly the cells below the top, so each axis builds
-    only its k = 1 mask."""
-
-    def __missing__(self, key: tuple[int, int, int, int]) -> int:
-        total, stride, dim, k = key
-        if k == dim - 1 > 1:
-            mask = ((1 << total) - 1) ^ (self[total, stride, dim, 1] >> stride)
-        else:
-            mask = _axis_mask(*key)
-        self[key] = mask
-        return mask
-
-
 _CELL_BYTES = bytes.maketrans(b"01", b"\x00\x01")
 
 
 class BoxTable:
     """Monomial membership of an ideal restricted to a finite exponent box.
 
-    The box is a bitset: bit idx of `bits` is the cell whose row-major index
-    sum(v_i * strides[i]) is idx, so the lowest set bit is the
-    lexicographically first cell.  The upward closure is `close` along each
-    axis, and `saturate` gives the table of each J : x_i^inf from J's.
-    Other bitsets on the box, such as the powers of a power walk, use the
-    table's axis masks through these methods.  `table` holds the same
-    cells one byte each, built when first read; no query of the library
-    reads it, and `bench/spans.py` counts cells by its length.
+    The box is a bitset of `total` cells: bit idx of `bits` is the cell
+    whose row-major index sum(v_i * strides[i]) is idx, so the lowest set
+    bit is the lexicographically first cell.  Each axis i has two masks,
+    `up[i]`, the cells with coordinate >= 1, and `top[i]`, those at its
+    top, which `close`, `saturate` (J : x_i^inf from J) and every other
+    bitset on the box read.  `table` holds the cells one byte each, built
+    when first read; no query of the library reads it, and
+    `bench/spans.py` counts cells by its length.
     """
 
-    __slots__ = ("dims", "strides", "bits", "masks", "_table")
+    __slots__ = ("dims", "strides", "total", "up", "top", "bits", "_table")
 
     def __init__(self, gens: Iterable[Sequence[int]], bounds: tuple[int, ...]):
         dims = tuple(b + 1 for b in bounds)
@@ -484,7 +477,11 @@ class BoxTable:
             cells[idx >> 3] |= 1 << (idx & 7)
         self.dims = dims
         self.strides = tuple(strides)
-        self.masks = _AxisMasks()
+        self.total = total
+        self.up = tuple(_axis_mask(total, s, d) for s, d in zip(strides, dims))
+        # the cells one step below a cell >= 1 are exactly those below the top
+        box = (1 << total) - 1
+        self.top = tuple(box ^ (up >> s) for up, s in zip(self.up, strides))
         self._table: bytearray | None = None
         self.bits = reduce(self.close, range(e), int.from_bytes(cells, "little"))
 
@@ -492,10 +489,9 @@ class BoxTable:
         """bits closed upward along axis i by a prefix OR of doubling shifts,
         each masked to the cells that did not wrap into the next row."""
         s, d, k = self.strides[i], self.dims[i], 1
-        # only the k = 1 mask is shared: the cells with coordinate >= 2k are
-        # those >= k whose cell k steps down is also >= k, so each step
-        # derives its mask from the last one's and drops it after use
-        mask = self.masks[prod(self.dims), s, d, 1]
+        # the cells with coordinate >= 2k are those >= k whose cell k steps
+        # down is also >= k, so each step derives its mask from the last
+        mask = self.up[i]
         # after the step for k, each cell holds the OR of the 2k cells that
         # end at it along this axis
         while k < d and bits:
@@ -510,32 +506,28 @@ class BoxTable:
         from the table of J, that of J : x_i^inf when the top is at or past
         J's exponents of x_i, since raising v_i to it is then as good as any
         power of x_i."""
-        s, d = self.strides[i], self.dims[i]
-        top = bits & self.masks[prod(self.dims), s, d, d - 1]
-        return self.close(top >> (d - 1) * s, i)
+        return self.close((bits & self.top[i]) >> (self.dims[i] - 1) * self.strides[i], i)
 
     def minimal(self, bits: int) -> int:
         """The cells of bits with no cell of bits one step below on any
         axis: for the table of an ideal, the cells of its minimal
         generators."""
-        total = prod(self.dims)
         below = 0
-        for s, d in zip(self.strides, self.dims):
-            below |= (bits << s) & self.masks[total, s, d, 1]
+        for s, up in zip(self.strides, self.up):
+            below |= (bits << s) & up
         return bits & ~below
 
     def above(self, cells: tuple[Monomial, ...]) -> list[int]:
         """For each cell g, the bitset of the cells >= g.  Along an axis, the
         cells with coordinate >= c + 1 are those >= c whose cell one step
         down is >= c too, so each is one shift and AND from the last,
-        starting from the shared mask of `close`."""
-        total = prod(self.dims)
-        box = (1 << total) - 1
+        starting from the axis's `up` mask."""
+        box = (1 << self.total) - 1
         out = [box] * len(cells)
-        for i, (s, d) in enumerate(zip(self.strides, self.dims)):
+        for i, (s, up) in enumerate(zip(self.strides, self.up)):
             top = max(g[i] for g in cells)
             if top:
-                ge = [box, self.masks[total, s, d, 1]]
+                ge = [box, up]
                 while len(ge) <= top:
                     ge.append(ge[-1] & (ge[-1] << s))
                 out = [m & ge[g[i]] for m, g in zip(out, cells)]
@@ -545,9 +537,8 @@ class BoxTable:
     def table(self) -> bytearray:
         """One byte per cell, 1 for the cells in the ideal."""
         if self._table is None:
-            total = prod(self.dims)
             self._table = bytearray(
-                format(self.bits, f"0{total}b")[::-1], "ascii"
+                format(self.bits, f"0{self.total}b")[::-1], "ascii"
             ).translate(_CELL_BYTES)
         return self._table
 

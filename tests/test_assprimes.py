@@ -393,24 +393,29 @@ class TestBitsetScansMatchCellScans:
     )
     def test_axis_masks_built_once_per_box(self, monkeypatch, call):
         """Each box (one per call, or one per two powers of a power walk)
-        builds each of its axis masks once; a second call builds them
-        again (no cache outlives a call).  Per axis only one mask is built
-        with `_axis_mask`: the first doubling mask of `close` (k = 1), from
-        which the table derives the others, the walk's masks of
-        `BoxTable.above` and the top one that `saturate`, `_socle` and the
-        witness scan read."""
-        built = []
+        builds its masks with one `_axis_mask` call per axis, the cells
+        with coordinate >= 1 (`up`), from which the table derives its top
+        masks and the masks of `close` and `BoxTable.above`; a second call
+        builds them again (no mask outlives a call)."""
+        built, tables = [], []
         original = monomials._axis_mask
+        original_init = monomials.BoxTable.__init__
 
         def counting(*args):
             built.append(args)
             return original(*args)
 
+        def init(self, *args):
+            tables.append(self)
+            original_init(self, *args)
+
         monkeypatch.setattr(monomials, "_axis_mask", counting)
+        monkeypatch.setattr(monomials.BoxTable, "__init__", init)
         call()
         first = list(built)
-        assert first and len(set(first)) == len(first)
-        assert [k for *_, k in first if k != 1] == []
+        assert tables and first == [
+            (t.total, s, d) for t in tables for s, d in zip(t.strides, t.dims)
+        ]
         call()
         assert built == first + first
 
@@ -432,9 +437,9 @@ class TestLadderFedQuotientRoute:
 
     def test_builds_no_ideal_and_only_first_axis_masks(self, monkeypatch):
         """On the worked family for d = 6, n = 0..6, the quotient route
-        constructs no `MonomialIdeal`, and each of its 7 tables builds one
-        axis mask per axis, the k = 1 mask that `close` reads: the top masks
-        of the scan are derived from it."""
+        constructs no `MonomialIdeal`, and each of its 7 tables makes one
+        `_axis_mask` call per axis, for the `up` mask that `close` reads:
+        the top masks of the scan are derived from it."""
         I = example_ideal(6)
         ideals, masks, tables = [], [], []
         monkeypatch.setattr(
@@ -454,8 +459,7 @@ class TestLadderFedQuotientRoute:
         assprimes._entries(I, range(7), "quotient")
         assert ideals == []
         assert len(tables) == 7
-        assert [k for *_, k in masks] == [1] * (I.r * len(tables))
-        assert len(set(masks)) == len(masks)
+        assert masks == [(t.total, s, d) for t in tables for s, d in zip(t.strides, t.dims)]
 
 
 class TestLocalizationLoop:

@@ -631,11 +631,9 @@ class TestExitCodes:
     @pytest.mark.parametrize("unbuffered", ["1", ""], ids=["unbuffered", "buffered"])
     def test_closed_stdout_exits_1_without_a_traceback(self, tmp_path, unbuffered):
         """A reader that closed stdout before any output: the CLI ends with
-        an empty stderr, for a command's output and for the help argparse
-        prints before any command runs, and with exit 1 whenever a write or
-        a flush meets the closed pipe.  Unbuffered, argparse's own write of
-        the help meets it and argparse drops the error, so the help exits
-        0 there, as argparse does."""
+        an empty stderr and exit 1, for a command's output and for the help
+        argparse prints before any command runs, whether the write or the
+        flush at exit meets the closed pipe."""
         ideal = tmp_path / "f.txt"
         ideal.write_text(ideal_to_text(minimize([(2, 0), (1, 1), (0, 3)], 2)))
         env = dict(os.environ, PYTHONPATH=str(Path(brodmann.__file__).resolve().parents[1]))
@@ -652,8 +650,7 @@ class TestExitCodes:
                 )
             finally:
                 os.close(write)
-            code = 0 if unbuffered and "--help" in argv else 1
-            assert (done.returncode, done.stderr) == (code, b""), argv
+            assert (done.returncode, done.stderr) == (1, b""), argv
 
     def test_unknown_subcommand_exits_2(self, capsys):
         with pytest.raises(SystemExit) as info:

@@ -1,8 +1,8 @@
 """Golden outputs of the command line.
 
 Every recorded call keeps its stdout, stderr and exit code byte for byte:
-each subcommand in both --format values, each --help text, and the error
-paths (exit 2 and 3).  Input files live in a temporary directory whose path
+each subcommand in both --format values, each --help text, `paper-examples`
+in full and with --quick, and the error paths (exit 2 and 3).  Input files live in a temporary directory whose path
 is masked as <tmp>.  Regenerate the expected file only when an output change
 is intended, from the root of a checkout:
 
@@ -146,6 +146,7 @@ def all_cases() -> list[tuple[str, list[str]]]:
         for fmt in ("tsv", "json"):
             cases.append((f"{case_id}.{fmt}", argv + ["--format", fmt]))
     cases.append(("paper-examples-quick", ["paper-examples", "--quick"]))
+    cases.append(("paper-examples", ["paper-examples"]))
     cases.extend(ARGPARSE_CASES)
     return cases
 

@@ -1,5 +1,6 @@
 import random
 from functools import reduce
+from itertools import product
 from math import prod
 
 import pytest
@@ -665,6 +666,24 @@ class TestBoxTable:
     def test_budget_refusal(self):
         with enumeration_budget(100), pytest.raises(BudgetError):
             BoxTable(((1, 1),), (1000, 1000))
+
+    @KERNEL_SETTINGS
+    @given(st.lists(st.integers(1, 5), min_size=1, max_size=4))
+    @example([1])
+    @example([2])
+    @example([1, 2, 5])
+    @example([2, 1, 3, 1])
+    @example([1, 1, 2, 2])
+    def test_size_and_axis_masks_match_the_cells(self, dims):
+        """A table's `total` is the number of cells of its box, and on each
+        axis `up` holds the cells with coordinate >= 1 and `top` those at
+        the top of the axis, on axes of length 1 and 2 too."""
+        t = BoxTable([], tuple(d - 1 for d in dims))
+        cells = list(product(*map(range, dims)))
+        assert t.total == prod(dims) == len(cells)
+        for i, d in enumerate(dims):
+            assert list(t.points(t.up[i])) == [v for v in cells if v[i] >= 1]
+            assert list(t.points(t.top[i])) == [v for v in cells if v[i] == d - 1]
 
     def test_iter_box_count(self):
         assert sum(1 for _ in iter_box((2, 3))) == 12

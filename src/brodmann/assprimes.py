@@ -51,32 +51,34 @@ from .monomials import (
 VariablePrime = tuple[int, ...]
 
 
-def _witness_table(gens: Sequence[Sequence[int]]) -> BoxTable:
-    """The table of J, the ideal of the generators gens, on the box
-    0..caps + 1, caps being J's largest exponents: the box `_prime_cells`
-    reads, whose top on each axis lies past every generator."""
-    return BoxTable(gens, tuple(c + 1 for c in map(max, zip(*gens))))
+def _prime_cells(table: BoxTable, bits: int, cells: int) -> list[tuple[VariablePrime, int]]:
+    """The cells of `cells`, all outside J, the ideal of `bits`, split by
+    the prime P = {i : the cell's step up axis i lies in J}, keeping off P
+    only the cells in the table's `top` of every axis: each prime with its
+    cells, none empty.  Every Ass question on a box reads this one split.
 
-
-def _prime_cells(table: BoxTable) -> list[tuple[VariablePrime, int]]:
-    """The associated primes of R/J, each with its witness cells, from J's
-    `_witness_table`.
-
-    The witness cells of P are the cells outside J that step into J along
-    every axis of P and sit at the top, caps_j + 1, of every axis j off P:
-    in the table's `top[j]`.  Every associated prime has such a cell, and
-    every such cell m has J : m = P:
+    On J's `_witness_primes` box, whose top on each axis j is caps_j + 1,
+    the primes of the cells outside J are Ass(R/J): every associated prime
+    has such a cell, and every such cell m has J : m = P:
     - a witness m has m_i < caps_i on P, for otherwise m * x_i in J would
       force m in J;
     - raising its coordinates off P to caps + 1 keeps m outside J, since
       m is not in J : x_j^inf, and keeps m * x_i in J;
     - at the top of an axis, m * x_j lies in J exactly when m does, since
       no generator asks for more.
+
+    On a power walk step, J = I^(n+1) and the cells of I^n outside it, the
+    group on the axes of S is the socle of I_S^n/I_S^(n+1), I_S being I
+    with the variables off S set to 1 (Herzog-Hibi, Monomial Ideals, ch.
+    1): a box reaching I's exponents and those of I_S^(n+1) has the table
+    of I_S at the top of every axis off S, and a cell outside I^(n+1) at
+    the top of an axis stays outside after any step up along it, so every
+    socle cell lies below the top.  The full-support group is nonzero
+    exactly when the maximal-ideal torsion of I^n/I^(n+1) is.
     """
-    bits = table.bits
-    # split the cells outside J by the prime {i : m * x_i in J}, one axis at
-    # a time, keeping off the prime only the cells of the axis's top mask
-    groups: list[tuple[VariablePrime, int]] = [((), ((1 << table.total) - 1) & ~bits)]
+    groups: list[tuple[VariablePrime, int]] = [((), cells)]
+    # one axis at a time, the cells at its top stay off the prime, and
+    # those one step below a cell of J join it
     for i, (s, top) in enumerate(zip(table.strides, table.top)):
         up = (bits >> s) & ~top
         groups = [
@@ -85,22 +87,29 @@ def _prime_cells(table: BoxTable) -> list[tuple[VariablePrime, int]]:
             for group in ((prime, cells & top), (prime + (i + 1,), cells & up))
             if group[1]
         ]
-    # the all-top cell is in J, so no cell is left for the empty prime
     return groups
+
+
+def _witness_primes(gens: Sequence[Sequence[int]]) -> tuple[BoxTable, list]:
+    """The table of J, the ideal of gens, on the box 0..caps + 1, caps
+    being J's largest exponents, and the `_prime_cells` of every cell
+    outside J: none is left for the empty prime, the all-top cell being
+    in J."""
+    table = BoxTable(gens, tuple(c + 1 for c in map(max, zip(*gens))))
+    bits = table.bits
+    return table, _prime_cells(table, bits, ((1 << table.total) - 1) & ~bits)
 
 
 def ass_witnesses(J: MonomialIdeal) -> dict[VariablePrime, Monomial]:
     """One explicit witness monomial per associated prime of R/J.
 
     A monomial m witnesses the prime on support P when J : m = P.  The
-    witnesses are read off J's `_witness_table` by `_prime_cells`.  The
-    witness of each prime is its lexicographically first witness cell, the
-    lowest set bit of its cells, and the primes come in the order of their
-    witnesses.
+    witnesses are read off `_witness_primes`.  The witness of each prime
+    is its lexicographically first witness cell, the lowest set bit of its
+    cells, and the primes come in the order of their witnesses.
     """
     require_proper_nonzero(J)
-    table = _witness_table(J.generators)
-    groups = _prime_cells(table)
+    table, groups = _witness_primes(J.generators)
     found = sorted(((cells & -cells).bit_length() - 1, prime) for prime, cells in groups)
     return {prime: table.point(idx) for idx, prime in found}
 
@@ -124,28 +133,6 @@ def _torsion(table: BoxTable, upper: int, lower: int) -> int:
     return cells
 
 
-def _socle(table: BoxTable, upper: int, lower: int, axes: range | set[int]) -> int:
-    """The cells of `upper`, the table of I^n, outside `lower`, that of
-    I^(n+1), whose step up each axis of `axes` lies in `lower` inside the
-    box, and that lie in `table.top` of every other axis: with every axis,
-    the socle of I^n/I^(n+1), which is nonzero exactly when its
-    maximal-ideal torsion is.  Exact on a box that reaches the exponents of
-    I^(n+1): a cell outside I^(n+1) at the top of an axis stays outside
-    after any step up along it, so every socle cell lies below the top.
-
-    With S the axes of `axes`, the cells at the top of every axis off S are
-    the table of I_S, I with the variables off S set to 1: at a top at or
-    past I's exponents of x_j, membership is membership in I : x_j^inf.
-    The box also reaches the exponents of I_S^(n+1), each generator of which
-    is one of I^(n+1) with the variables off S dropped; so on that slice
-    the cells are the socle of I_S^n/I_S^(n+1), read off I's walk."""
-    cells = upper & ~lower
-    for i, (s, top) in enumerate(zip(table.strides, table.top)):
-        if cells:
-            cells &= (lower >> s) & ~top if i in axes else top
-    return cells
-
-
 def _power_walk(J: MonomialIdeal, ns: range) -> Iterator[tuple[BoxTable, int, int]]:
     """(table, J^n, J^(n+1)) for each n of ns, a range of step 1: the
     bitsets of two consecutive powers on the box of `table`, walked up
@@ -157,12 +144,12 @@ def _power_walk(J: MonomialIdeal, ns: range) -> Iterator[tuple[BoxTable, int, in
     carry, counting from the last, ends below g's coordinate there, so the
     mask drops exactly the cells that wrapped into another row.  A box
     stays exact for every power, but must reach the exponents of J^(n+1)
-    for `_socle` and `_torsion`, and those of J^(k+1) are at most those of
-    J^k plus those of J.  So every `steps` steps, two or the one step of a single
-    n, the walk moves to a box reaching the exponents of J^k plus `steps`
-    times those of J, seeded from the minimal generators of J^k: those of
-    `power` at the start, then the cells of the table with no cell one
-    step below on any axis.  Each box charges one table when seeded
+    for `_prime_cells` and `_torsion`, and those of J^(k+1) are at most
+    those of J^k plus those of J.  So every `steps` steps, two or the one
+    step of a single n, the walk moves to a box reaching the exponents of
+    J^k plus `steps` times those of J, seeded from the minimal generators
+    of J^k: those of `power` at the start, then the cells of the table
+    with no cell one step below on any axis.  Each box charges one table when seeded
     and one per step, and the walk stops after len(ns) steps.
     """
     caps = max_exponents(J)
@@ -185,27 +172,20 @@ def _power_walk(J: MonomialIdeal, ns: range) -> Iterator[tuple[BoxTable, int, in
             gens = list(table.points(table.minimal(bits)))
 
 
-def _torsion_cells(I: MonomialIdeal, n: int) -> tuple[BoxTable, int]:
-    """The `_torsion` cells of I^n/I^(n+1) and the table they lie on: one
-    step of a power walk started at I^n, whose box reaches the exponents of
-    I^n plus those of I, so those of I^(n+1) too, and holds the whole
-    torsion.  Two tables of that box are charged, whatever n is."""
-    table, upper, lower = next(_power_walk(I, range(n, n + 1)))
-    return table, _torsion(table, upper, lower)
-
-
 def max_ideal_in_ass(I: MonomialIdeal, n: int) -> bool:
     """Whether the full-support prime is associated to I^n/I^(n+1).
 
     Decided by the socle criterion: some monomial of I^n outside I^(n+1)
-    lands in I^(n+1) times every variable, found by `_socle` on the step of
-    the power walk `_torsion_cells` takes, so exactly when the torsion
-    `h0_m_monomials` lists is nonzero.  An unused variable x_i takes no
-    monomial outside I^(n+1) into it, so the answer is then False.
+    lands in I^(n+1) times every variable, the full-support group of
+    `_prime_cells` on one step of a power walk started at I^n, the step
+    `h0_m_monomials` reads, so exactly when the torsion it lists is
+    nonzero.  An unused variable x_i takes no monomial outside I^(n+1)
+    into it, so the answer is then False.
     """
     require_proper_nonzero(I)
     require_count(n, 0, "power index")
-    return bool(_socle(*next(_power_walk(I, range(n, n + 1))), range(I.r)))
+    table, upper, lower = next(_power_walk(I, range(n, n + 1)))
+    return tuple(range(1, I.r + 1)) in dict(_prime_cells(table, lower, upper & ~lower))
 
 
 LocalIdeal = tuple[VariablePrime, tuple[Monomial, ...] | None]
@@ -266,32 +246,36 @@ def _require_method(method: str) -> None:
 
 
 def _ladder_entry(ladder: Ladder, k: int) -> frozenset[VariablePrime]:
-    """Ass(R/J) for J = I^k of the ladder, whose `_witness_table` is built
-    straight from the exponent rows of the packed generators."""
+    """Ass(R/J) for J = I^k of the ladder, whose `_witness_primes` box is
+    built straight from the exponent rows of the packed generators."""
     ladder.drop_below(k)
-    gens = ladder.P.rows(ladder[k])
-    return frozenset(prime for prime, _ in _prime_cells(_witness_table(gens)))
+    return frozenset(prime for prime, _ in _witness_primes(ladder.P.rows(ladder[k]))[1])
 
 
 def _walked_flags(
     walked: dict[VariablePrime, tuple[Monomial, ...]], ns: range
 ) -> dict[VariablePrime, list[bool]]:
     """For each walked support S, given with the generators of I_S, whether
-    I_S^n/I_S^(n+1) has a `_socle` cell, for each n of ns.  Only a support
+    I_S^n/I_S^(n+1) has a socle cell, for each n of ns.  Only a support
     T in no larger walked support is walked, by one `_power_walk` of I_T,
     the only I_S formed as a `MonomialIdeal`; every walked S inside T is
-    read off that walk, by `_socle` on the axes of S at the top of the
-    others, so no box is laid for it."""
+    read off that walk, as the axes of S looked up among each step's
+    `_prime_cells` groups, so no box is laid for it."""
     flags: dict[VariablePrime, list[bool]] = {}
     for T in sorted(walked, key=len, reverse=True):
         if T in flags:
             continue
-        nested = {S: {T.index(u) for u in S} for S in walked if S not in flags and set(S) <= set(T)}
+        nested = {
+            S: tuple(T.index(u) + 1 for u in S)
+            for S in walked
+            if S not in flags and set(S) <= set(T)
+        }
         for S in nested:
             flags[S] = []
-        for t in _power_walk(MonomialIdeal(len(T), walked[T]), ns):
+        for table, upper, lower in _power_walk(MonomialIdeal(len(T), walked[T]), ns):
+            primes = dict(_prime_cells(table, lower, upper & ~lower))
             for S, axes in nested.items():
-                flags[S].append(bool(_socle(*t, axes)))
+                flags[S].append(axes in primes)
     return flags
 
 
@@ -345,7 +329,7 @@ def _entries(I: MonomialIdeal, ns: range, method: str) -> tuple[frozenset[Variab
     `MonomialIdeal` or witness point formed.  Every method then forms the
     supports of `_local_ideals`, which lays no box.  The recursion route
     takes the prime on S at n when `_local_ideals` settles it at every n,
-    or when I_S^n/I_S^(n+1) has a `_socle` cell, read off one walk per
+    or when I_S^n/I_S^(n+1) has a socle cell, read off one walk per
     maximal walked support (`_walked_flags`).  Alone, the quotient route's
     entries are checked against the settled and dropped supports
     (`_check_settled`); with both routes, the recursion route checks them."""

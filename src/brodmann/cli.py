@@ -269,7 +269,8 @@ def _tsv_build_system(p: dict) -> str:
     from .polyhedra import ConstraintSystem
 
     # the payload holds the system in its JSON form, extra keys aside
-    system = ConstraintSystem(p["e"], p["rows"], p["rhs"], p.get("labels"))
+    rows, labels = tuple(map(tuple, p["rows"])), p.get("labels")
+    system = ConstraintSystem(p["e"], rows, tuple(p["rhs"]), labels and tuple(labels))
     return (
         f"# mode: {p['mode']}\n"
         f"# designated generator: {monomial_str(p['designated_generator'])}\n"
@@ -617,7 +618,7 @@ def _run(args: Args) -> int:
     finally:
         sys.set_int_max_str_digits(limit)
     text = text if text.endswith("\n") else text + "\n"
-    if getattr(args, "out", None):
+    if getattr(args, "out", None) is not None:
         try:
             with open(args.out, "w") as fh:
                 fh.write(text)

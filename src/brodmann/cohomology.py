@@ -78,18 +78,18 @@ def h0_m_monomials(I: MonomialIdeal, n: int) -> H0Report:
 
     The torsion is I^n intersected with the (n+1)-st powers of every
     single-variable deletion of I, modulo I^(n+1).  Its monomials are the
-    cells of `_torsion_cells`, read off one step of a power walk started at
-    I^n, the step whose socle `max_ideal_in_ass` tests, listed ascending
-    lexicographically.
+    `_torsion` cells of one step of a power walk started at I^n, whose box
+    holds the whole torsion, listed ascending lexicographically: the step
+    whose socle `max_ideal_in_ass` tests.  Two tables are charged.
     """
     # imported here: only this tool needs the power walk, so `rr` and `a0`
     # do not load assprimes
-    from .assprimes import _torsion_cells
+    from .assprimes import _power_walk, _torsion
 
     require_proper_nonzero(I)
     require_count(n, 0, "degree")
-    table, cells = _torsion_cells(I, n)
-    witnesses = tuple(table.points(cells))
+    table, upper, lower = next(_power_walk(I, range(n, n + 1)))
+    witnesses = tuple(table.points(_torsion(table, upper, lower)))
     return H0Report(n, witnesses, bool(witnesses))
 
 

@@ -6,7 +6,8 @@ descending lexicographic order), so ideal equality is dataclass equality.
 No coefficient field is ever represented.  Every power the library forms
 comes off a `Ladder`, charged as it is formed; `power` reads a fresh one.
 Every colon, `colon_ideal`'s and the Ratliff-Rush chain's alike, runs the
-one kernel `_colon_above`.
+one kernel `_colon_above`, whose colons of monomials `Packing.colons`
+forms, as it forms the lcms of `Packing.meet`.
 """
 
 from __future__ import annotations
@@ -31,7 +32,9 @@ class MonomialIdeal:
 
     The zero ideal has no generators; the unit ideal has the single all-zero
     generator.  Generators are sorted descending lexicographically, which
-    together with minimality makes the representation unique.
+    together with minimality makes the representation unique.  They are
+    held as a tuple of int tuples and nothing else, so that equal ideals
+    compare and hash alike.
     """
 
     r: int
@@ -42,14 +45,20 @@ class MonomialIdeal:
         gens = self.generators
         # every check at once; only a failure walks the generators to name one
         if (
-            set(map(len, gens)) == {self.r}
+            type(gens) is tuple
+            and {tuple}.issuperset(map(type, gens))
+            and set(map(len, gens)) == {self.r}
             and {int}.issuperset(map(type, chain.from_iterable(gens)))
             and min(map(min, gens)) >= 0
             and all(map(gt, gens, gens[1:]))
         ):
             return
+        if type(gens) is not tuple:
+            raise InputError(f"generators must be a tuple, got {type(gens).__name__}")
         prev: Monomial | None = None
         for g in gens:
+            if type(g) is not tuple:
+                raise InputError(f"generator {g!r} is not a tuple")
             if len(g) != self.r:
                 raise InputError(f"generator {g} does not have {self.r} exponents")
             if not all(map(is_int, g)):
@@ -186,6 +195,19 @@ class Packing:
         """Whether every monomial of B is a multiple of one of A."""
         return not self.outside(self.lay(A), B)
 
+    def colons(self, A: Iterable[int], q: int) -> list[int]:
+        """a : q for each a of A, in A's order: the fields of (a | G) - q
+        whose guard survived, each guard turned into the value bits below
+        it, and 0 elsewhere."""
+        G, s = self.guard, self.width - 1
+        Gq = G - q
+        out = []
+        for a in A:
+            x = a + Gq
+            ge = x & G
+            out.append(x & (ge - (ge >> s)))
+        return out
+
     def meet(self, A: list[int], B: list[int], floor: Laid | None = None) -> list[int]:
         """The minimal generators of the intersection of two ideals given
         by their ascending packed minimal generators.
@@ -204,19 +226,12 @@ class Packing:
         out_b = self.outside(self.lay(A), B)
         if not out_b:
             return B
-        G, s = self.guard, self.width - 1
         # each side's generators that lie in the other ideal: one shared by
         # both sides lies in both ideals, so it is in neither out list
         lcms = {*A, *B}.difference(out_a, out_b)
-        for a in out_a:
-            a |= G
-            for b in out_b:
-                # lcm(a, b) = b * (a : b), the colon being the fields of
-                # a - b whose guard survived, each guard turned into the
-                # value bits below it, and 0 elsewhere
-                x = a - b
-                ge = x & G
-                lcms.add(b + (x & (ge - (ge >> s))))
+        for b in out_b:
+            # lcm(a, b) = b * (a : b)
+            lcms.update(b + c for c in self.colons(out_a, b))
         return self.minimal(lcms if floor is None else self.outside(floor, lcms))
 
     def ideal(self, kept: list[int]) -> MonomialIdeal:
@@ -333,8 +348,8 @@ def intersect(I: MonomialIdeal, J: MonomialIdeal) -> MonomialIdeal:
 
 def colon_ideal(I: MonomialIdeal, J: MonomialIdeal) -> MonomialIdeal:
     """I : J, the intersection of the parts I : g over the generators g of
-    J: `_colon_above` over the zero ideal as floor, whose sieve has no
-    slots and so drops nothing."""
+    J: `_colon_above` over the zero ideal as floor, laid in no slots, so
+    that it drops nothing."""
     _require_same_r(I, J)
     if J.is_zero():
         # everything multiplies the zero ideal into I
@@ -361,24 +376,9 @@ def _colon_above(P: Packing, gens: list[int], qs: list[int], floor: Laid) -> lis
     With the zero ideal as F, laid in no slots, nothing is dropped and the
     result is the whole colon, which is how `colon_ideal` reads it.
     """
-    G, s = P.guard, P.width - 1
-    block, ones, guards, flags = floor
-    # (c | G) * ones - block, the slot test of `Packing.outside`, for c
-    # with clear guards
-    sieve = guards - block
     met = None
     for i, q in enumerate(qs):
-        # each colon g : q by the guard subtraction of `meet`, kept when no
-        # floor generator divides it
-        part = []
-        Gq = G - q
-        for g in gens:
-            x = g + Gq
-            ge = x & G
-            c = x & (ge - (ge >> s))
-            if not (flags - (~(c * ones + sieve) & guards)) & flags:
-                part.append(c)
-        part = P.minimal(part)
+        part = P.minimal(P.outside(floor, P.colons(gens, q)))
         if part and met is not None:
             part = P.meet(met, part, floor)
         if not part:
@@ -395,7 +395,9 @@ def _zero_coords(I: MonomialIdeal, positions: frozenset[int]) -> MonomialIdeal:
     return P.ideal(P.minimal(g & keep for g in P.pack_ideal(I)))
 
 
-@lru_cache(maxsize=8192)
+# maxsize=0 keeps nothing, as for `power`; the decorator stays only for the
+# cache_clear and cache_info that bench/run.py and spans.py call
+@lru_cache(maxsize=0)
 def delete_variable(I: MonomialIdeal, j: int) -> MonomialIdeal:
     """Zero the j-th exponent (1-based) in every generator, same ambient ring.
 

@@ -48,7 +48,8 @@ def norm_sq(v: IntVector) -> int:
 
 @dataclass(frozen=True)
 class ConstraintSystem:
-    """Integer constraints A*x >= b over e variables, all implicitly >= 0."""
+    """Integer constraints A*x >= b over e variables, all implicitly >= 0,
+    held as tuples of ints (not bools) and labels as a tuple of strs."""
 
     e: int
     rows: tuple[IntVector, ...]
@@ -56,16 +57,22 @@ class ConstraintSystem:
     labels: tuple[str, ...] | None = None
 
     def __post_init__(self):
-        require_count(self.e, 1, "variable count")
-        if len(self.rows) != len(self.rhs):
-            raise InputError("row and right-hand-side counts differ")
-        for row in self.rows:
-            if len(row) != self.e:
-                raise InputError(f"row {row} does not have {self.e} entries")
-        if self.labels is not None and len(self.labels) != self.e:
-            raise InputError(f"expected {self.e} labels, got {len(self.labels)}")
-        if self.labels is not None and len(set(self.labels)) != self.e:
-            raise InputError(f"variable labels must be distinct, got {' '.join(self.labels)}")
+        e, rows, rhs, labels = self.e, self.rows, self.rhs, self.labels
+        require_count(e, 1, "variable count")
+        if not (type(rows) is type(rhs) is tuple) or len(rows) != len(rhs):
+            raise InputError("rows and right-hand sides must be tuples of one length")
+        for row in rows:
+            if type(row) is not tuple or len(row) != e or not all(map(is_int, row)):
+                raise InputError(f"row {row!r} is not a tuple of {e} integers")
+        if not all(map(is_int, rhs)):
+            raise InputError(f"non-integer right-hand side in {rhs}")
+        if labels is not None:
+            if type(labels) is not tuple or len(labels) != e or not all(
+                type(x) is str for x in labels
+            ):
+                raise InputError(f"labels must be a tuple of {e} strings, got {labels!r}")
+            if len(set(labels)) != e:
+                raise InputError(f"variable labels must be distinct, got {' '.join(labels)}")
 
     def is_homogeneous(self) -> bool:
         return all(b == 0 for b in self.rhs)

@@ -60,11 +60,16 @@ def validate_minimal(gens):
 
 def ideal_check_message(r, gens):
     """The message MonomialIdeal(r, gens) raises for r >= 1, or None when
-    it accepts: the generators checked one at a time, in order, for their
-    length, integer exponents (a bool is not one), their signs and their
-    place in strictly descending order."""
+    it accepts: gens must be a tuple, and the generators are checked one
+    at a time, in order, for being tuples, their length, integer exponents
+    (a bool is not one), their signs and their place in strictly
+    descending order."""
+    if type(gens) is not tuple:
+        return f"generators must be a tuple, got {type(gens).__name__}"
     prev = None
     for g in gens:
+        if type(g) is not tuple:
+            return f"generator {g!r} is not a tuple"
         if len(g) != r:
             return f"generator {g} does not have {r} exponents"
         if not all(isinstance(e, int) and not isinstance(e, bool) for e in g):
@@ -267,6 +272,26 @@ def _scan_torsion(I, n):
             and all(monomial_in(v, D) for D in deletions)
         ):
             yield v
+
+
+def split_shell(upper, lower, bounds):
+    """The cells of the box 0..bounds in (upper) and outside (lower), cell
+    by cell, each under the prime P = {i : m * x_i in (lower)} and kept
+    when every coordinate off P is at its bound: {P: cells ascending
+    lexicographically}, the split `assprimes._prime_cells` makes of a
+    power walk step."""
+    groups = {}
+    for m in iter_box(bounds):
+        if not monomial_in(m, upper) or monomial_in(m, lower):
+            continue
+        prime = tuple(
+            i + 1
+            for i in range(len(m))
+            if monomial_in(tuple(e + 1 if k == i else e for k, e in enumerate(m)), lower)
+        )
+        if all(m[i] == bounds[i] for i in range(len(m)) if i + 1 not in prime):
+            groups.setdefault(prime, []).append(m)
+    return groups
 
 
 def scan_max_ideal_in_ass(I, n):

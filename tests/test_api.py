@@ -319,6 +319,8 @@ def test_bench_wraps_intersect_and_colon_ideal():
 def test_bench_clears_and_reads_the_lru_caches():
     for fn in (monomials.power, monomials.delete_variable):
         assert callable(fn.cache_clear) and callable(fn.cache_info)
+        # the caches keep nothing, so every call charges and answers alike
+        assert fn.cache_info().maxsize == 0
 
 
 def test_bench_counts_box_cells_from_the_byte_table():

@@ -50,12 +50,20 @@ from oracles import (
     scan_ass_witnesses,
     scan_h0_witnesses,
     scan_max_ideal_in_ass,
+    split_shell,
     unit,
 )
 
 
 def ideal(r, *gens):
     return minimize(gens, r)
+
+
+def full_support_group(table, upper, lower):
+    """The full-support group of `_prime_cells` on a power walk step (table,
+    J^n, J^(n+1)): the socle cells of J^n/J^(n+1), 0 when it has none."""
+    groups = dict(assprimes._prime_cells(table, lower, upper & ~lower))
+    return groups.get(full_support_prime(len(table.dims)), 0)
 
 
 class TestAssOfQuotient:
@@ -593,8 +601,9 @@ class TestNestedSupports:
     @example(NESTED, 3)
     def test_flags_match_a_walk_of_their_own(self, I, n_max):
         """For every walked S, the flags read off its containing walk are
-        those of `_socle` over a walk of I_S alone, and the profile charges
-        no more than those separate walks."""
+        those of the full-support group of `_prime_cells` over a walk of
+        I_S alone, and the profile charges no more than those separate
+        walks."""
         ns = range(n_max + 1)
         walked = {S: J for S, J in assprimes._local_ideals(I) if J is not None}
         flags = assprimes._walked_flags(walked, ns)
@@ -602,7 +611,7 @@ class TestNestedSupports:
         with enumeration_budget() as separate:
             for S, gens in walked.items():
                 J = MonomialIdeal(len(S), gens)
-                alone = [bool(assprimes._socle(*t, range(J.r))) for t in assprimes._power_walk(J, ns)]
+                alone = [bool(full_support_group(*t)) for t in assprimes._power_walk(J, ns)]
                 assert flags[S] == alone, (I, S)
         with enumeration_budget() as shared:
             ass_profile(I, n_max, "recursion")
@@ -733,10 +742,25 @@ class TestPowerWalk:
         """On every step of a walk, the socle cells are torsion cells, and
         there are some exactly when there is torsion."""
         for table, upper, lower in assprimes._power_walk(J, ns):
-            socle = assprimes._socle(table, upper, lower, range(J.r))
+            socle = full_support_group(table, upper, lower)
             torsion = assprimes._torsion(table, upper, lower)
             assert bool(socle) == bool(torsion), (J, ns)
             assert socle & ~torsion == 0, (J, ns)
+
+    @WALK_SETTINGS
+    @given(walk_ideals(), st.sampled_from(WALK_RANGES))
+    @example(FAMILY_ROTATIONS[0], range(8))
+    @example(FAMILY_ROTATIONS[2], range(3, 8))
+    def test_groups_split_the_shell_cell_by_cell(self, J, ns):
+        """On every step of a walk, the `_prime_cells` groups are the split
+        of the shell J^n minus J^(n+1) on the step's box that `split_shell`
+        makes cell by cell, each cell's prime read off the ideal itself
+        and not off the box."""
+        for n, (table, upper, lower) in zip(ns, assprimes._power_walk(J, ns)):
+            groups = assprimes._prime_cells(table, lower, upper & ~lower)
+            got = {prime: list(table.points(cells)) for prime, cells in groups}
+            shell = (power_ref(J.generators, k, J.r) for k in (n, n + 1))
+            assert got == split_shell(*shell, tuple(d - 1 for d in table.dims)), (J, n)
 
     @ORACLE_SETTINGS
     @given(proper_ideals(max_r=4))

@@ -386,17 +386,18 @@ class TestBuildSystem:
 
     @pytest.mark.parametrize(
         "where, err_code",
-        [(".", errno.EISDIR), ("missing/system.txt", errno.ENOENT)],
-        ids=["directory", "missing-parent"],
+        [(".", errno.EISDIR), ("missing/system.txt", errno.ENOENT), (None, errno.ENOENT)],
+        ids=["directory", "missing-parent", "empty"],
     )
     def test_unwritable_out_is_input_error(self, capsys, tmp_path, ideal_file, where, err_code):
-        target = tmp_path / where
-        code, out, err = run(
-            capsys, "build-system", "--ideal", ideal_file, "--mode", "ED2",
-            "--out", str(target),
-        )
-        assert (code, out) == (2, "")
-        assert err == f"input error: cannot write {target}: {os.strerror(err_code)}\n"
+        """An empty path is a path too: it names no file, and is not a
+        request to print to stdout."""
+        target = "" if where is None else str(tmp_path / where)
+        argv = ["build-system", "--ideal", ideal_file, "--mode", "ED2"]
+        for out_args in (["--out", target], [f"--out={target}"]):
+            code, out, err = run(capsys, *argv, *out_args)
+            assert (code, out) == (2, "")
+            assert err == f"input error: cannot write {target}: {os.strerror(err_code)}\n"
 
 
 class TestFeasible:

@@ -75,6 +75,23 @@ class TestCanonicalForm:
         with pytest.raises(InputError):
             MonomialIdeal(2, ((1, 1), (2, 0)))  # not descending
 
+    @pytest.mark.parametrize(
+        "gens, message",
+        [
+            ([(2, 0), (1, 1), (0, 3)], "generators must be a tuple, got list"),
+            (((2, 0), [1, 1], (0, 3)), "generator [1, 1] is not a tuple"),
+            (((2, 0), (1,), [0, 3]), "generator (1,) does not have 2 exponents"),
+        ],
+        ids=["list-of-tuples", "list-generator", "short-before-list"],
+    )
+    def test_holds_tuples_only(self, gens, message):
+        """An ideal built from lists would compare unequal to the same ideal
+        built from tuples, and could not be hashed or have a variable
+        deleted: the first container that is no tuple is named."""
+        with pytest.raises(InputError) as exc:
+            MonomialIdeal(2, gens)
+        assert str(exc.value) == message == ref.ideal_check_message(2, gens)
+
     def test_validate_minimal_rejects_divisible_pair(self):
         with pytest.raises(ValueError):
             ref.validate_minimal(MonomialIdeal(2, ((2, 1), (1, 0))).generators)
@@ -255,6 +272,16 @@ def ideal_pairs():
 
 
 @st.composite
+def colon_cases(draw):
+    """(top, A, q): up to 6 monomials a and one q in 1..5 variables, with
+    exponents up to a field cap, top, of 0, 1, 127, 128 or 2**80."""
+    r = draw(RANKS)
+    top = draw(st.sampled_from((0, 1, 127, 128, 2**80)))
+    vector = st.tuples(*[st.integers(0, top)] * r)
+    return top, draw(st.lists(vector, max_size=6)), draw(vector)
+
+
+@st.composite
 def generator_tuples(draw):
     """(r, generators) for r = 1..5: up to 6 generators, some of the wrong
     length or with a negative exponent, in drawn order or sorted strictly
@@ -343,6 +370,17 @@ class TestPackedKernelMatchesTupleReferences:
         I, J = pair
         expected = ref.colon_ideal_ref(I.generators, J.generators, I.r)
         assert colon_ideal(I, J).generators == expected
+
+    @KERNEL_SETTINGS
+    @given(colon_cases())
+    def test_colons(self, case):
+        """`Packing.colons`, the one colon of packed monomials, which
+        `Packing.meet` and `_colon_above` both read: a : q for each a, in
+        order, field by field, on fields whose width the cap sets."""
+        top, A, q = case
+        P = Packing(len(q), top)
+        got = [P.unpack(c) for c in P.colons([P.pack(a) for a in A], P.pack(q))]
+        assert got == [tuple(max(x - y, 0) for x, y in zip(a, q)) for a in A]
 
     @KERNEL_SETTINGS
     @given(ideal_pairs())

@@ -90,6 +90,32 @@ class TestConstraintSystem:
         with pytest.raises(InputError, match="must be distinct"):
             ConstraintSystem(2, ((1, 0),), (0,), ("a", "a"))
 
+    @pytest.mark.parametrize(
+        "rows, rhs, labels, message",
+        [
+            (((1, 0),), (0.5,), None, "non-integer right-hand side in (0.5,)"),
+            (((1.5, 0),), (0,), None, "row (1.5, 0) is not a tuple of 2 integers"),
+            (((True, 0),), (0,), None, "row (True, 0) is not a tuple of 2 integers"),
+            (((1, 0),), (False,), None, "non-integer right-hand side in (False,)"),
+            ([(1, 0)], (0,), None, "rows and right-hand sides must be tuples of one length"),
+            (((1, 0),), [0], None, "rows and right-hand sides must be tuples of one length"),
+            (([1, 0],), (0,), None, "row [1, 0] is not a tuple of 2 integers"),
+            (((1, 0),), (0,), ["a", "b"], "labels must be a tuple of 2 strings, got ['a', 'b']"),
+            (((1, 0),), (0,), ("a", 2), "labels must be a tuple of 2 strings, got ('a', 2)"),
+        ],
+        ids=[
+            "float-rhs", "float-entry", "bool-entry", "bool-rhs", "list-rows", "list-rhs",
+            "list-row", "list-labels", "int-label",
+        ],
+    )
+    def test_refuses_non_int_entries_and_non_tuples(self, rows, rhs, labels, message):
+        """A float right-hand side made `solve_feasible` answer with a
+        float, a float row made `extreme_rays` raise a bare TypeError, and a
+        list compares unequal to the same system of tuples."""
+        with pytest.raises(InputError) as exc:
+            ConstraintSystem(2, rows, rhs, labels)
+        assert str(exc.value) == message
+
     def test_homogeneous_and_homogenized(self):
         sys_ = ConstraintSystem(2, ((1, -1),), (1,))
         assert not sys_.is_homogeneous()

@@ -8,12 +8,13 @@ a finite exponent box.  The recursion route (a name kept for the CLI's
 the variables off S to 1, and tests whether the maximal ideal is associated
 there: outright when the localization is principal, or the gcd of its
 generators times an ideal primary to the maximal ideal, and otherwise by a
-socle cell of each power's quotient.  The two routes must agree, and method
-"both" checks them against each other; alone, the quotient route is checked
-against the supports settled outright.  Both `ass_power` and `ass_profile`
-read one core, `_entries`, over a range of n: the one n asked for, or
-n = 0..n_max, in the calling process and under the caller's one budget
-meter.  The supports and their localizations do not depend on n, so
+socle cell of each power's quotient.  Every entry of every method passes
+one check, `_checked`: the routes that ran agree, and the entry holds every
+prime settled outright and none dropped outright.  Both `ass_power` and
+`ass_profile` read one core, `_entries`, over a range of n: the one n asked
+for, or n = 0..n_max, in the calling process and under one budget meter,
+the caller's or, outside every block, the call's own (`errors.metered`).
+The supports and their localizations do not depend on n, so
 they are formed once per request, on one packing of I.  Every power either
 route needs comes off a packed `monomials.Ladder`, charged as "power walk"
 products on every call.  The quotient route climbs one ladder of I over
@@ -34,7 +35,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from operator import mul
 
-from .errors import METHODS, InconsistencyError, InputError, charge_budget, require_count
+from .errors import METHODS, InconsistencyError, InputError, charge_budget, metered, require_count
 from .monomials import (
     BoxTable,
     Ladder,
@@ -100,6 +101,7 @@ def _witness_primes(gens: Sequence[Sequence[int]]) -> tuple[BoxTable, list]:
     return table, _prime_cells(table, bits, ((1 << table.total) - 1) & ~bits)
 
 
+@metered
 def ass_witnesses(J: MonomialIdeal) -> dict[VariablePrime, Monomial]:
     """One explicit witness monomial per associated prime of R/J.
 
@@ -114,6 +116,7 @@ def ass_witnesses(J: MonomialIdeal) -> dict[VariablePrime, Monomial]:
     return {prime: table.point(idx) for idx, prime in found}
 
 
+@metered
 def ass_of_quotient(J: MonomialIdeal) -> frozenset[VariablePrime]:
     """Associated primes of R/J for a proper nonzero monomial ideal J."""
     return frozenset(ass_witnesses(J))
@@ -172,6 +175,7 @@ def _power_walk(J: MonomialIdeal, ns: range) -> Iterator[tuple[BoxTable, int, in
             gens = list(table.points(table.minimal(bits)))
 
 
+@metered
 def max_ideal_in_ass(I: MonomialIdeal, n: int) -> bool:
     """Whether the full-support prime is associated to I^n/I^(n+1).
 
@@ -209,10 +213,13 @@ def _local_ideals(I: MonomialIdeal) -> list[LocalIdeal]:
 
     I is packed once, and I_S is its generators with the fields off S
     masked to 0, minimized in the same packing.  No `MonomialIdeal` is
-    formed and no box laid, so a quotient-only request forms them too."""
+    formed and no box laid, so a quotient-only request forms them too.
+    The 2^k - 1 supports of the k used variables, each masking every
+    generator, are charged before the first is formed."""
     used = used_variables(I)
     P = Packing(I.r, _top(I))
     gens = P.pack_ideal(I)
+    charge_budget(((1 << len(used)) - 1) * len(gens), "support enumeration", "masked generators")
     local: list[LocalIdeal] = []
     for k in range(1, len(used) + 1):
         for support in combinations(used, k):
@@ -279,46 +286,23 @@ def _walked_flags(
     return flags
 
 
-def _agreed(
+def _checked(
     n: int,
     via_quotient: frozenset[VariablePrime] | None,
     via_recursion: frozenset[VariablePrime] | None,
-) -> frozenset[VariablePrime]:
-    """The entry at n from the routes that ran (None: not run); an
-    inconsistency error when both ran and disagree."""
-    if via_quotient is None:
-        return via_recursion
-    if via_recursion is not None and via_quotient != via_recursion:
-        raise InconsistencyError(
-            f"associated-prime methods disagree at n={n}",
-            payload={
-                "n": n,
-                "quotient": sorted(via_quotient),
-                "recursion": sorted(via_recursion),
-            },
-        )
-    return via_quotient
-
-
-def _check_settled(
-    n: int,
-    via_quotient: frozenset[VariablePrime],
     settled: frozenset[VariablePrime],
     walked: dict[VariablePrime, tuple[Monomial, ...]],
-) -> None:
-    """An inconsistency error unless the quotient route's entry at n holds
-    every prime `_local_ideals` settles and no prime on a support it drops:
-    the check of a quotient-only request, which lays no box for it."""
-    if not settled <= via_quotient <= settled.union(walked):
-        raise InconsistencyError(
-            f"settled supports disagree with the quotient route at n={n}",
-            payload={
-                "n": n,
-                "quotient": sorted(via_quotient),
-                "settled": sorted(settled),
-                "walked": sorted(walked),
-            },
-        )
+) -> frozenset[VariablePrime]:
+    """The entry at n from the routes that ran (None: not run), checked: an
+    inconsistency error, with every answer, unless the routes that ran agree
+    and the entry holds every prime `_local_ideals` settles and no prime on
+    a support it drops.  The one check of every method and every entry."""
+    entry = via_recursion if via_quotient is None else via_quotient
+    if via_recursion in (None, entry) and settled <= entry <= settled.union(walked):
+        return entry
+    answers = dict(quotient=via_quotient, recursion=via_recursion, settled=settled, walked=walked)
+    payload = {"n": n, **{k: v if v is None else sorted(v) for k, v in answers.items()}}
+    raise InconsistencyError(f"associated primes disagree at n={n}", payload=payload)
 
 
 def _entries(I: MonomialIdeal, ns: range, method: str) -> tuple[frozenset[VariablePrime], ...]:
@@ -330,27 +314,23 @@ def _entries(I: MonomialIdeal, ns: range, method: str) -> tuple[frozenset[Variab
     supports of `_local_ideals`, which lays no box.  The recursion route
     takes the prime on S at n when `_local_ideals` settles it at every n,
     or when I_S^n/I_S^(n+1) has a socle cell, read off one walk per
-    maximal walked support (`_walked_flags`).  Alone, the quotient route's
-    entries are checked against the settled and dropped supports
-    (`_check_settled`); with both routes, the recursion route checks them."""
-    if method == "recursion":
-        quotient = [None] * len(ns)
-    else:
+    maximal walked support (`_walked_flags`).  Every entry of every method
+    passes `_checked`: against the other route when both ran, and against
+    the settled and dropped supports."""
+    quotient = recursion = [None] * len(ns)
+    if method != "recursion":
         ladder = Ladder(I)
         quotient = [_ladder_entry(ladder, n + 1) for n in ns]
     local = _local_ideals(I)
     settled = frozenset(S for S, J in local if J is None)
     walked = {S: J for S, J in local if J is not None}
-    if method == "quotient":
-        for n, entry in zip(ns, quotient):
-            _check_settled(n, entry, settled, walked)
-        recursion = [None] * len(ns)
-    else:
+    if method != "quotient":
         flags = _walked_flags(walked, ns).items()
         recursion = [settled.union(S for S, f in flags if f[k]) for k in range(len(ns))]
-    return tuple(map(_agreed, ns, quotient, recursion))
+    return tuple(_checked(n, q, r, settled, walked) for n, q, r in zip(ns, quotient, recursion))
 
 
+@metered
 def ass_power(I: MonomialIdeal, n: int, method: str = "quotient") -> frozenset[VariablePrime]:
     """Associated primes of I^n/I^(n+1), n >= 0 (so n=0 covers R/I).
 
@@ -382,6 +362,7 @@ class AssProfile:
     method: str
 
 
+@metered
 def ass_profile(I: MonomialIdeal, n_max: int, method: str = "quotient") -> AssProfile:
     """Profile of Ass(I^n/I^(n+1)) over n = 0..n_max, from one call of
     `_entries` over the whole range."""

@@ -510,12 +510,13 @@ def build_parser() -> argparse.ArgumentParser:
     import argparse
 
     class Parser(argparse.ArgumentParser):
-        """argparse's parser, but a write to stdout may raise: argparse drops
-        an `OSError` there, and help into a closed pipe would exit 0."""
+        """argparse's parser, but a write to stdout is flushed and may raise:
+        argparse drops an `OSError` there, and help into a closed pipe would exit 0."""
 
         def _print_message(self, message: str, file=None) -> None:
             if file is sys.stdout:
                 file.write(message)
+                file.flush()
             else:
                 super()._print_message(message, file)
 
@@ -631,17 +632,13 @@ def _run(args: Args) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one command line; its exit code.  Every write to stdout, help
+    included, is flushed where it is made, so that a closed stdout meets the
+    one `BrokenPipeError` handler here, never the flush at exit."""
     if argv is None:
         argv = sys.argv[1:]
     try:
-        try:
-            args = _parse(argv)
-        except SystemExit:
-            # argparse wrote help or usage and exits: flush it here, so that
-            # a closed stdout meets the handler below and not the exit
-            sys.stdout.flush()
-            raise
-        return _run(args)
+        return _run(_parse(argv))
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2

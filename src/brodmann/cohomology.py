@@ -27,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import chain
 
-from .errors import DEFAULT_M_CAP, require_count
+from .errors import DEFAULT_M_CAP, metered, require_count
 from .monomials import Ladder, Monomial, MonomialIdeal, _colon_above, require_proper_nonzero
 
 
@@ -73,6 +73,7 @@ class A0Result:
     warnings: tuple[str, ...]
 
 
+@metered
 def h0_m_monomials(I: MonomialIdeal, n: int) -> H0Report:
     """Witnesses of the maximal-ideal torsion of I^n/I^(n+1).
 
@@ -133,6 +134,7 @@ def _chain(ladder: Ladder, n: int, m_cap: int) -> tuple[list[int], int, bool, bo
     return c_m, m_cap, False, monotone
 
 
+@metered
 def ratliff_rush(
     I: MonomialIdeal, n: int, m_cap: int = DEFAULT_M_CAP
 ) -> RRResult:
@@ -164,6 +166,7 @@ def ratliff_rush(
     return RRResult(closure, n, stop, certified, monotone)
 
 
+@metered
 def a0_observed(
     I: MonomialIdeal, n_max: int, m_cap: int = DEFAULT_M_CAP
 ) -> A0Result:

@@ -4,9 +4,10 @@ command line offers, kept here so that its parser loads no computing module."""
 from __future__ import annotations
 
 import os
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 from contextlib import contextmanager
 from contextvars import ContextVar
+from functools import wraps
 
 DEFAULT_BUDGET = 50_000_000
 BUDGET_ENV_VAR = "BRODMANN_BUDGET"
@@ -75,7 +76,8 @@ def enumeration_budget(limit: int | None = None) -> Iterator[BudgetMeter]:
 
     Lattice points and ray subsystems add into one total.  The limit is
     read at the first charge, so a block that charges nothing accepts any.
-    Outside every block, each charge is checked on its own.
+    Outside every block, a call of a public entry point is one request all
+    the same: `metered` opens a block for it.
     """
     meter = BudgetMeter(limit)
     token = _METER.set(meter)
@@ -83,6 +85,22 @@ def enumeration_budget(limit: int | None = None) -> Iterator[BudgetMeter]:
         yield meter
     finally:
         _METER.reset(token)
+
+
+def metered(fn: Callable) -> Callable:
+    """fn as one request: its charges go to the open meter, or, when no
+    `enumeration_budget` block is open, to one of its own, whose limit is
+    read as any block's is.  Put on every public entry point that reaches a
+    charge."""
+
+    @wraps(fn)
+    def call(*args, **kwargs):
+        if _METER.get() is not None:
+            return fn(*args, **kwargs)
+        with enumeration_budget():
+            return fn(*args, **kwargs)
+
+    return call
 
 
 def charge_budget(points: int, what: str = "enumeration", unit: str = "lattice points") -> None:

@@ -21,7 +21,7 @@ from json.scanner import NUMBER_RE
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-from .errors import ParseError, is_int
+from .errors import InputError, ParseError, is_int
 from .monomials import Monomial, MonomialIdeal, minimize
 
 if TYPE_CHECKING:
@@ -220,9 +220,18 @@ def load_ideal(path: str | Path) -> MonomialIdeal:
     return _load(path, parse_ideal_json, parse_ideal_text)
 
 
-def parse_system_text(text: str, source: str = "<string>") -> "ConstraintSystem":
+def _system(source: str, *fields) -> "ConstraintSystem":
+    """`ConstraintSystem(*fields)`, the one check of a system's shape, with
+    its refusal a ParseError naming source."""
     from .polyhedra import ConstraintSystem
 
+    try:
+        return ConstraintSystem(*fields)
+    except InputError as exc:
+        raise ParseError(str(exc), source=source) from None
+
+
+def parse_system_text(text: str, source: str = "<string>") -> "ConstraintSystem":
     e, body = _parse_header(text, source)
     labels: tuple[str, ...] | None = None
     rows: list[tuple[int, ...]] = []
@@ -253,7 +262,7 @@ def parse_system_text(text: str, source: str = "<string>") -> "ConstraintSystem"
             )
         rows.append(coeffs)
         rhs.append(b)
-    return ConstraintSystem(e, tuple(rows), tuple(rhs), labels)
+    return _system(source, e, tuple(rows), tuple(rhs), labels)
 
 
 def system_to_text(sys: "ConstraintSystem") -> str:
@@ -266,33 +275,15 @@ def system_to_text(sys: "ConstraintSystem") -> str:
 
 
 def parse_system_json(text: str, source: str = "<string>") -> "ConstraintSystem":
-    from .polyhedra import ConstraintSystem
-
     obj = _load_json(text, source)
-    if not isinstance(obj, dict) or "e" not in obj or "rows" not in obj or "rhs" not in obj:
+    if not isinstance(obj, dict) or not {"e", "rows", "rhs"} <= obj.keys():
         raise ParseError("expected object with keys `e`, `rows`, `rhs`", source=source)
-    e = obj["e"]
-    if not is_int(e) or e < 1:
-        raise ParseError(f"`e` must be a positive integer, got {e!r}", source=source)
+    # JSON arrays become tuples, and `ConstraintSystem` refuses the rest
     rows = obj["rows"]
-    rhs = obj["rhs"]
-    if not isinstance(rows, list) or not isinstance(rhs, list) or len(rows) != len(rhs):
-        raise ParseError("`rows` and `rhs` must be lists of equal length", source=source)
-    parsed_rows = []
-    for row in rows:
-        if not isinstance(row, list) or len(row) != e or not all(map(is_int, row)):
-            raise ParseError(f"row {row!r} is not a list of {e} integers", source=source)
-        parsed_rows.append(tuple(row))
-    if not all(map(is_int, rhs)):
-        raise ParseError("`rhs` entries must be integers", source=source)
-    labels = obj.get("labels")
-    if labels is not None:
-        if not isinstance(labels, list) or len(labels) != e or not all(
-            isinstance(s, str) for s in labels
-        ):
-            raise ParseError(f"`labels` must be a list of {e} names", source=source)
-        labels = tuple(labels)
-    return ConstraintSystem(e, tuple(parsed_rows), tuple(rhs), labels)
+    if isinstance(rows, list):
+        rows = [tuple(row) if isinstance(row, list) else row for row in rows]
+    fields = obj["e"], rows, obj["rhs"], obj.get("labels")
+    return _system(source, *(tuple(x) if isinstance(x, list) else x for x in fields))
 
 
 def system_payload(sys: "ConstraintSystem") -> dict:

@@ -19,7 +19,7 @@ from math import prod
 from operator import gt, le, mul
 from typing import Iterable, Iterator, Sequence
 
-from .errors import InputError, charge_budget, is_int, require_count
+from .errors import InputError, charge_budget, is_int, metered, require_count
 
 Monomial = tuple[int, ...]
 # packed monomials side by side in slots, as `Packing.lay` returns them
@@ -331,6 +331,7 @@ class Ladder:
 # maxsize=0 keeps nothing, so every call charges alike; the decorator stays
 # only for the cache_clear and cache_info that bench/run.py and spans.py call
 @lru_cache(maxsize=0)
+@metered
 def power(I: MonomialIdeal, n: int) -> MonomialIdeal:
     """I**n (n = 0 gives the unit ideal), read off a fresh `Ladder` and
     charged as its products on every call."""

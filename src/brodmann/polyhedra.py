@@ -35,7 +35,16 @@ from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from math import comb, gcd
 
-from .errors import ED_MODES, InconsistencyError, InputError, charge_budget, is_int, require_count
+from .errors import (
+    ED_MODES,
+    InconsistencyError,
+    InputError,
+    charge_budget,
+    is_int,
+    metered,
+    require_count,
+)
+from .ioformats import _excerpt
 from .monomials import MonomialIdeal, is_pure_power, require_proper_nonzero
 from .radicals import ExactRadical, RadicalSum
 
@@ -63,16 +72,18 @@ class ConstraintSystem:
             raise InputError("rows and right-hand sides must be tuples of one length")
         for row in rows:
             if type(row) is not tuple or len(row) != e or not all(map(is_int, row)):
-                raise InputError(f"row {row!r} is not a tuple of {e} integers")
+                raise InputError(f"row {_excerpt(repr(row))} is not a tuple of {e} integers")
         if not all(map(is_int, rhs)):
-            raise InputError(f"non-integer right-hand side in {rhs}")
+            raise InputError(f"non-integer right-hand side in {_excerpt(repr(rhs))}")
         if labels is not None:
             if type(labels) is not tuple or len(labels) != e or not all(
                 type(x) is str for x in labels
             ):
-                raise InputError(f"labels must be a tuple of {e} strings, got {labels!r}")
+                got = _excerpt(repr(labels))
+                raise InputError(f"labels must be a tuple of {e} strings, got {got}")
             if len(set(labels)) != e:
-                raise InputError(f"variable labels must be distinct, got {' '.join(labels)}")
+                got = _excerpt(" ".join(labels))
+                raise InputError(f"variable labels must be distinct, got {got}")
 
     def is_homogeneous(self) -> bool:
         return all(b == 0 for b in self.rhs)
@@ -124,6 +135,7 @@ def _primitive(v: IntVector) -> IntVector:
     return tuple(c // g for c in v) if g else v
 
 
+@metered
 def extreme_rays(sys: ConstraintSystem) -> list[IntVector]:
     """Extreme rays of the homogeneous cone, as primitive integer vectors.
 
@@ -301,6 +313,7 @@ def _irreducible(sols: list[IntVector], cone: ConstraintSystem) -> list[IntVecto
     return kept
 
 
+@metered
 def hilbert_generators(sys: ConstraintSystem, cap: int) -> list[IntVector]:
     """Irreducible nonzero solutions of a homogeneous system inside the box.
 
@@ -316,6 +329,7 @@ def hilbert_generators(sys: ConstraintSystem, cap: int) -> list[IntVector]:
     return _irreducible([v for v in sols if any(v)], sys)
 
 
+@metered
 def module_generators(sys: ConstraintSystem, cap: int) -> list[IntVector]:
     """Boxed solutions not reachable as (solution) + (nonzero cone point).
 
@@ -469,6 +483,7 @@ def build_system(I: MonomialIdeal, mode: str) -> ConstraintSystem:
     return sys
 
 
+@metered
 def solve_feasible(
     sys: ConstraintSystem, fixed: dict[str | int, int], box: int
 ) -> IntVector | None:

@@ -602,13 +602,14 @@ class TestNestedSupports:
     def test_flags_match_a_walk_of_their_own(self, I, n_max):
         """For every walked S, the flags read off its containing walk are
         those of the full-support group of `_prime_cells` over a walk of
-        I_S alone, and the profile charges no more than those separate
-        walks."""
+        I_S alone, and the profile charges no more than its supports and
+        those separate walks."""
         ns = range(n_max + 1)
         walked = {S: J for S, J in assprimes._local_ideals(I) if J is not None}
         flags = assprimes._walked_flags(walked, ns)
         assert flags.keys() == walked.keys()
         with enumeration_budget() as separate:
+            assprimes._local_ideals(I)
             for S, gens in walked.items():
                 J = MonomialIdeal(len(S), gens)
                 alone = [bool(full_support_group(*t)) for t in assprimes._power_walk(J, ns)]
@@ -619,8 +620,9 @@ class TestNestedSupports:
 
     def test_one_walk_for_five_walked_supports(self, monkeypatch):
         """The full support and its four 3-subsets are walked supports of
-        NESTED; one walk decides all five, and n_max = 3 charges 92,886
-        units, against 115,986 for five walks."""
+        NESTED; one walk decides all five, and n_max = 3 charges 92,961
+        units, 75 of them for the 15 supports of its 5 generators, against
+        116,061 for five walks."""
         walks = []
         original = assprimes._power_walk
         monkeypatch.setattr(
@@ -631,7 +633,7 @@ class TestNestedSupports:
         with enumeration_budget() as meter:
             entries = ass_profile(NESTED, 3, "recursion").entries
         assert walks == [NESTED]
-        assert meter.used == 92886
+        assert meter.used == 92961
         assert entries == ass_profile(NESTED, 3, "quotient").entries
 
     @settings(ORACLE_SETTINGS, max_examples=100)
@@ -648,9 +650,9 @@ class TestNestedSupports:
     @pytest.mark.parametrize("mutant", ["settle_a_walked_support", "drop_a_settled_support"])
     def test_quotient_route_checks_the_settled_supports(self, monkeypatch, mutant):
         """A quotient-only request checks its entries against the supports
-        `_local_ideals` settles or drops: on the worked family, a rule that
-        settles the walked {1, 2, 3}, associated only up to n = 1, or drops
-        the settled {1, 2}, fails with both answers."""
+        `_local_ideals` settles or drops, in `_checked`: on the worked
+        family, a rule that settles the walked {1, 2, 3}, associated only up
+        to n = 1, or drops the settled {1, 2}, fails with every answer."""
         original = assprimes._local_ideals
 
         def broken(I):
@@ -661,11 +663,32 @@ class TestNestedSupports:
 
         want = ass_profile(example_ideal(5), 3, "quotient")
         monkeypatch.setattr(assprimes, "_local_ideals", broken)
-        with pytest.raises(InconsistencyError, match="settled supports disagree") as info:
+        with pytest.raises(InconsistencyError, match="associated primes disagree") as info:
             ass_profile(example_ideal(5), 3, "quotient")
-        assert set(info.value.payload) == {"n", "quotient", "settled", "walked"}
+        payload = info.value.payload
+        assert set(payload) == {"n", "quotient", "recursion", "settled", "walked"}
+        assert payload["recursion"] is None
         monkeypatch.setattr(assprimes, "_local_ideals", original)
         assert ass_profile(example_ideal(5), 3, "quotient") == want
+
+    def test_both_routes_check_each_other(self, monkeypatch):
+        """With both routes, `_checked` compares their entries: a
+        `_walked_flags` that drops {1, 2, 3} at n = 0 on the worked family
+        leaves an entry between the settled and walked supports, and still
+        fails at n = 0, with both entries."""
+        original = assprimes._walked_flags
+
+        def flipped(walked, ns):
+            flags = original(walked, ns)
+            flags[(1, 2, 3)][0] = not flags[(1, 2, 3)][0]
+            return flags
+
+        monkeypatch.setattr(assprimes, "_walked_flags", flipped)
+        with pytest.raises(InconsistencyError, match="associated primes disagree at n=0") as info:
+            ass_profile(example_ideal(5), 3, "both")
+        payload = info.value.payload
+        assert payload["quotient"] == [(1, 2), (1, 2, 3)]
+        assert payload["recursion"] == [(1, 2)]
 
 
 @st.composite
@@ -808,11 +831,11 @@ class TestPowerWalk:
     def test_pure_power_ideal_walks_nothing(self):
         """An m-primary pure power ideal is associated at every n without a
         walk, whose boxes would grow in every variable: n = 40 in four
-        variables charges nothing."""
+        variables charges only its 15 supports of 4 generators each."""
         I = ideal(4, (3, 0, 0, 0), (0, 3, 0, 0), (0, 0, 3, 0), (0, 0, 0, 3))
         with enumeration_budget(DEFAULT_BUDGET) as meter:
             entries = ass_profile(I, 40, "recursion").entries
-        assert meter.used == 0
+        assert meter.used == 15 * 4
         assert entries == ({(1, 2, 3, 4)},) * 41
 
     @pytest.mark.parametrize("call", [h0_m_monomials, max_ideal_in_ass])
@@ -840,7 +863,7 @@ class TestPowerWalk:
             assert max_ideal_in_ass(I, 17)
 
     @pytest.mark.parametrize(
-        "d, n_max, method, charge", [(5, 40, "recursion", 2889429), (6, 30, "both", 2649288)]
+        "d, n_max, method, charge", [(5, 40, "recursion", 2889464), (6, 30, "both", 2649323)]
     )
     def test_long_profiles_fit_the_default_budget(self, d, n_max, method, charge):
         with enumeration_budget(DEFAULT_BUDGET) as meter:
@@ -906,21 +929,60 @@ class TestRequestBudget:
         assert warm.used == cold.used > 0
 
     def test_quotient_route_is_refused_at_its_last_climb(self):
-        """A quotient-route profile is refused one below its total, and one
-        below its total less its last table, at the climb to I^(n_max+1)."""
+        """A quotient-route profile is refused one below its total at the
+        supports it charges last, one below its total less those at its last
+        table, and one below that less the table at the climb to
+        I^(n_max+1)."""
         I, n_max = example_ideal(5), 4
         last = power(I, n_max + 1)
         with enumeration_budget() as meter:
             want = ass_profile(I, n_max, "quotient")
         with enumeration_budget() as table:
             ass_of_quotient(last)
+        with enumeration_budget() as supports:
+            assprimes._local_ideals(I)
         with enumeration_budget(meter.used):
             assert ass_profile(I, n_max, "quotient") == want
-        with enumeration_budget(meter.used - 1), pytest.raises(BudgetError, match="membership box"):
-            ass_profile(I, n_max, "quotient")
-        limit = meter.used - table.used - 1
-        with enumeration_budget(limit), pytest.raises(BudgetError, match="power walk"):
-            ass_profile(I, n_max, "quotient")
+        stages = [
+            ("support enumeration", meter.used - 1),
+            ("membership box", meter.used - supports.used - 1),
+            ("power walk", meter.used - supports.used - table.used - 1),
+        ]
+        for stage, limit in stages:
+            with enumeration_budget(limit), pytest.raises(BudgetError, match=stage):
+                ass_profile(I, n_max, "quotient")
+
+    def test_recursion_route_charges_its_supports(self):
+        """The 2^10 - 1 supports of the maximal ideal in 10 variables, each
+        masking its 10 generators, are charged before the first is formed,
+        though every one is settled outright and nothing is walked."""
+        m = minimize([tuple(int(i == k) for i in range(10)) for k in range(10)], 10)
+        supports = (2**10 - 1) * 10
+        with enumeration_budget(supports - 1), pytest.raises(BudgetError, match="support"):
+            ass_power(m, 1, "recursion")
+        with enumeration_budget(supports) as meter:
+            assert ass_power(m, 1, "recursion") == {tuple(range(1, 11))}
+        assert meter.used == supports
+
+    def test_a_direct_call_is_one_request(self, monkeypatch):
+        """Outside every block a public entry point opens its own meter, so
+        a direct call is refused when its charges add up past the limit,
+        though each of them alone fits."""
+        charges = []
+
+        def spy(points, *args, **kwargs):
+            charges.append(points)
+            return charge_budget(points, *args, **kwargs)
+
+        for module in (assprimes, monomials):
+            monkeypatch.setattr(module, "charge_budget", spy)
+        want = ass_profile(example_ideal(5), 4, "both")
+        assert max(charges) < sum(charges)
+        monkeypatch.setenv(BUDGET_ENV_VAR, str(max(charges)))
+        with pytest.raises(BudgetError, match="already charged"):
+            ass_profile(example_ideal(5), 4, "both")
+        monkeypatch.setenv(BUDGET_ENV_VAR, str(sum(charges)))
+        assert ass_profile(example_ideal(5), 4, "both") == want
 
     def test_charges_add_up_only_inside_a_block(self, monkeypatch):
         monkeypatch.setenv(BUDGET_ENV_VAR, "150")

@@ -568,6 +568,22 @@ class TestExitCodes:
             " exceed the recursion limit\n"
         )
 
+    @pytest.mark.parametrize(
+        "name, text",
+        [
+            ("dup.txt", "vars: 2\nlabels: a a\n1 0 >= 0\n"),
+            ("dup.json", '{"e": 2, "rows": [[1, 0]], "rhs": [0], "labels": ["a", "a"]}'),
+        ],
+        ids=["text", "json"],
+    )
+    def test_duplicate_labels_are_a_parse_error_naming_the_file(
+        self, capsys, tmp_path, name, text
+    ):
+        path = tmp_path / name
+        path.write_text(text)
+        message = f"parse error: {path}: variable labels must be distinct, got a a\n"
+        assert run(capsys, "cone", "--system", str(path)) == (2, "", message)
+
     def test_budget_flag(self, capsys, family_file):
         code, _, err = run(
             capsys, "ass", "--ideal", family_file, "--n", "1", "--budget", "1"
@@ -582,7 +598,8 @@ class TestExitCodes:
         assert "budget exceeded" in err
 
     def test_budget_covers_the_whole_call(self, capsys, family_file):
-        # 25 products and 432 lattice points on the quotient route and 726
+        # 25 products and 432 lattice points on the quotient route, 35
+        # masked generators for the 7 supports of 5 generators, and 726
         # points on the recursion route, though no table alone needs more
         # than 432
         argv = ["ass", "--ideal", family_file, "--n", "1", "--method", "both"]
@@ -590,23 +607,23 @@ class TestExitCodes:
         assert (code, out) == (3, "")
         assert err == (
             "budget exceeded: membership box needs 363 lattice points,"
-            " budget is 500, 457 already charged\n"
+            " budget is 500, 492 already charged\n"
         )
-        assert run(capsys, *argv, "--budget", "1182")[0] == 3
-        assert run(capsys, *argv, "--budget", "1183")[0] == 0
-        assert run(capsys, *argv, "--budget", "1194") == run(capsys, *argv)
+        assert run(capsys, *argv, "--budget", "1217")[0] == 3
+        assert run(capsys, *argv, "--budget", "1218")[0] == 0
+        assert run(capsys, *argv, "--budget", "1229") == run(capsys, *argv)
 
     @pytest.mark.parametrize("jobs", ["1", "2"])
     def test_one_meter_covers_a_profile_at_any_jobs(self, capsys, family_file, jobs):
-        # the profile charges 15,995 units in all, every one of them in the
+        # the profile charges 16,030 units in all, every one of them in the
         # calling process, so --jobs moves no refusal
         argv = ["ass-profile", "--ideal", family_file, "--n-max", "4", "--method", "both"]
         argv += ["--jobs", jobs]
-        assert run(capsys, *argv, "--budget", "15994")[0] == 3
-        assert run(capsys, *argv, "--budget", "15995")[0] == 0
+        assert run(capsys, *argv, "--budget", "16029")[0] == 3
+        assert run(capsys, *argv, "--budget", "16030")[0] == 0
 
     def test_budget_does_not_carry_over_between_calls(self, capsys, family_file):
-        # each call charges 1183 units, more than half the limit
+        # each call charges 1218 units, more than half the limit
         argv = ["ass", "--ideal", family_file, "--n", "1", "--method", "both", "--budget", "2000"]
         assert [run(capsys, *argv)[0] for _ in range(2)] == [0, 0]
 

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from brodmann.errors import ParseError
+from brodmann.errors import InputError, ParseError
 from brodmann.ioformats import (
     ideal_to_json,
     ideal_to_text,
@@ -275,6 +275,59 @@ class TestFileLoading:
         p = tmp_path / name
         p.write_bytes(b"\xef\xbb\xbf" + text.encode())
         assert load(p) == expected
+
+
+# the refusals of `TestConstraintSystem` that JSON can write: (e, rows, rhs, labels)
+SYSTEM_REFUSALS = [
+    (0, [], [], None),
+    (2, [[1]], [0], None),
+    (2, [[1, 0]], [], None),
+    (2, [[1, 0]], [0], ["only_one"]),
+    (2, [[1, 0]], [0], ["a", "a"]),
+    (2, [[1, 0]], [0.5], None),
+    (2, [[1.5, 0]], [0], None),
+    (2, [[True, 0]], [0], None),
+    (2, [[1, 0]], [False], None),
+    (2, [[1, 0]], [0], ["a", 2]),
+]
+
+
+class TestSystemShapeIsCheckedOnce:
+    """`ConstraintSystem` alone checks a system's shape, and both readers
+    pass its refusal on as a ParseError naming the file."""
+
+    @pytest.mark.parametrize(
+        "e, rows, rhs, labels",
+        SYSTEM_REFUSALS,
+        ids=[
+            "zero-e", "short-row", "rhs-count", "label-count", "duplicate-labels",
+            "float-rhs", "float-entry", "bool-entry", "bool-rhs", "int-label",
+        ],
+    )  # fmt: skip
+    def test_json_refusal_names_the_file(self, tmp_path, e, rows, rhs, labels):
+        fields = e, tuple(map(tuple, rows)), tuple(rhs), labels and tuple(labels)
+        with pytest.raises(InputError) as want:
+            ConstraintSystem(*fields)
+        p = tmp_path / "sys.json"
+        p.write_text(json.dumps({"e": e, "rows": rows, "rhs": rhs, "labels": labels}))
+        with pytest.raises(ParseError) as got:
+            load_system(p)
+        assert str(got.value) == f"{p}: {want.value}"
+
+    @pytest.mark.parametrize(
+        "name, text",
+        [
+            ("sys.txt", "vars: 2\nlabels: a a\n1 0 >= 0\n"),
+            ("sys.json", '{"e": 2, "rows": [[1, 0]], "rhs": [0], "labels": ["a", "a"]}'),
+        ],
+        ids=["text", "json"],
+    )
+    def test_duplicate_labels_name_the_file(self, tmp_path, name, text):
+        p = tmp_path / name
+        p.write_text(text)
+        with pytest.raises(ParseError) as info:
+            load_system(p)
+        assert str(info.value) == f"{p}: variable labels must be distinct, got a a"
 
 
 # U+0662 and U+0661, Arabic-Indic two and one: int() reads them as 2 and 1
